@@ -10,9 +10,7 @@ the vectorization break-even); ``dense`` keeps the same 100 profiles and
 about a thousand EIs, which is where the batched kernels shine (the
 paper's scalability axis, Figure 11).  The full-run benchmarks carry a
 ``density`` marker: ``--density sparse|dense|both`` (see
-``benchmarks/conftest.py``) restricts a session to one regime, and every
-engine axis includes ``auto`` so the dispatching engine is timed beside
-the two it chooses between.
+``benchmarks/conftest.py``) restricts a session to one regime.
 """
 
 import pytest
@@ -119,28 +117,28 @@ def _run_full_monitor(policy_factory, engine="reference", density="sparse", conf
 
 
 @pytest.mark.density("sparse")
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "auto"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 def test_monitor_full_run_sedf(benchmark, engine):
     probes = benchmark(_run_full_monitor, SEDF, engine)
     assert probes > 0
 
 
 @pytest.mark.density("sparse")
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "auto"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 def test_monitor_full_run_mrsf(benchmark, engine):
     probes = benchmark(_run_full_monitor, MRSF, engine)
     assert probes > 0
 
 
 @pytest.mark.density("sparse")
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "auto"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 def test_monitor_full_run_medf(benchmark, engine):
     probes = benchmark(_run_full_monitor, MEDF, engine)
     assert probes > 0
 
 
 @pytest.mark.density("dense")
-@pytest.mark.parametrize("engine", ["reference", "vectorized", "auto"])
+@pytest.mark.parametrize("engine", ["reference", "vectorized"])
 @pytest.mark.parametrize("policy_name", ["S-EDF", "MRSF", "M-EDF"])
 def test_monitor_full_run_dense(benchmark, policy_name, engine):
     """The vectorization target: ~1000-EI bags, where kernels dominate."""

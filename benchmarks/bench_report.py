@@ -17,14 +17,10 @@ point without re-deriving the harness:
 
 A pre-trajectory baseline (a bare record at the top level) is wrapped
 as ``runs[0]`` on first append.  Timings are min-of-``reps`` wall
-clock; every speedup cell also records the probe count of all engines
-(reference, vectorized and the dispatching ``auto``), which must match
-exactly (the report aborts otherwise — a perf baseline measured on
-diverging engines would be meaningless).  Each full-monitor cell also
-carries the auto engine's dispatch decisions (initial/final engine,
-switches, batched spans, idle-skipped chronons), and the record header
-notes the worker-pool size and whether the optional numba kernels were
-requested/available/active.
+clock; every speedup cell also records the probe count of both engines,
+which must match exactly (the report aborts otherwise — a perf baseline
+measured on diverging engines would be meaningless).  The record header
+notes the worker-pool size.
 """
 
 from __future__ import annotations
@@ -77,26 +73,6 @@ def build_instance(window: int, rate: float, rank_max: int, seed: int = 3):
     return epoch, arrivals_from_profiles(profiles)
 
 
-def observed_mean_bag(epoch, arrivals, policy_name, budget):
-    """Mean bag size over a stepped reference run (untimed pass).
-
-    Instrumentation lives outside the timed region because the timed
-    runs go through ``monitor.run()``, which batches and skips chronons.
-    The bag trajectory is engine-independent (schedules are identical),
-    so one reference pass serves all engine columns.
-    """
-    monitor = OnlineMonitor(
-        make_policy(policy_name),
-        BudgetVector.constant(budget, len(epoch)),
-        config=MonitorConfig(engine="reference"),
-    )
-    total = 0
-    for chronon in epoch:
-        monitor.step(chronon, arrivals.get(chronon, ()))
-        total += monitor.pool.num_active()
-    return total / len(epoch)
-
-
 def time_monitor_once(epoch, arrivals, policy_name, budget, engine):
     monitor = OnlineMonitor(
         make_policy(policy_name),
@@ -106,22 +82,10 @@ def time_monitor_once(epoch, arrivals, policy_name, budget, engine):
     started = time.perf_counter()
     monitor.run(epoch, arrivals)
     elapsed = time.perf_counter() - started
-    stats = monitor.dispatch_stats
-    dispatch = None
-    if stats is not None:
-        dispatch = {
-            "initial_engine": stats.initial_engine,
-            "final_engine": stats.final_engine,
-            "switches": stats.switches,
-            "reference_chronons": stats.reference_chronons,
-            "vectorized_chronons": stats.vectorized_chronons,
-            "idle_skipped": stats.idle_skipped,
-            "batched_spans": stats.batched_spans,
-        }
-    return elapsed, monitor.probes_used, dispatch
+    return elapsed, monitor.probes_used
 
 
-ENGINES = ("reference", "vectorized", "auto")
+ENGINES = ("reference", "vectorized")
 
 
 def full_monitor_cells(reps: int) -> list[dict]:
@@ -132,51 +96,33 @@ def full_monitor_cells(reps: int) -> list[dict]:
         )
         for policy_name in POLICIES:
             row = {"density": density, "policy": policy_name, **params}
-            row["mean_bag"] = round(
-                observed_mean_bag(epoch, arrivals, policy_name, params["budget"]),
-                1,
-            )
             # Rounds are interleaved across engines so slow machine drift
             # hits every column alike; the best round is taken per engine.
             best = {engine: float("inf") for engine in ENGINES}
             for _ in range(reps):
                 for engine in ENGINES:
-                    seconds, probes, dispatch = time_monitor_once(
+                    seconds, probes = time_monitor_once(
                         epoch, arrivals, policy_name, params["budget"], engine
                     )
                     best[engine] = min(best[engine], seconds)
                     row[f"{engine}_probes"] = probes
-                    if dispatch is not None:
-                        row["dispatch"] = dispatch
             for engine in ENGINES:
                 row[f"{engine}_seconds"] = round(best[engine], 6)
-            if not (
-                row["reference_probes"]
-                == row["vectorized_probes"]
-                == row["auto_probes"]
-            ):
+            if row["reference_probes"] != row["vectorized_probes"]:
                 raise SystemExit(
                     f"engine divergence on {policy_name}/{density}: "
                     f"{row['reference_probes']} vs {row['vectorized_probes']} "
-                    f"vs {row['auto_probes']} probes (ref/vec/auto)"
+                    f"probes (ref/vec)"
                 )
             row["speedup"] = round(
                 row["reference_seconds"] / row["vectorized_seconds"], 2
             )
-            row["auto_speedup"] = round(
-                row["reference_seconds"] / row["auto_seconds"], 2
-            )
             cells.append(row)
             print(
-                f"{density:7s} {policy_name:6s} meanA={row['mean_bag']:7.1f} "
+                f"{density:7s} {policy_name:6s} "
                 f"ref={row['reference_seconds'] * 1e3:8.2f}ms "
                 f"vec={row['vectorized_seconds'] * 1e3:8.2f}ms "
-                f"auto={row['auto_seconds'] * 1e3:8.2f}ms "
-                f"speedup={row['speedup']:5.2f}x "
-                f"auto={row['auto_speedup']:5.2f}x "
-                f"[{row['dispatch']['initial_engine'][:3]}->"
-                f"{row['dispatch']['final_engine'][:3]} "
-                f"sw={row['dispatch']['switches']}]"
+                f"speedup={row['speedup']:5.2f}x"
             )
     return cells
 
@@ -612,8 +558,6 @@ def main(argv=None) -> Path:
     }
     if args.only:
         sections = {args.only: sections[args.only]}
-    from repro.policies import compiled
-
     record = {
         "git_sha": git_sha(),
         "date": date,
@@ -622,12 +566,6 @@ def main(argv=None) -> Path:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "workers": suite_workers(),
-        "numba": {
-            "requested": compiled.NUMBA_REQUESTED,
-            "available": compiled.numba_available(),
-            "active": compiled.numba_active(),
-            "version": compiled.numba_version(),
-        },
         "reps": args.reps,
         "workload": "100 profiles x 400 chronons x 200 resources (seed 3)",
         **{name: build() for name, build in sections.items()},

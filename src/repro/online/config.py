@@ -13,12 +13,18 @@ since the ``MonitorConfig`` PR) and are now *removed*: passing bare
 ``engine=``/``faults=``/``retry=``/``workers=`` to a config-accepting
 entry point raises :class:`TypeError` through :func:`resolve_config`, the
 shared graduation shim, with a message naming the ``config=`` replacement.
+
+The retired ``engine="auto"`` value (bag-size dispatch between the two
+engines) is on the same path: :meth:`Engine.coerce` maps it to
+:attr:`Engine.VECTORIZED` with a :class:`DeprecationWarning`.  Schedules
+are unchanged, since auto always matched both engines bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -35,23 +41,29 @@ class Engine(str, enum.Enum):
 
     A str-enum: ``Engine.VECTORIZED == "vectorized"`` holds, so existing
     string comparisons keep working wherever an ``Engine`` flows.
-
-    ``Engine.AUTO`` is not a third implementation: it dispatches between
-    the two fixed engines per run — and re-evaluates the choice per
-    chronon via a bag-size hysteresis (:mod:`repro.online.dispatch`),
-    migrating the candidate pool exactly when the workload regime
-    changes.  Schedules stay bit-identical to either fixed engine.
     """
 
     REFERENCE = "reference"
     VECTORIZED = "vectorized"
-    AUTO = "auto"
 
     @classmethod
     def coerce(cls, value: "Engine | str") -> "Engine":
-        """The single validation point for engine values."""
+        """The single validation point for engine values.
+
+        The retired ``"auto"`` spelling still coerces, to
+        :attr:`VECTORIZED`, with a :class:`DeprecationWarning`.
+        """
         if isinstance(value, Engine):
             return value
+        if value == "auto":
+            warnings.warn(
+                'engine="auto" is deprecated; use engine="vectorized" '
+                "(the schedules are identical)",
+                DeprecationWarning,
+                # coerce <- __post_init__ <- MonitorConfig() <- caller
+                stacklevel=4,
+            )
+            return cls.VECTORIZED
         try:
             return cls(value)
         except ValueError:
@@ -73,9 +85,8 @@ class MonitorConfig:
     ----------
     engine:
         Monitor implementation — :attr:`Engine.REFERENCE` (the Algorithm 1
-        transcription), :attr:`Engine.VECTORIZED` (the structure-of-arrays
-        fast path) or :attr:`Engine.AUTO` (bag-size-aware dispatch between
-        the two, bit-identical to both).  A plain string is coerced and
+        transcription) or :attr:`Engine.VECTORIZED` (the structure-of-arrays
+        fast path, bit-identical to it).  A plain string is coerced and
         validated on construction.
     faults:
         Optional :class:`repro.online.faults.FailureModel` injecting probe
@@ -146,7 +157,6 @@ def resolve_config(
     retry: "Optional[RetryPolicy]" = None,
     workers: Optional[int] = None,
     owner: str = "OnlineMonitor",
-    stacklevel: int = 3,
 ) -> MonitorConfig:
     """The graduation shim shared by every config-accepting entry point.
 
@@ -155,10 +165,8 @@ def resolve_config(
     have completed their cycle: passing any of them now raises
     :class:`TypeError` naming the ``config=`` replacement, so old call
     sites fail loudly with a migration hint instead of a generic
-    "unexpected keyword argument".  ``stacklevel`` is kept for
-    signature compatibility with older callers of the shim itself.
+    "unexpected keyword argument".
     """
-    del stacklevel  # no longer warns; kept for signature compatibility
     legacy = {
         name: value
         for name, value in (

@@ -59,7 +59,7 @@ from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
 from repro.core.resource import ResourceId, ResourcePool
 from repro.core.timebase import Chronon
-from repro.policies import compiled
+from repro.policies.kernels import pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.online.monitor import OnlineMonitor
@@ -1053,7 +1053,7 @@ class _LocalStream:
                 # Integer priorities small enough to share an int64 with
                 # the static key: keys are then unique (seq is), so any
                 # slice is ordered by one plain argsort.
-                packed_keys = compiled.pack_keys(prio, static)
+                packed_keys = pack_keys(prio, static)
         self._packed_keys = packed_keys
         self._static = static
 
@@ -1446,7 +1446,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
     if pool._packable:
         static = pool.npr_static[rows]
         if kernel.integer_valued and float(np.abs(prio).max()) < float(1 << 20):
-            order = np.argsort(compiled.pack_keys(prio, static))
+            order = np.argsort(pack_keys(prio, static))
         else:
             order = np.lexsort((static, prio))
     else:

@@ -44,17 +44,9 @@ from repro.core.schedule import BudgetVector, Schedule
 from repro.core.timebase import Chronon, Epoch
 from repro.online.candidates import CandidatePool
 from repro.online.config import ENGINES, MonitorConfig, resolve_config
-from repro.online.dispatch import (
-    DispatchController,
-    DispatchStats,
-    fast_pool_from_reference,
-    reference_pool_from_fast,
-)
-from repro.online import dispatch as _dispatch_mod
 from repro.online.faults import FailureModel, FaultInjector, FaultStats, RetryPolicy
 from repro.online.fastpath import FastCandidatePool, run_fast_phases, run_fast_span
 from repro.online.health import HealthStats, HealthTracker
-from repro.online.scalarpath import run_scalar_phase, scalar_builder_for
 from repro.online.sharded import (
     ShardedEngine,
     ShardingStats,
@@ -113,10 +105,7 @@ class OnlineMonitor:
         then shares the arena's immutable columns and mirrors instead of
         rebuilding them per run — bit-identical results, with the per-EI
         registration walk amortized across every policy run of the same
-        instance.  Requires ``Engine.VECTORIZED`` or ``Engine.AUTO``;
-        under AUTO the arena additionally supplies the capture-free mean
-        bag size that picks the starting engine (a reference start simply
-        leaves the arena unused — the arrivals still carry the CEIs).
+        instance.  Requires ``Engine.VECTORIZED``.
     engine, faults, retry:
         Removed keyword equivalents of the ``config`` fields; passing
         any of them raises :class:`TypeError` naming the ``config=``
@@ -167,51 +156,19 @@ class OnlineMonitor:
         if self._health is not None:
             policy.bind_health(self._health)
         self.pool: Union[CandidatePool, FastCandidatePool]
-        #: Is the current pool the structure-of-arrays one?  Fixed for the
-        #: fixed engines; flips on auto-dispatch migrations.
-        self._pool_fast: bool
-        self._dispatch: Optional[DispatchController] = None
-        self._dispatch_stats: Optional[DispatchStats] = None
-        self._scalar_builder = None
-        self._stepped = False
-        if self.engine == "vectorized":
+        #: Is the pool the structure-of-arrays one (the vectorized engine)?
+        self._pool_fast = self.engine == "vectorized"
+        if self._pool_fast:
             self.pool = FastCandidatePool(arena=arena)
             self._kernel = resolve_kernel(policy)
-            self._pool_fast = True
-        elif self.engine == "auto":
-            self._kernel = resolve_kernel(policy)
-            if self._kernel is None:
-                # No batched kernel means the fast engine would run the
-                # same reference loop over a costlier pool: nothing to
-                # dispatch between, so the run is pure reference (the
-                # arena, if any, goes unused).
-                self.pool = CandidatePool()
-                self._pool_fast = False
-                self._dispatch_stats = DispatchStats(initial_engine="reference")
-            else:
-                start_fast = (
-                    arena is not None
-                    and arena.mean_bag >= _dispatch_mod.DENSE_THRESHOLD
-                )
-                if start_fast:
-                    self.pool = FastCandidatePool(arena=arena)
-                else:
-                    self.pool = CandidatePool()
-                self._pool_fast = start_fast
-                self._dispatch = DispatchController(start_fast)
-                self._dispatch_stats = DispatchStats(
-                    initial_engine="vectorized" if start_fast else "reference"
-                )
-                self._scalar_builder = scalar_builder_for(self._kernel)
         else:
             if arena is not None:
                 raise ModelError(
-                    "instance arenas require the vectorized or auto engine; "
+                    "instance arenas require the vectorized engine; "
                     "pass the arena's profiles to a reference monitor instead"
                 )
             self.pool = CandidatePool()
             self._kernel = None
-            self._pool_fast = False
         self.schedule = Schedule()
         self._faults: Optional[FaultInjector] = (
             FaultInjector(cfg.faults, cfg.retry, health=self._health)
@@ -226,14 +183,6 @@ class OnlineMonitor:
         # and may be re-probed (partial-failure-aware retry): the usual
         # "already probed" skip is waived for them.
         self._partial_retry_ok: set[ResourceId] = set()
-        # Scalar-walk eligibility (the sparse side of auto): the inlined
-        # priority walk replaces _probe_phase only under the exact gates
-        # its inlining assumed — unit probe costs, no fault machinery.
-        self._scalar_ok = (
-            self._scalar_builder is not None
-            and self._faults is None
-            and resources is None
-        )
         self._dropped: set[tuple[ResourceId, Chronon, int]] = set()
         self._push_probes: set[tuple[ResourceId, Chronon]] = set()
         self._consumed: dict[Chronon, float] = {}
@@ -303,14 +252,6 @@ class OnlineMonitor:
             raise ModelError(
                 f"chronons must increase: step({chronon}) after step({self._clock})"
             )
-        if self._dispatch is not None and self._stepped:
-            # Auto-dispatch tick: observe the bag as the previous chronon
-            # left it and migrate the pool if the regime changed, *before*
-            # the clock advances (migration reasons about completed time).
-            # The first step never ticks — an arena-predicted fast start
-            # would otherwise observe the pre-arrival empty bag and demote
-            # itself immediately.
-            self._dispatch_tick()
         if self._sharded is not None and not self._sharded.attached(self.pool):
             # Growth churn reallocated the pool's mirrors away from the
             # shared segment (adopt_arena after a registering patch):
@@ -325,19 +266,11 @@ class OnlineMonitor:
                     self._sharding_stats.demote_reason = (
                         "arena churn outgrew the shared segment"
                     )
-        self._stepped = True
         self._clock = chronon
-        stats = self._dispatch_stats
-        if stats is not None:
-            if self._pool_fast:
-                stats.vectorized_chronons += 1
-            else:
-                stats.reference_chronons += 1
         self.policy.on_chronon_start(chronon)
         if self._faults is not None:
             self._faults.begin_chronon(chronon)
         self._partial_retry_ok.clear()
-        fast = self._pool_fast and self._kernel is not None
 
         if self._pool_fast:
             # The fast pool can skip materializing EI object lists when no
@@ -374,28 +307,11 @@ class OnlineMonitor:
                 # opportunistically capturing whatever EIs sit there.
                 self._probe_resources(selected, chronon, remaining, probed)
             elif self.pool.num_active() > 0:
-                if fast:
+                if self._kernel is not None:
                     if self._sharded is not None:
                         run_sharded_phases(self, chronon, remaining, probed)
                     else:
                         run_fast_phases(self, chronon, remaining, probed)
-                elif self._scalar_ok:
-                    # Sparse side of auto: inlined-priority sorted walk
-                    # over the reference pool (selection-identical to
-                    # _probe_phase, minus its per-candidate dispatch).
-                    if self.preemptive:
-                        run_scalar_phase(
-                            self, self.pool.active_eis(), chronon, remaining, probed
-                        )
-                    else:
-                        plus, minus = self.pool.split_by_prior_capture(
-                            self.pool.active_eis()
-                        )
-                        remaining = run_scalar_phase(
-                            self, plus, chronon, remaining, probed
-                        )
-                        if remaining > _EPS:
-                            run_scalar_phase(self, minus, chronon, remaining, probed)
                 elif self.preemptive:
                     self._probe_phase(
                         self.pool.active_eis(), chronon, remaining, probed
@@ -480,7 +396,6 @@ class OnlineMonitor:
             # bypasses the shard merge stream (idle skips stay allowed).
             and self._sharded is None
         )
-        stats = self._dispatch_stats
         last = epoch.last
         horizon = last + 1
         # Sorted non-empty arrival chronons; `ai` only ever advances.
@@ -506,14 +421,11 @@ class OnlineMonitor:
                     # not; a budget shorter than the epoch must still raise
                     # at the same boundary chronon.
                     self.budget.at(max(t, num_budgeted))
-                if stats is not None:
-                    stats.idle_skipped += u - t
                 self._clock = u - 1
                 t = u
                 continue
             if (
                 span_ok
-                and self._pool_fast
                 and not has_arrival
                 and t not in act
                 and t not in exp
@@ -527,38 +439,11 @@ class OnlineMonitor:
                     # Event-free span: the bag only changes through this
                     # walk's own captures — one batched call covers it.
                     run_fast_span(self, t, u)
-                    if stats is not None:
-                        stats.batched_spans += 1
-                        stats.vectorized_chronons += u - t
                     t = u
                     continue
             self.step(t, arrivals.get(t, ()))
             t += 1
         return self.schedule
-
-    def _dispatch_tick(self) -> None:
-        """One auto-dispatch observation; migrates the pool on a regime flip.
-
-        Runs at step start, before the clock advances: the migration's
-        ``now`` is the last completed chronon, so "already expired" and
-        "still pending" are unambiguous.  Called only on individually
-        stepped chronons — skipped/batched stretches don't feed the EWMA
-        (they couldn't change the verdict mid-span anyway: migration is
-        only possible between steps).
-        """
-        assert self._dispatch is not None
-        want_fast = self._dispatch.observe(self.pool.num_active())
-        if want_fast == self._pool_fast:
-            return
-        now = self._clock
-        if want_fast:
-            self.pool = fast_pool_from_reference(self.pool, now)
-        else:
-            self.pool = reference_pool_from_fast(self.pool, now)
-        self._pool_fast = want_fast
-        stats = self._dispatch_stats
-        if stats is not None:
-            stats.switches += 1
 
     # ------------------------------------------------------------------
     # Probe selection (the paper's probeEIs procedure)
@@ -830,16 +715,6 @@ class OnlineMonitor:
     def fault_stats(self) -> FaultStats:
         """Attempt/failure/retry/backoff counters for this run."""
         return self._faults.stats if self._faults is not None else FaultStats()
-
-    @property
-    def dispatch_stats(self) -> Optional[DispatchStats]:
-        """Auto-dispatch accounting (None unless ``engine="auto"``).
-
-        Chronon counters cover individually-stepped chronons per engine;
-        batched spans and idle skips are tallied separately by the run
-        loop (a span counts its whole length as vectorized chronons).
-        """
-        return self._dispatch_stats
 
     @property
     def shedding_stats(self) -> Optional[SheddingStats]:

@@ -69,7 +69,7 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.online import fastpath
 from repro.online.fastpath import _EPS, _fast_phase, _phase_walk
-from repro.policies import compiled
+from repro.policies.kernels import pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.online.fastpath import FastCandidatePool
@@ -174,7 +174,7 @@ class _ShardSlicer:
             # Per-shard decision: the coordinator compares full-key
             # *tuples* across shards, so shards may disagree on packing
             # (each form yields a valid strict bound on its remainder).
-            self.packed = compiled.pack_keys(prio, cols.npr_static[rows])
+            self.packed = pack_keys(prio, cols.npr_static[rows])
         self.remaining: Optional[np.ndarray] = np.arange(n)
 
     def _order(self, sel: np.ndarray) -> np.ndarray:

@@ -13,9 +13,7 @@ local ranking decide.  This module supplies that choice:
   ``MonitorConfig.shedding``.  Disabled (``None``, the default) the
   monitor is bit-identical to a shedding-free build.
 * :class:`OverloadDetector` — an EWMA of the candidate-demand-to-budget
-  ratio with hysteresis, the same shape as
-  :class:`repro.online.dispatch.DispatchController`: overload is entered
-  only after the smoothed ratio holds at or above ``overload_on`` for
+  ratio with hysteresis: overload is entered only after the smoothed ratio holds at or above ``overload_on`` for
   ``sustain`` consecutive chronons, and left once it falls below
   ``overload_off`` — transient bursts never trigger shedding.
 * :class:`LoadShedder` — the per-run tracker the monitor ticks once per
@@ -198,9 +196,8 @@ class SheddingStats:
 class OverloadDetector:
     """EWMA-with-hysteresis over the demand-to-budget ratio.
 
-    Mirrors :class:`repro.online.dispatch.DispatchController`'s shape —
-    jump-started EWMA, two thresholds, state only flips when the smoothed
-    signal crosses the *far* threshold — plus a sustain count: overload
+    A jump-started EWMA with two thresholds — state only flips when the
+    smoothed signal crosses the *far* threshold — plus a sustain count: overload
     is entered only after ``sustain`` consecutive at-or-above-``on``
     observations, so one bursty chronon cannot trigger shedding.
     """

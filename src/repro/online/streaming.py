@@ -17,9 +17,9 @@ recompilation), and cancellations unschedule pending arrivals or close
 live CEIs in place.  Without an arena the same API drives the pools'
 ordinary incremental registration.
 
-The driver composes with everything the step loop composes with: the
-auto-dispatch controller, fault injection and learned health, and tiered
-load shedding all act per-step exactly as they do in a batch run.
+The driver composes with everything the step loop composes with: both
+engines, fault injection and learned health, and tiered load shedding
+all act per-step exactly as they do in a batch run.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.core.resource import ResourcePool
 from repro.core.schedule import BudgetVector, Schedule
 from repro.core.timebase import Chronon
 from repro.online.config import MonitorConfig
-from repro.online.fastpath import FastCandidatePool
 from repro.online.monitor import OnlineMonitor
 from repro.policies.base import Policy, make_policy
 from repro.sim.arena import ArenaPatch, InstanceArena, apply_patch
@@ -116,7 +115,7 @@ class StreamingMonitor:
         Forwarded to :class:`repro.online.monitor.OnlineMonitor`.
     arena:
         Optional compiled :class:`InstanceArena` of the *initial*
-        workload (requires a vectorized or auto engine).  The run is
+        workload (requires the vectorized engine).  The run is
         then arena-backed and every later submission or cancellation is
         applied as an :class:`ArenaPatch` — no recompilation — while the
         arena's ``arrivals`` map stays the exact from-scratch baseline
@@ -239,24 +238,6 @@ class StreamingMonitor:
         self._pending.setdefault(reveal_at, []).append(cei)
         self._pending_cids.add(cei.cid)
 
-    def _arena_pools(self) -> tuple[FastCandidatePool, ...]:
-        """The live pools a patch must be mirrored into (may be empty).
-
-        Under auto-dispatch the pool can migrate away from the
-        arena-backed original; from then on the arena (if still patched)
-        no longer feeds the run and registrations flow incrementally, so
-        the monitor drops to arena-less mode permanently.
-        """
-        pool = self._monitor.pool
-        assert self._arena is not None
-        if (
-            isinstance(pool, FastCandidatePool)
-            and pool._arena is not None
-            and pool._arena.cidx_of_cid is self._arena.cidx_of_cid
-        ):
-            return (pool,)
-        return ()
-
     def submit(self, ceis: Sequence[ComplexExecutionInterval]) -> int:
         """Admit new CEIs; each reveals at ``max(now, release)``.
 
@@ -268,12 +249,7 @@ class StreamingMonitor:
         if not ceis:
             return 0
         if self._arena is not None:
-            pools = self._arena_pools()
-            if pools:
-                patch = ArenaPatch.registrations(ceis, at=self._next)
-                self._arena = apply_patch(self._arena, patch, pools=pools)
-            else:
-                self._arena = None  # migrated away: incremental forever
+            self._patch(ArenaPatch.registrations(ceis, at=self._next))
         for cei in ceis:
             self._queue(cei, max(self._next, cei.release))
         self._num_submitted += len(ceis)
@@ -307,31 +283,24 @@ class StreamingMonitor:
             # Keep the arena's from-scratch baseline in sync: only CEIs
             # that really closed are recorded as cancelled (a cancel of
             # an already-satisfied CEI is a no-op in both worlds).
-            pools = self._arena_pools()
-            if pools:
-                known = tuple(
-                    cei.cid for cei in withdrawn
-                    if cei.cid in self._arena.cidx_of_cid
-                )
-                if known:
-                    self._arena = apply_patch(
-                        self._arena, ArenaPatch(cancel=known), pools=pools
-                    )
-            else:
-                self._arena = None  # migrated away: incremental forever
+            known = tuple(
+                cei.cid for cei in withdrawn
+                if cei.cid in self._arena.cidx_of_cid
+            )
+            if known:
+                self._patch(ArenaPatch(cancel=known))
         return withdrawn
 
     def compact(self) -> None:
         """Prune arena event timelines behind the clock (arena runs only)."""
         self._steps_since_compact = 0
-        if self._arena is None:
-            return
-        pools = self._arena_pools()
-        if not pools:
-            self._arena = None
-            return
-        patch = ArenaPatch(expire_before=self._next)
-        self._arena = apply_patch(self._arena, patch, pools=pools)
+        if self._arena is not None:
+            self._patch(ArenaPatch(expire_before=self._next))
+
+    def _patch(self, patch: ArenaPatch) -> None:
+        """Apply one patch to the arena and mirror it into the live pool."""
+        assert self._arena is not None
+        self._arena = apply_patch(self._arena, patch, pools=(self._monitor.pool,))
 
     # ------------------------------------------------------------------
     # Observation
@@ -378,10 +347,6 @@ class StreamingMonitor:
     @property
     def health_stats(self):
         return self._monitor.health_stats
-
-    @property
-    def dispatch_stats(self):
-        return self._monitor.dispatch_stats
 
     @property
     def fault_stats(self):

@@ -50,12 +50,32 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.policies import compiled
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.online.fastpath import FastCandidatePool
     from repro.policies.base import Policy
     from repro.policies.reliability import ExpectedGainPolicy
+
+
+def sedf_scores(finish_f: np.ndarray, chronon: int) -> np.ndarray:
+    """S-EDF batch: ``finish - (T - 1)`` over the gathered finish column."""
+    return finish_f - (chronon - 1)
+
+
+def mrsf_scores(rank_f: np.ndarray, captured_f: np.ndarray) -> np.ndarray:
+    """MRSF batch: the per-CEI residual ``rank - captured``."""
+    return rank_f - captured_f
+
+
+def medf_scores(
+    medf_s_f: np.ndarray, medf_open_f: np.ndarray, chronon: int
+) -> np.ndarray:
+    """M-EDF batch: ``S - n_open * T`` from the incremental aggregates."""
+    return medf_s_f - medf_open_f * chronon
+
+
+def pack_keys(prio: np.ndarray, static: np.ndarray) -> np.ndarray:
+    """Pack integer priorities with the static key: ``p * 2^42 + static``."""
+    return prio.astype(np.int64) * (1 << 42) + static
 
 
 class ScoreKernel:
@@ -134,7 +154,7 @@ class SEDFKernel(ScoreKernel):
         cidx: np.ndarray,
         chronon: int,
     ) -> np.ndarray:
-        return compiled.sedf_scores(pool.npr_finish_f[rows], chronon)
+        return sedf_scores(pool.npr_finish_f[rows], chronon)
 
 
 class MRSFKernel(ScoreKernel):
@@ -150,7 +170,7 @@ class MRSFKernel(ScoreKernel):
         cidx: np.ndarray,
         chronon: int,
     ) -> np.ndarray:
-        return compiled.mrsf_scores(pool.npc_rank_f[cidx], pool.npc_captured_f[cidx])
+        return mrsf_scores(pool.npc_rank_f[cidx], pool.npc_captured_f[cidx])
 
     def score_cei(self, pool: "FastCandidatePool", cidx: int, chronon: int) -> float:
         return float(pool.cei_rank[cidx] - pool.cei_captured[cidx])
@@ -168,7 +188,7 @@ class MEDFKernel(ScoreKernel):
         cidx: np.ndarray,
         chronon: int,
     ) -> np.ndarray:
-        return compiled.medf_scores(
+        return medf_scores(
             pool.npc_medf_s_f[cidx], pool.npc_medf_open_f[cidx], chronon
         )
 

@@ -1,17 +1,11 @@
 """Thin HTTP front end for the streaming proxy (durable or in-memory).
 
-Two flavours, both optional sugar over the in-process API:
+:func:`serve` is optional sugar over the in-process API: a
+dependency-free :mod:`http.server` endpoint exposing ``/healthz``,
+``/stats`` and ``/clients/{name}/stats`` as JSON.  It works on a bare
+Python.
 
-* :func:`serve` — a dependency-free :mod:`http.server` endpoint exposing
-  ``/healthz``, ``/stats`` and ``/clients/{name}/stats`` as JSON.  This
-  is what the CI service-smoke job drives: it works on a bare Python.
-* :func:`create_app` — the same routes as a FastAPI application, for
-  deployments that already run an ASGI stack.  FastAPI is *not* a
-  dependency of this repo: when it is absent, :func:`create_app` raises
-  a clear :class:`ExperimentError` and everything else in this module
-  (and the whole in-process API) keeps working.
-
-Both accept either a :class:`repro.proxy.streaming.StreamingProxy` or a
+It accepts either a :class:`repro.proxy.streaming.StreamingProxy` or a
 :class:`repro.proxy.durability.DurableStreamingProxy`.  With a durable
 proxy, ``/healthz`` reports ``status: ok|degraded`` with WAL lag and the
 last-snapshot chronon, and ``POST /snapshot`` triggers a checkpoint
@@ -41,10 +35,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional, Union
 from urllib.parse import unquote
 
-from repro.core.errors import ExperimentError
 from repro.proxy.streaming import StreamingProxy
 
-__all__ = ["ProxyService", "create_app", "main", "serve"]
+__all__ = ["ProxyService", "main", "serve"]
 
 #: Either proxy flavour; the durable facade duck-types the surface the
 #: routes read (stats, client_stats, registry, running, monitor).
@@ -235,49 +228,6 @@ def serve(
     if graceful_shutdown:
         service.install_signal_handlers()
     return service
-
-
-def create_app(proxy: AnyProxy):
-    """The same routes as a FastAPI application (optional dependency).
-
-    Returns a ``fastapi.FastAPI`` instance with ``/healthz``, ``/stats``,
-    ``/clients/{name}/stats`` and ``POST /snapshot``.  Raises
-    :class:`ExperimentError` with a pointer to :func:`serve` when FastAPI
-    is not installed.
-    """
-    try:
-        from fastapi import FastAPI
-        from fastapi.responses import JSONResponse
-    except ImportError:
-        raise ExperimentError(
-            "fastapi is not installed; use repro.proxy.service.serve() "
-            "for the dependency-free HTTP endpoint or call the "
-            "StreamingProxy API in-process"
-        ) from None
-
-    app = FastAPI(title="repro streaming proxy")
-
-    @app.get("/healthz")
-    def healthz() -> JSONResponse:
-        status, payload = _routes(proxy, "/healthz")
-        return JSONResponse(payload, status_code=status)
-
-    @app.get("/stats")
-    def stats() -> JSONResponse:
-        status, payload = _routes(proxy, "/stats")
-        return JSONResponse(payload, status_code=status)
-
-    @app.get("/clients/{name}/stats")
-    def client_stats(name: str) -> JSONResponse:
-        status, payload = _routes(proxy, f"/clients/{name}/stats")
-        return JSONResponse(payload, status_code=status)
-
-    @app.post("/snapshot")
-    def snapshot() -> JSONResponse:
-        status, payload = _post_routes(proxy, "/snapshot")
-        return JSONResponse(payload, status_code=status)
-
-    return app
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -128,17 +128,6 @@ class InstanceArena:
     row_of_seq: dict[int, int]
     cidx_of_cid: dict[int, int]
 
-    #: Capture-free mean candidate-bag size over the instance's horizon:
-    #: sum of row window lengths (clipped to the arrival) divided by
-    #: ``max_finish + 1``.  An upper-bound predictor of the bag the
-    #: monitor will see (captures only shrink it) — ``engine="auto"``
-    #: uses it to pick the starting engine before the first chronon.
-    mean_bag: float = 0.0
-
-    #: Integer numerator of :attr:`mean_bag`, kept so patches update the
-    #: mean exactly (no float roundtrip drift vs. a from-scratch compile).
-    active_chronons: int = 0
-
     #: cids withdrawn by :func:`apply_patch` cancellations (shared across
     #: patch generations).  Informational: registration replay of a
     #: cancelled cid still works — the streaming layer consults this to
@@ -191,7 +180,7 @@ class ArenaPatch:
         return bool(self.register or self.cancel or self.expire_before is not None)
 
 
-def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
+def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> None:
     """Compile one CEI's registration at arrival chronon ``at``.
 
     ``cols`` is anything exposing the arena's mutable containers (the
@@ -200,8 +189,6 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
     EIs already expired at arrival contribute the open M-EDF form
     ``(finish + 1, 1)`` without materializing a row, and a CEI whose
     surviving EIs cannot reach ``required`` is dead on arrival (no rows).
-    Returns the chronons the materialized rows contribute to
-    :attr:`InstanceArena.active_chronons`.
     """
     cidx = len(cols.cei_rank)
     cols.cidx_of_cid[cei.cid] = cidx
@@ -218,7 +205,6 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
     immediate: list[int] = []
     medf_s = 0
     medf_open = 0
-    active_chronons = 0
     if not failed:
         for ei in eis:
             finish = ei.finish
@@ -235,7 +221,6 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
             cols.row_cidx.append(cidx)
             cols.row_ei.append(ei)
             cols.row_of_seq[ei.seq] = row
-            active_chronons += finish - max(ei.start, at) + 1
             if ei.start <= at:
                 immediate.append(row)
                 medf_s += finish + 1
@@ -248,7 +233,6 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
     cols.cei_medf_s0.append(medf_s)
     cols.cei_medf_open0.append(medf_open)
     cols.immediate_rows.append(immediate)
-    return active_chronons
 
 
 def _row_mirrors(
@@ -334,16 +318,12 @@ def compile_arena(
         row_of_seq={},
         cidx_of_cid={},
     )
-    active_chronons = 0
     for arrival in sorted(arrivals):
         for cei in arrivals[arrival]:
-            active_chronons += _register_cei(arena, cei, arrival)
+            _register_cei(arena, cei, arrival)
 
     mirrors = _row_mirrors(
         arena.row_seq, arena.row_finish, arena.row_resource, arena.row_cidx
-    )
-    mean_bag = (
-        active_chronons / (mirrors["max_finish"] + 1) if arena.row_seq else 0.0
     )
     return dataclasses.replace(
         arena,
@@ -353,8 +333,6 @@ def compile_arena(
         and mirrors["max_finish"] < (1 << 21),
         npc_rank_f=np.asarray(arena.cei_rank, np.float64),
         npc_weight=np.asarray(arena.cei_weight, np.float64),
-        mean_bag=mean_bag,
-        active_chronons=active_chronons,
         **mirrors,
     )
 
@@ -398,13 +376,12 @@ def apply_patch(
             f"(arena records {arena.n_ceis} CEIs, containers hold {old_ceis})"
         )
 
-    active_chronons = arena.active_chronons
     for cei, at in patch.register:
         if cei.cid in arena.cidx_of_cid:
             raise ModelError(f"CEI {cei.cid} is already compiled into this arena")
         if at < 0:
             raise ModelError(f"arrival chronon must be >= 0, got {at}")
-        active_chronons += _register_cei(arena, cei, at)
+        _register_cei(arena, cei, at)
         arena.arrivals.setdefault(at, []).append(cei)
 
     for cid in patch.cancel:
@@ -453,10 +430,6 @@ def apply_patch(
         npc_weight=np.concatenate(
             [arena.npc_weight, np.asarray(arena.cei_weight[old_ceis:], np.float64)]
         ),
-        mean_bag=(
-            active_chronons / (max_finish + 1) if arena.row_seq else 0.0
-        ),
-        active_chronons=active_chronons,
         **mirrors,
     )
 

@@ -93,9 +93,8 @@ def simulate(
     columns, so running many policies over the same instance skips the
     per-run registration walk.  Results are identical either way.
 
-    ``config`` selects the monitor implementation (``Engine.REFERENCE``,
-    ``Engine.VECTORIZED`` or the bag-size-dispatching ``Engine.AUTO``)
-    and the fault/retry universe; deterministic policies produce
+    ``config`` selects the monitor implementation (``Engine.REFERENCE``
+    or ``Engine.VECTORIZED``) and the fault/retry universe; deterministic policies produce
     identical schedules on any engine, so that choice only changes the
     runtime statistics.  The equivalence extends to runs with a failure
     model: its verdicts are pure functions of

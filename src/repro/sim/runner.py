@@ -166,10 +166,9 @@ def _run_repetition(
 
     Regenerates the repetition's instance from its SeedSequence child —
     the identical instance the serial loop would build — compiles it into
-    an arena when the engine can use one (vectorized or auto, which also
-    reads the arena's mean bag to pick its starting engine), and runs
-    every policy cell
-    (plus the optional offline baseline) against it in suite order.
+    an arena when the engine can use one (vectorized), and runs every
+    policy cell (plus the optional offline baseline) against it in suite
+    order.
     Fault verdicts are pure functions of the probe coordinates, so
     worker-order nondeterminism cannot leak into the results.
     """

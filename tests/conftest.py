@@ -9,6 +9,10 @@ from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
 from repro.core.profile import Profile, ProfileSet
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
+from repro.traces.noise import perfect_predictions
+from repro.traces.poisson import poisson_trace
+from repro.workloads.generator import GeneratorSpec, generate_profiles
+from repro.workloads.templates import LengthRule
 
 
 @pytest.fixture
@@ -125,3 +129,42 @@ def random_general_instance(
             eis.append(make_ei(resource, start, finish))
         ceis.append(ComplexExecutionInterval(eis=tuple(eis)))
     return ProfileSet.from_ceis(ceis)
+
+
+#: (window, update rate, max rank) of a sparse and a dense paper instance.
+SPARSE_PAPER = (8, 6.0, 4)
+DENSE_PAPER = (60, 30.0, 8)
+
+
+def paper_instance(
+    window: int, rate: float, rank_max: int, chronons: int = 120, seed: int = 3
+) -> tuple[Epoch, ProfileSet]:
+    """A paper-style instance: Poisson updates on 60 resources, 25 profiles."""
+    epoch = Epoch(chronons)
+    rng = np.random.default_rng(seed)
+    trace = poisson_trace(60, epoch, rate, rng)
+    profiles = generate_profiles(
+        perfect_predictions(trace),
+        epoch,
+        GeneratorSpec(num_profiles=25, rank_max=rank_max),
+        LengthRule.window(window),
+        rng,
+    )
+    return epoch, profiles
+
+
+def count_steps(monitor) -> list[int]:
+    """Record the chronons ``monitor.run`` hands to ``step`` one by one.
+
+    ``run`` skips idle chronons and batches event-free spans; the
+    returned list (filled as the monitor runs) shows which it stepped.
+    """
+    stepped: list[int] = []
+    step = monitor.step
+
+    def counting(chronon, new_ceis=()):
+        stepped.append(chronon)
+        return step(chronon, new_ceis)
+
+    monitor.step = counting
+    return stepped

@@ -171,7 +171,7 @@ class TestRejections:
 
     def test_reference_engine_rejects_arena(self):
         arena = compile_arena(_profiles(11))
-        with pytest.raises(ModelError, match="require the vectorized or auto engine"):
+        with pytest.raises(ModelError, match="require the vectorized engine"):
             OnlineMonitor(
                 policy=make_policy("MRSF"),
                 budget=BudgetVector.constant(2.0, NUM_CHRONONS),

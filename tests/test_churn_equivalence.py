@@ -33,8 +33,8 @@ from repro.online.streaming import StreamingMonitor
 from repro.sim.arena import compile_arena
 from tests.conftest import make_cei
 
-ENGINES = ["reference", "vectorized", "auto"]
-ARENA_ENGINES = ["vectorized", "auto"]
+ENGINES = ["reference", "vectorized"]
+ARENA_ENGINES = ["vectorized"]
 
 HORIZON = 30
 NUM_RESOURCES = 6

@@ -72,3 +72,23 @@ class TestTutorial:
                     f"doc mentions {dotted} but {attribute!r} is missing"
                 )
                 target = getattr(target, attribute)
+
+
+class TestEngineNames:
+    def test_documented_engines_exist(self):
+        """Every `engine="..."` the docs show is a current engine name."""
+        import warnings
+
+        from repro.online.config import Engine
+
+        docs = [README, *sorted(README.parent.glob("docs/*.md"))]
+        names = {
+            name
+            for path in docs
+            for name in re.findall(r'engine="(\w+)"', path.read_text())
+        }
+        assert names, "the docs no longer show any engine"
+        for name in sorted(names):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                Engine.coerce(name)

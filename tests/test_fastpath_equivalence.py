@@ -22,10 +22,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.profile import ProfileSet
 from repro.core.resource import Resource, ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
-from repro.online.arrivals import arrival_map
+from repro.online.arrivals import arrival_map, arrivals_from_profiles
 from repro.online.config import MonitorConfig
 from repro.online import fastpath
 from repro.online.faults import FailureModel, Outage, RetryPolicy
@@ -33,7 +34,16 @@ from repro.online.health import HealthConfig
 from repro.online.monitor import OnlineMonitor
 from repro.online.shedding import SheddingConfig
 from repro.policies import MRSF, make_policy
-from tests.conftest import random_general_instance
+from repro.sim.arena import compile_arena
+from repro.sim.engine import simulate
+from tests.conftest import (
+    DENSE_PAPER,
+    SPARSE_PAPER,
+    count_steps,
+    make_cei,
+    paper_instance,
+    random_general_instance,
+)
 
 PAPER_POLICIES = ["S-EDF", "MRSF", "M-EDF"]
 WEIGHTED_POLICIES = ["W-S-EDF", "W-MRSF", "W-M-EDF"]
@@ -662,8 +672,8 @@ class TestSheddingEquivalence:
     """Tiered load shedding must not open daylight between engines.
 
     The shedder's victim choice is a pure function of per-CEI state both
-    engines agree on at every chronon, so enabling it (even under forced
-    auto-engine migrations) must keep the schedules bit-identical.
+    engines agree on at every chronon, so enabling it must keep the
+    schedules bit-identical.
     """
 
     #: Aggressive thresholds: a budget-1 run over these instances enters
@@ -734,42 +744,6 @@ class TestSheddingEquivalence:
             assert armed.shedding_stats.released_eis == 0
             assert plain.shedding_stats is None
 
-    def test_auto_migrations_with_shedding(self, monkeypatch):
-        """Forced mid-run pool migrations carry the released-seq set."""
-        from repro.online import dispatch
-
-        arrivals = self._tiered_arrivals(35)
-        budget = BudgetVector.constant(1.0, NUM_CHRONONS)
-        ref = _run(
-            "reference", make_policy("M-EDF"), arrivals,
-            budget=1.0, shedding=self.SHED,
-        )
-        # Straddle the thresholds around the shedding run's own bag
-        # trajectory so the auto run migrates in both directions.
-        probe = OnlineMonitor(
-            make_policy("M-EDF"),
-            budget,
-            config=MonitorConfig(engine="reference", shedding=self.SHED),
-        )
-        bags = []
-        for chronon in range(NUM_CHRONONS):
-            probe.step(chronon, arrivals.get(chronon, ()))
-            bags.append(probe.pool.num_active())
-        positive = [bag for bag in bags if bag > 0]
-        dense = float(np.percentile(positive, 60))
-        sparse = min(float(np.percentile(positive, 40)), dense - 0.5)
-        monkeypatch.setattr(dispatch, "DENSE_THRESHOLD", dense)
-        monkeypatch.setattr(dispatch, "SPARSE_THRESHOLD", sparse)
-        monkeypatch.setattr(dispatch, "MIN_DWELL", 2)
-        auto = _run(
-            "auto", make_policy("M-EDF"), arrivals,
-            budget=1.0, shedding=self.SHED,
-        )
-        assert auto.dispatch_stats.switches > 0
-        assert auto.schedule.probes == ref.schedule.probes
-        assert auto.shedding_stats.as_dict() == ref.shedding_stats.as_dict()
-        assert ref.shedding_stats.shed_ceis > 0
-
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -788,12 +762,117 @@ def test_property_engines_agree_with_shedding(seed, policy_name, preemptive):
     )
 
 
+class TestBatchedRun:
+    """run() batching/skipping is invisible in every observable."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
+    def test_run_equals_step_loop(self, engine, policy_name):
+        epoch, profiles = paper_instance(*SPARSE_PAPER)
+        budget = BudgetVector.constant(2, len(epoch))
+        arrivals = arrivals_from_profiles(profiles)
+
+        stepped = OnlineMonitor(
+            make_policy(policy_name), budget, config=MonitorConfig(engine=engine)
+        )
+        for chronon in epoch:
+            stepped.step(chronon, arrivals.get(chronon, ()))
+
+        batched = OnlineMonitor(
+            make_policy(policy_name), budget, config=MonitorConfig(engine=engine)
+        )
+        batched.run(epoch, arrivals)
+
+        assert batched.schedule.probes == stepped.schedule.probes
+        assert batched.probes_used == stepped.probes_used
+        assert batched.believed_completeness == stepped.believed_completeness
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_idle_chronons_are_skipped(self, engine):
+        # A gap between two windows: the run loop must hop over it.
+        profiles = ProfileSet.from_ceis(
+            [make_cei((0, 0, 2)), make_cei((1, 40, 44))]
+        )
+        monitor = OnlineMonitor(
+            make_policy("S-EDF"),
+            BudgetVector.constant(1, 50),
+            config=MonitorConfig(engine=engine),
+        )
+        stepped = count_steps(monitor)
+        monitor.run(Epoch(50), arrivals_from_profiles(profiles))
+        assert not any(3 <= t < 40 for t in stepped)
+        assert monitor.probes_used == 2
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_custom_chronon_hooks_disable_batching(self, engine):
+        # A policy overriding on_chronon_start must see every chronon.
+        seen = []
+
+        class Spy(type(make_policy("S-EDF"))):
+            def on_chronon_start(self, chronon):
+                seen.append(chronon)
+
+        monitor = OnlineMonitor(
+            Spy(), BudgetVector.constant(1, 12),
+            config=MonitorConfig(engine=engine),
+        )
+        monitor.run(Epoch(12), {})
+        assert seen == list(range(12))
+
+
+class TestPaperInstances:
+    """Paper-style sparse and dense instances through ``simulate``."""
+
+    @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
+    @pytest.mark.parametrize("preemptive", [True, False])
+    @pytest.mark.parametrize("regime", [SPARSE_PAPER, DENSE_PAPER])
+    def test_arena_run_matches_reference(self, policy_name, preemptive, regime):
+        epoch, profiles = paper_instance(*regime)
+        budget = BudgetVector.constant(2, len(epoch))
+        ref = simulate(
+            profiles, epoch, budget, policy_name, preemptive=preemptive,
+            config=MonitorConfig(engine="reference"),
+        )
+        vec = simulate(
+            compile_arena(profiles), epoch, budget, policy_name,
+            preemptive=preemptive, config=MonitorConfig(engine="vectorized"),
+        )
+        assert vec.schedule.probes == ref.schedule.probes
+        assert vec.completeness == ref.completeness
+
+    @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
+    def test_matches_without_arena(self, policy_name):
+        epoch, profiles = paper_instance(*DENSE_PAPER)
+        budget = BudgetVector.constant(1, len(epoch))
+        ref = simulate(profiles, epoch, budget, policy_name,
+                       config=MonitorConfig(engine="reference"))
+        vec = simulate(profiles, epoch, budget, policy_name,
+                       config=MonitorConfig(engine="vectorized"))
+        assert vec.schedule.probes == ref.schedule.probes
+
+    def test_with_faults_matches_reference(self):
+        epoch, profiles = paper_instance(*SPARSE_PAPER)
+        budget = BudgetVector.constant(2, len(epoch))
+        outcomes = {
+            engine: simulate(
+                profiles, epoch, budget, "MRSF",
+                config=MonitorConfig(
+                    engine=engine,
+                    faults=FailureModel(rate=0.3, seed=11),
+                    retry=RetryPolicy(max_retries=1),
+                ),
+            )
+            for engine in ("reference", "vectorized")
+        }
+        ref, vec = outcomes["reference"], outcomes["vectorized"]
+        assert vec.schedule.probes == ref.schedule.probes
+        assert vec.probes_failed == ref.probes_failed
+
+
 # ---------------------------------------------------------------------------
 # Sharded engine equivalence
 # ---------------------------------------------------------------------------
 
-
-from repro.sim.arena import compile_arena  # noqa: E402
 
 SHARD_COUNTS = [1, 2, 4, 7]
 

@@ -1,5 +1,6 @@
 """Unit and behavioural tests for the online monitor (Algorithm 1)."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
@@ -9,9 +10,13 @@ from repro.core.resource import Resource, ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
 from repro.online.arrivals import arrival_map, arrivals_from_profiles
+from repro.online.config import MonitorConfig
+from repro.online.fastpath import FastCandidatePool
 from repro.online.monitor import OnlineMonitor
 from repro.policies import MRSF, SEDF, make_policy
-from tests.conftest import make_cei, make_ei
+from repro.sim.arena import compile_arena
+from repro.sim.engine import simulate
+from tests.conftest import count_steps, make_cei, make_ei
 
 
 def run_monitor(ceis, num_chronons, c=1.0, policy=None, preemptive=True, **kwargs):
@@ -213,3 +218,60 @@ class TestResourceLevelPolicies:
         monitor.run(Epoch(3), arrival_map(ceis))
         probed_chronon_1 = monitor.schedule.probes_at(1)
         assert probed_chronon_1  # stale content still attracts WIC probes
+
+
+class TestBoundaries:
+    def test_grow_rows_from_zero_capacity_terminates(self):
+        # A consistent zero-capacity state (what an arena of zero rows
+        # would produce without the max(n, 1) floor): the doubling loop
+        # must not stall at zero.
+        pool = FastCandidatePool()
+        pool._row_cap = 0
+        for name in ("npr_seq", "npr_finish", "npr_finish_f",
+                     "npr_resource", "npr_cidx", "npr_static"):
+            setattr(pool, name, np.zeros(0, getattr(pool, name).dtype))
+        pool.np_active = np.zeros(0, bool)
+        pool._grow_rows(5)
+        assert pool._row_cap >= 5
+        assert pool.npr_seq.size >= 5
+
+    def test_grow_ceis_from_zero_capacity_terminates(self):
+        pool = FastCandidatePool()
+        pool._cei_cap = 0
+        for name in ("npc_rank_f", "npc_captured_f", "npc_weight",
+                     "npc_medf_s_f", "npc_medf_open_f"):
+            setattr(pool, name, np.zeros(0, np.float64))
+        pool._grow_ceis(3)
+        assert pool._cei_cap >= 3
+        assert pool.npc_rank_f.size >= 3
+
+    def test_empty_arena_pool_has_unit_caps(self):
+        # The constructor floors arena-sized caps at one, so the doubling
+        # loop in _grow_rows always makes progress.
+        pool = FastCandidatePool(arena=compile_arena(ProfileSet()))
+        assert pool._row_cap >= 1
+        assert pool._cei_cap >= 1
+
+    def test_empty_arena_runs(self):
+        arena = compile_arena(ProfileSet())
+        monitor = OnlineMonitor(
+            make_policy("MRSF"),
+            BudgetVector.constant(1, 10),
+            config=MonitorConfig(engine="vectorized"),
+            arena=arena,
+        )
+        stepped = count_steps(monitor)
+        monitor.run(Epoch(10), arena.arrivals)
+        assert monitor.probes_used == 0
+        assert stepped == []  # all ten chronons skipped as idle
+
+    def test_single_row_instance_both_engines(self):
+        profiles = ProfileSet.from_ceis([make_cei((0, 2, 6))])
+        epoch = Epoch(10)
+        budget = BudgetVector.constant(1, 10)
+        ref = simulate(profiles, epoch, budget, "S-EDF",
+                       config=MonitorConfig(engine="reference"))
+        vec = simulate(compile_arena(profiles), epoch, budget, "S-EDF",
+                       config=MonitorConfig(engine="vectorized"))
+        assert ref.schedule.probes == vec.schedule.probes
+        assert vec.probes_used == 1

@@ -28,16 +28,23 @@ from repro.online import (
 )
 from repro.policies import SEDF
 from repro.proxy import MonitoringProxy
+from repro.sim.engine import simulate
 from repro.sim.runner import run_suite, sweep
-from tests.conftest import make_cei, random_general_instance
+from tests.conftest import (
+    DENSE_PAPER,
+    SPARSE_PAPER,
+    make_cei,
+    paper_instance,
+    random_general_instance,
+)
 
 
 class TestEngineEnum:
     def test_members_match_legacy_tuple(self):
-        assert ENGINES == ("reference", "vectorized", "auto")
+        assert ENGINES == ("reference", "vectorized")
+        assert len(Engine) == 2
         assert Engine.REFERENCE == "reference"
         assert Engine.VECTORIZED == "vectorized"
-        assert Engine.AUTO == "auto"
 
     def test_coerce_accepts_strings_and_members(self):
         assert Engine.coerce("vectorized") is Engine.VECTORIZED
@@ -46,6 +53,22 @@ class TestEngineEnum:
     def test_coerce_rejects_unknown(self):
         with pytest.raises(ModelError, match="unknown engine 'quantum'"):
             Engine.coerce("quantum")
+
+
+class TestRetiredAutoEngine:
+    @pytest.mark.parametrize("regime", [SPARSE_PAPER, DENSE_PAPER])
+    def test_auto_shim_warns_and_runs_vectorized(self, regime):
+        with pytest.warns(DeprecationWarning, match='"vectorized"'):
+            cfg = MonitorConfig(engine="auto")
+        assert cfg.engine is Engine.VECTORIZED
+        epoch, profiles = paper_instance(*regime)
+        budget = BudgetVector.constant(2, len(epoch))
+        via_auto = simulate(profiles, epoch, budget, "M-EDF", config=cfg)
+        via_ref = simulate(
+            profiles, epoch, budget, "M-EDF",
+            config=MonitorConfig(engine="reference"),
+        )
+        assert via_auto.schedule.probes == via_ref.schedule.probes
 
 
 class TestMonitorConfig:

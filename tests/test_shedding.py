@@ -33,7 +33,7 @@ from repro.online.shedding import (
 from repro.policies import make_policy
 from repro.sim.engine import simulate
 from repro.sim.runner import run_suite
-from tests.conftest import make_cei, make_ei, make_profiles
+from tests.conftest import count_steps, make_cei, make_ei, make_profiles
 
 AGGRESSIVE = SheddingConfig(
     overload_on=1.5, overload_off=1.1, sustain=2, target_ratio=1.0
@@ -355,27 +355,24 @@ class TestStatsSurfacing:
 
 
 class TestBatchingGate:
+    @staticmethod
+    def _stepped_chronons(config):
+        """The chronons run() steps individually (the rest are skipped)."""
+        ceis = [make_cei((0, 0, 3)), make_cei((1, 14, 18))]
+        monitor = OnlineMonitor(
+            make_policy("M-EDF"), BudgetVector.constant(1.0, 20), config=config
+        )
+        stepped = count_steps(monitor)
+        monitor.run(Epoch(20), arrival_map(ceis))
+        return stepped
+
     def test_shedding_disables_run_batching(self):
         """The shedder needs per-chronon ticks: run() must not batch."""
-        ceis = [make_cei((0, 0, 3)), make_cei((1, 14, 18))]
-        shedded = OnlineMonitor(
-            make_policy("M-EDF"),
-            BudgetVector.constant(1.0, 20),
-            config=MonitorConfig(
-                engine="auto", shedding=SheddingConfig()
-            ),
+        stepped = self._stepped_chronons(
+            MonitorConfig(engine="vectorized", shedding=SheddingConfig())
         )
-        shedded.run(Epoch(20), arrival_map(ceis))
-        stats = shedded.dispatch_stats
-        assert stats is not None and stats.idle_skipped == 0
+        assert stepped == list(range(20))
 
     def test_disabled_shedding_keeps_batching(self):
-        ceis = [make_cei((0, 0, 3)), make_cei((1, 14, 18))]
-        plain = OnlineMonitor(
-            make_policy("M-EDF"),
-            BudgetVector.constant(1.0, 20),
-            config=MonitorConfig(engine="auto"),
-        )
-        plain.run(Epoch(20), arrival_map(ceis))
-        stats = plain.dispatch_stats
-        assert stats is not None and stats.idle_skipped > 0
+        stepped = self._stepped_chronons(MonitorConfig(engine="vectorized"))
+        assert len(stepped) < 20

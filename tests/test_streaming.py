@@ -180,7 +180,7 @@ class TestArenaBackedDriver:
         arena = compile_arena(
             ProfileSet([Profile(pid=0, ceis=[make_cei((0, 0, 5))])])
         )
-        with pytest.raises(ModelError, match="vectorized or auto"):
+        with pytest.raises(ModelError, match="require the vectorized engine"):
             make_monitor(config=MonitorConfig(engine="reference"), arena=arena)
 
 

@@ -18,7 +18,7 @@ from repro.core.errors import ExperimentError
 from repro.core.resource import ResourcePool
 from repro.online import MonitorConfig
 from repro.proxy import ClientHandle, StreamingProxy
-from repro.proxy.service import create_app, serve
+from repro.proxy.service import serve
 from tests.conftest import make_cei
 
 
@@ -205,16 +205,6 @@ class TestHttpService:
             assert status == 404
         finally:
             service.shutdown()
-
-    def test_create_app_without_fastapi(self):
-        try:
-            import fastapi  # noqa: F401
-        except ImportError:
-            with pytest.raises(ExperimentError, match="fastapi is not installed"):
-                create_app(make_proxy())
-        else:  # pragma: no cover - only on stacks that ship fastapi
-            app = create_app(make_proxy())
-            assert app is not None
 
 
 class TestLiveControls:
