@@ -826,7 +826,7 @@ class TestPaperInstances:
     @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
     @pytest.mark.parametrize("preemptive", [True, False])
     @pytest.mark.parametrize("regime", [SPARSE_PAPER, DENSE_PAPER])
-    def test_arena_run_matches_reference(self, policy_name, preemptive, regime):
+    def test_arena_matches_reference(self, policy_name, preemptive, regime):
         epoch, profiles = paper_instance(*regime)
         budget = BudgetVector.constant(2, len(epoch))
         ref = simulate(
