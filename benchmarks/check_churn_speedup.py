@@ -1,14 +1,17 @@
 """Regression gate: ArenaPatch deltas beat recompilation by 10x.
 
-Builds an arena with 10^4 registered CEIs and admits one churn batch
-both ways: as an :class:`repro.sim.arena.ArenaPatch` applied to the live
-arena (with a live pool adopting the patched generation, exactly what
-``StreamingMonitor.submit`` does) and as a ``compile_arena`` of the full
-accumulated timeline (what a compile-from-scratch design pays per churn
-event).  The patch path must win by ``THRESHOLD``x — its work is
-proportional to the batch, not to everything registered so far — and
-both paths must agree on the resulting arena's row/CEI counts, or the
-timing is meaningless.
+Builds an arena with 10^4 registered CEIs and admits one churn batch of
+``BATCH`` CEIs both ways: as one :class:`repro.sim.arena.ArenaPatch`
+applied to the live arena, with a live pool adopting the patched
+generation, and as a ``compile_arena`` of the full accumulated timeline
+(what a compile-from-scratch design pays per churn event).  The patch
+side is what ``StreamingMonitor.submit`` does with one batch, and so
+what one ``StreamingProxy.submit_ceis`` call costs on an arena-backed
+proxy; a service that submitted the same needs one call at a time
+would pay ``BATCH`` patches.  The patch path must win by ``THRESHOLD``x
+— its Python work is proportional to the batch, though each patch still
+copies the O(total rows) NumPy mirrors — and both paths must agree on
+the resulting arena's row/CEI counts, or the timing is meaningless.
 
 Exit status 0 when ``recompile / patch >= THRESHOLD``, 1 otherwise.
 

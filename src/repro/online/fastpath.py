@@ -290,10 +290,11 @@ class FastCandidatePool:
                 "arena (shared containers must be identical)"
             )
         # Grow when capacity is short, not only when the mirrors are still
-        # the arena's shared arrays: after a cancel-only patch the pool's
-        # ``_arena`` is a newer generation whose mirror objects differ,
-        # so the identity test alone would skip privatization and leave
-        # ``np_active``/``npr_*`` sized to the pre-churn row count.
+        # the arena's shared arrays: after the first registering patch the
+        # mirrors are private (identity no longer says anything) and a
+        # later patch may outgrow their doubled capacity.  The identity
+        # test covers the one case capacity misses: shared mirrors of an
+        # empty arena, whose capacity is rounded up to 1 row/CEI.
         n = len(self.row_seq)
         if n > self._row_cap or (
             n > self._synced_rows and self.npr_seq is old.npr_seq

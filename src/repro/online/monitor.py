@@ -137,6 +137,12 @@ class OnlineMonitor:
         self.budget = budget
         self.preemptive = preemptive
         self.resources = resources
+        # Resources are frozen and nothing edits a pool's list, so whether
+        # any of them pushes is fixed for the run (ResourcePool.uniform
+        # builds none that do).
+        self._any_push = resources is not None and any(
+            r.push_enabled for r in resources
+        )
         self.exploit_overlap = exploit_overlap
         self.config = cfg
         self.engine = cfg.engine.value
@@ -647,7 +653,7 @@ class OnlineMonitor:
         the paper); the capture is recorded in the schedule (so metrics
         see it) but consumes no budget.
         """
-        if self.resources is None:
+        if not self._any_push:
             return
         for rid in self.pool.pushable_resources(self.resources):
             self.schedule.add_probe(rid, chronon)

@@ -238,18 +238,46 @@ class StreamingMonitor:
         self._pending.setdefault(reveal_at, []).append(cei)
         self._pending_cids.add(cei.cid)
 
+    def check_new(self, ceis: Sequence[ComplexExecutionInterval]) -> None:
+        """Raise :class:`ModelError` unless :meth:`submit` would take ``ceis``.
+
+        Refused: a cid repeated within the batch, or one this monitor
+        already holds (compiled into the arena, queued, or registered).
+        """
+        seen: set[int] = set()
+        for cei in ceis:
+            if cei.cid in seen:
+                raise ModelError(f"CEI {cei.cid} appears twice in one submission")
+            if self._holds(cei):
+                raise ModelError(f"CEI {cei.cid} was already submitted")
+            seen.add(cei.cid)
+
+    def _holds(self, cei: ComplexExecutionInterval) -> bool:
+        if self._arena is not None:
+            return cei.cid in self._arena.cidx_of_cid
+        return (
+            cei.cid in self._pending_cids
+            or self._monitor.pool.state_of(cei) is not None
+        )
+
     def submit(self, ceis: Sequence[ComplexExecutionInterval]) -> int:
         """Admit new CEIs; each reveals at ``max(now, release)``.
 
         On an arena-backed run the batch is compiled in as one
         :class:`ArenaPatch` and mirrored into the live pool before it is
-        queued.  Returns how many CEIs were admitted.
+        queued, so churn costs one patch per call: submit a chronon's
+        needs together.  A batch that :meth:`check_new` refuses raises
+        :class:`ModelError` and admits nothing.  Returns how many CEIs
+        were admitted.
         """
         ceis = list(ceis)
         if not ceis:
             return 0
         if self._arena is not None:
+            # apply_patch validates the whole batch before it mutates.
             self._patch(ArenaPatch.registrations(ceis, at=self._next))
+        else:
+            self.check_new(ceis)
         for cei in ceis:
             self._queue(cei, max(self._next, cei.release))
         self._num_submitted += len(ceis)

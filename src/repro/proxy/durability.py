@@ -947,10 +947,15 @@ class DurableStreamingProxy:
     def submit_ceis(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
     ) -> int:
-        """Admit CEIs for a client (journaled before they register)."""
+        """Admit CEIs for a client (journaled before they register).
+
+        A batch the proxy would refuse (see
+        :meth:`StreamingProxy.check_submission`) raises before anything
+        is journaled.
+        """
         ceis = list(ceis)
         with self._lock:
-            self._proxy.registry.require(client)
+            self._proxy.check_submission(client, ceis)
             if not ceis:
                 return 0
             ordinals = list(

@@ -85,9 +85,12 @@ class StreamingProxy:
         self._lock = threading.RLock()
         self._clock_thread: Optional[threading.Thread] = None
         self._clock_stop = threading.Event()
-        for name in self.registry.names:
-            for cei in self.registry.ceis_of(name):
-                self._admit(name, cei)
+        adopted = {name: self.registry.ceis_of(name) for name in self.registry.names}
+        # Everything the registry holds goes in as one submission (one
+        # arena patch on an arena-backed run).
+        self._monitor.submit([cei for ceis in adopted.values() for cei in ceis])
+        for name, ceis in adopted.items():
+            self._own(name, ceis)
 
     # ------------------------------------------------------------------
     # Clients and churn
@@ -102,21 +105,50 @@ class StreamingProxy:
     def client_names(self) -> list[str]:
         return self.registry.names
 
-    def _admit(self, client: str, cei: ComplexExecutionInterval) -> None:
-        self._owner_of_cid[cei.cid] = str(client)
-        self._ceis_by_cid[cei.cid] = cei
-        self._monitor.submit([cei])
+    def _own(
+        self, client: str, ceis: Sequence[ComplexExecutionInterval]
+    ) -> None:
+        for cei in ceis:
+            self._owner_of_cid[cei.cid] = str(client)
+            self._ceis_by_cid[cei.cid] = cei
+
+    def check_submission(
+        self, client: str, ceis: Sequence[ComplexExecutionInterval]
+    ) -> None:
+        """Raise unless :meth:`submit_ceis` would admit ``ceis``.
+
+        The client must be registered (:class:`ExperimentError`); a cid
+        repeated within the batch, already submitted by any client, or
+        already held by the monitor raises :class:`ModelError`.  The
+        durable facade calls this *before* journaling, so the journal
+        never records a submission that replay would refuse.
+        """
+        with self._lock:
+            self.registry.require(client)
+            for cei in ceis:
+                owner = self._owner_of_cid.get(cei.cid)
+                if owner is not None:
+                    raise ModelError(
+                        f"CEI {cei.cid} was already submitted by client {owner!r}"
+                    )
+            self._monitor.check_new(ceis)
 
     def submit_ceis(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
     ) -> int:
-        """Admit CEIs for a client; they reveal at ``max(now, release)``."""
+        """Admit CEIs for a client; they reveal at ``max(now, release)``.
+
+        The batch reaches the monitor as one submission — one
+        :class:`repro.sim.arena.ArenaPatch` on an arena-backed run — so
+        churn costs one patch per call, not one per CEI.  A batch that
+        :meth:`check_submission` refuses raises and changes nothing.
+        """
         ceis = list(ceis)
         with self._lock:
-            self.registry.require(client)
-            for cei in ceis:
-                self.registry.submit(client, [cei])
-                self._admit(client, cei)
+            self.check_submission(client, ceis)
+            self._monitor.submit(ceis)
+            self.registry.submit(client, ceis)
+            self._own(client, ceis)
         return len(ceis)
 
     def resolve_cancel_targets(
@@ -389,12 +421,11 @@ class StreamingProxy:
             proxy.tick(now)
         for name, entries in payload["clients"].items():
             handle = proxy.register_client(name)
-            cancelled: list[ComplexExecutionInterval] = []
-            for entry in entries:
-                cei = _cei_from_dict(entry["cei"])
-                proxy.submit_ceis(handle, [cei])
-                if entry.get("cancelled"):
-                    cancelled.append(cei)
+            ceis = [_cei_from_dict(entry["cei"]) for entry in entries]
+            proxy.submit_ceis(handle, ceis)
+            cancelled = [
+                cei for cei, entry in zip(ceis, entries) if entry.get("cancelled")
+            ]
             if cancelled:
                 proxy.cancel_ceis(handle, cancelled)
         return proxy

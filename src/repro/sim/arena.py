@@ -34,7 +34,11 @@ and :func:`apply_patch` applies it *incrementally*: the shared Python
 columns are extended in place through the same per-CEI compile walk
 ``compile_arena`` uses, the NumPy mirrors are extended by one
 concatenate each, and live arena-backed pools adopt the result without
-losing any run state (``FastCandidatePool.adopt_arena``).  Because the
+losing any run state (``FastCandidatePool.adopt_arena``).  The mirror
+copies are a fixed cost per registering patch, so a whole batch should
+go in one patch; a patch that registers nothing keeps the generation.
+A patch is validated in full before anything is touched, so a refused
+one leaves the arena as it was.  Because the
 probe loop's selection keys are ``(priority, finish, seq)`` — and seqs
 are process-unique — appended rows rank exactly as they would in a
 from-scratch compile, so a patched run stays bit-identical to one whose
@@ -73,10 +77,11 @@ class InstanceArena:
     sorted by arrival, EIs in CEI order), exactly the order an
     incremental pool would build.
 
-    :func:`apply_patch` extends the shared containers in place and
-    returns a *new* ``InstanceArena`` with fresh scalars and mirrors; the
-    patched-out object must not be used to build new pools afterwards
-    (its scalar fields undercount the shared containers).  Live pools
+    :func:`apply_patch` extends the shared containers in place; a patch
+    that registers CEIs returns a *new* ``InstanceArena`` with fresh
+    scalars and mirrors, and the patched-out object must not be used to
+    build new pools afterwards (its scalar fields undercount the shared
+    containers).  Live pools
     migrate via :meth:`repro.online.fastpath.FastCandidatePool.adopt_arena`.
     """
 
@@ -337,74 +342,34 @@ def compile_arena(
     )
 
 
-def apply_patch(
-    arena: InstanceArena,
-    patch: ArenaPatch,
-    pools: "Sequence[FastCandidatePool]" = (),
-) -> InstanceArena:
-    """Apply one churn batch incrementally; returns the patched arena.
+def _check_patch(arena: InstanceArena, patch: ArenaPatch) -> None:
+    """Reject a patch that :func:`apply_patch` could only half apply.
 
-    The shared Python containers are extended **in place** (so every
-    structure a live pool already shares keeps working), and a new
-    ``InstanceArena`` carrying extended NumPy mirrors and corrected
-    scalars is returned.  Cost is O(new EIs) Python work plus one
-    O(total rows) NumPy concatenate per mirror — no recompile.
-
-    ``pools`` lists the live arena-backed pools sharing ``arena``; each
-    one adopts the patched arena (per-run columns extended, mirrors
-    privatized) and has the patch's cancellations applied to its open
-    CEIs.  **Every** live pool of the arena must be listed — a pool left
-    out would observe the grown shared columns without the matching
-    per-run state.  Registered CEIs are *not* revealed here: they enter
-    each pool when the monitor steps their arrival chronon, exactly like
-    a compiled-in arrival.
-
-    The patched-out ``arena`` object must not build new pools afterwards;
-    use the returned arena.
+    Runs before anything is mutated, so a refused patch leaves the arena
+    (and every pool sharing it) exactly as it was.
     """
-    for pool in pools:
-        if pool._arena is None or pool._arena.cidx_of_cid is not arena.cidx_of_cid:
-            raise ModelError(
-                "apply_patch pools must be live pools of the patched arena"
-            )
-
-    old_rows = len(arena.row_seq)
-    old_ceis = len(arena.cei_rank)
-    if old_rows != arena.n_rows or old_ceis != arena.n_ceis:
-        raise ModelError(
-            "apply_patch must run against the arena's newest generation "
-            f"(arena records {arena.n_ceis} CEIs, containers hold {old_ceis})"
-        )
-
+    batch: set[int] = set()
     for cei, at in patch.register:
         if cei.cid in arena.cidx_of_cid:
             raise ModelError(f"CEI {cei.cid} is already compiled into this arena")
+        if cei.cid in batch:
+            raise ModelError(f"CEI {cei.cid} appears twice in one patch")
         if at < 0:
             raise ModelError(f"arrival chronon must be >= 0, got {at}")
-        _register_cei(arena, cei, at)
-        arena.arrivals.setdefault(at, []).append(cei)
-
+        batch.add(cei.cid)
     for cid in patch.cancel:
-        cidx = arena.cidx_of_cid.get(cid)
-        if cidx is None:
+        if cid not in arena.cidx_of_cid and cid not in batch:
             raise ModelError(f"cannot cancel CEI {cid}: not in this arena")
-        if cid in arena.cancelled_cids:
-            continue
-        arena.cancelled_cids.add(cid)
-        cei = arena.cei_obj[cidx]
-        # Unschedule a still-pending arrival so no pool ever registers it.
-        pending = arena.arrivals.get(arena.cei_release[cidx])
-        if pending is not None and cei in pending:
-            pending.remove(cei)
 
-    if patch.expire_before is not None:
-        horizon = patch.expire_before
-        for timeline in (arena.arrivals, arena.activate_at, arena.expire_at):
-            for chronon in [t for t in timeline if t < horizon]:
-                del timeline[chronon]
 
-    # Extend the mirrors by one concatenate each (exact-size, fully
-    # synced, never written afterwards — same contract as a fresh compile).
+def _next_generation(
+    arena: InstanceArena, old_rows: int, old_ceis: int
+) -> InstanceArena:
+    """The arena view covering rows/CEIs appended since ``old_rows``/``old_ceis``.
+
+    Extends every mirror by one concatenate (exact-size, fully synced,
+    never written afterwards — same contract as a fresh compile).
+    """
     new = _row_mirrors(
         arena.row_seq[old_rows:],
         arena.row_finish[old_rows:],
@@ -417,7 +382,7 @@ def apply_patch(
         name: np.concatenate([getattr(arena, name), fresh])
         for name, fresh in new.items()
     }
-    patched = dataclasses.replace(
+    return dataclasses.replace(
         arena,
         n_rows=len(arena.row_seq),
         n_ceis=len(arena.cei_rank),
@@ -433,8 +398,84 @@ def apply_patch(
         **mirrors,
     )
 
+
+def apply_patch(
+    arena: InstanceArena,
+    patch: ArenaPatch,
+    pools: "Sequence[FastCandidatePool]" = (),
+) -> InstanceArena:
+    """Apply one churn batch incrementally; returns the patched arena.
+
+    The whole patch is validated first (cids already compiled or repeated
+    within the batch, negative arrivals, unknown cancel targets, a stale
+    generation, foreign pools): a refused patch raises
+    :class:`ModelError` and changes nothing.
+
+    The shared Python containers are extended **in place** (so every
+    structure a live pool already shares keeps working).  A patch that
+    registers CEIs returns a new ``InstanceArena`` carrying extended
+    NumPy mirrors and corrected scalars: O(new EIs) Python work plus one
+    O(total rows) NumPy concatenate per mirror — no recompile, but a
+    fixed cost per call, so callers should batch.  A patch that registers
+    nothing (cancellations, ``expire_before`` compaction) leaves rows,
+    mirrors and scalars as they were and returns ``arena`` itself.
+
+    ``pools`` lists the live arena-backed pools sharing ``arena``; each
+    one adopts the patched arena (per-run columns extended, mirrors
+    privatized) and has the patch's cancellations applied to its open
+    CEIs.  **Every** live pool of the arena must be listed — a pool left
+    out would observe the grown shared columns without the matching
+    per-run state.  Registered CEIs are *not* revealed here: they enter
+    each pool when the monitor steps their arrival chronon, exactly like
+    a compiled-in arrival.
+
+    After a registering patch the passed-in ``arena`` object must not
+    build new pools or take further patches; use the returned arena.
+    """
     for pool in pools:
-        pool.adopt_arena(patched)
+        if pool._arena is None or pool._arena.cidx_of_cid is not arena.cidx_of_cid:
+            raise ModelError(
+                "apply_patch pools must be live pools of the patched arena"
+            )
+
+    old_rows = len(arena.row_seq)
+    old_ceis = len(arena.cei_rank)
+    if old_rows != arena.n_rows or old_ceis != arena.n_ceis:
+        raise ModelError(
+            "apply_patch must run against the arena's newest generation "
+            f"(arena records {arena.n_ceis} CEIs, containers hold {old_ceis})"
+        )
+    _check_patch(arena, patch)
+
+    for cei, at in patch.register:
+        _register_cei(arena, cei, at)
+        arena.arrivals.setdefault(at, []).append(cei)
+
+    for cid in patch.cancel:
+        if cid in arena.cancelled_cids:
+            continue
+        arena.cancelled_cids.add(cid)
+        cidx = arena.cidx_of_cid[cid]
+        cei = arena.cei_obj[cidx]
+        # Unschedule a still-pending arrival so no pool ever registers it.
+        pending = arena.arrivals.get(arena.cei_release[cidx])
+        if pending is not None and cei in pending:
+            pending.remove(cei)
+
+    if patch.expire_before is not None:
+        horizon = patch.expire_before
+        for timeline in (arena.arrivals, arena.activate_at, arena.expire_at):
+            for chronon in [t for t in timeline if t < horizon]:
+                del timeline[chronon]
+
+    # Only registrations grow rows or CEIs; everything else was an
+    # in-place edit of containers the current generation already shares.
+    patched = (
+        _next_generation(arena, old_rows, old_ceis) if patch.register else arena
+    )
+    for pool in pools:
+        if patched is not arena:
+            pool.adopt_arena(patched)
         for cid in patch.cancel:
             cidx = patched.cidx_of_cid[cid]
             registered = pool._registered

@@ -258,6 +258,93 @@ class TestPatchDeltas:
         assert all(t >= cutoff for t in patched.expire_at)
 
 
+def _arena_state(arena, pool):
+    """Everything a refused patch must leave untouched."""
+    return (
+        arena.n_rows,
+        arena.n_ceis,
+        len(arena.row_seq),
+        len(arena.cei_rank),
+        dict(arena.cidx_of_cid),
+        {t: list(ceis) for t, ceis in arena.arrivals.items()},
+        {t: list(rows) for t, rows in arena.activate_at.items()},
+        set(arena.cancelled_cids),
+        len(pool.row_captured),
+        len(pool.cei_captured),
+        pool.num_cancelled,
+        pool._arena is arena,
+    )
+
+
+class TestAtomicPatches:
+    """A refused multi-CEI patch changes nothing and the arena stays
+    patchable: validation runs before the first in-place edit."""
+
+    def _live(self, seed):
+        """An arena and a live pool that registered its first arrivals."""
+        arena = compile_arena(_profiles(seed, num_ceis=8))
+        pool = FastCandidatePool(arena=arena)
+        first = min(arena.arrivals)
+        for cei in arena.arrivals[first]:
+            pool.register(cei, first)
+        return arena, pool
+
+    @pytest.mark.parametrize(
+        "case", ["duplicate", "already_compiled", "negative_arrival", "unknown_cancel"]
+    )
+    def test_refused_patch_changes_nothing(self, case):
+        from repro.sim.arena import ArenaPatch, apply_patch
+
+        arena, pool = self._live(40)
+        new = make_cei((0, 5, 12), (1, 7, 15))
+        compiled = arena.cei_obj[0]
+        patch = {
+            "duplicate": ArenaPatch(register=((new, 3), (new, 3))),
+            "already_compiled": ArenaPatch(register=((new, 3), (compiled, 3))),
+            "negative_arrival": ArenaPatch(
+                register=((new, 3), (make_cei((2, 5, 9)), -1))
+            ),
+            "unknown_cancel": ArenaPatch(
+                register=((new, 3),), cancel=(compiled.cid, 10**9)
+            ),
+        }[case]
+        before = _arena_state(arena, pool)
+        with pytest.raises(ModelError):
+            apply_patch(arena, patch, pools=(pool,))
+        assert _arena_state(arena, pool) == before
+
+        # The arena is still the newest generation and takes the batch.
+        patched = apply_patch(
+            arena, ArenaPatch.registrations([new], at=3), pools=(pool,)
+        )
+        assert patched.n_ceis == arena.n_ceis + 1
+        assert pool._arena is patched
+
+    def test_cancel_of_a_cei_registered_by_the_same_patch(self):
+        from repro.sim.arena import ArenaPatch, apply_patch
+
+        arena, pool = self._live(41)
+        new = make_cei((0, 20, 25))
+        patched = apply_patch(
+            arena, ArenaPatch(register=((new, 20),), cancel=(new.cid,)), pools=(pool,)
+        )
+        assert new.cid in patched.cancelled_cids
+        assert new not in patched.arrivals.get(20, [])
+
+    def test_patches_that_register_nothing_keep_the_generation(self):
+        from repro.sim.arena import ArenaPatch, apply_patch
+
+        arena, pool = self._live(42)
+        mirrors = pool.npr_seq
+        victim = next(
+            cei for cei in arena.cei_obj if pool._registered[arena.cidx_of_cid[cei.cid]]
+        )
+        assert apply_patch(arena, ArenaPatch(cancel=(victim.cid,)), pools=(pool,)) is arena
+        assert apply_patch(arena, ArenaPatch(expire_before=5), pools=(pool,)) is arena
+        assert pool.state_of(victim).cancelled
+        assert pool._arena is arena and pool.npr_seq is mirrors
+
+
 class TestArrivalEpochValidation:
     def test_out_of_epoch_release_rejected(self):
         from repro.online.arrivals import arrival_map

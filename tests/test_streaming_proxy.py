@@ -12,14 +12,17 @@ import json
 import threading
 import urllib.request
 
+import numpy as np
 import pytest
 
-from repro.core.errors import ExperimentError
+import repro.online.streaming as streaming_module
+from repro.core.errors import ExperimentError, ModelError
 from repro.core.resource import ResourcePool
-from repro.online import MonitorConfig
+from repro.online import MonitorConfig, StreamingMonitor
 from repro.proxy import ClientHandle, StreamingProxy
 from repro.proxy.service import serve
-from tests.conftest import make_cei
+from repro.sim.arena import compile_arena
+from tests.conftest import make_cei, make_profiles
 
 
 def make_proxy(**kwargs) -> StreamingProxy:
@@ -95,6 +98,258 @@ class TestClientsAndChurn:
         assert proxy.client_stats("ana")["pending_ceis"] == 1
         # Pending needs are excluded from the completeness denominator.
         assert proxy.client_stats("ana")["believed_completeness"] == 1.0
+
+
+# The churn experiment's script shape, scaled down: a standing compiled
+# instance, then every CHURN_PERIOD chronons a batch of new rank-1/2
+# needs opening a few chronons ahead and a quarter as many withdrawals
+# drawn from the submitted needs not yet withdrawn.
+CHURN_RESOURCES = 8
+CHURN_PERIOD = 5
+CHURN_PERIODS = 8
+CHURN_RATE = 8
+
+
+def _churn_script(seed):
+    rng = np.random.default_rng(seed)
+
+    def need(now):
+        windows = []
+        for _ in range(int(rng.integers(1, 3))):
+            start = now + int(rng.integers(1, 8))
+            windows.append(
+                (int(rng.integers(CHURN_RESOURCES)), start, start + int(rng.integers(2, 10)))
+            )
+        return tuple(windows)
+
+    standing = [need(0) for _ in range(6)]
+    batches, cancels, still_open = [], [], []
+    for period in range(CHURN_PERIODS):
+        batches.append([need(period * CHURN_PERIOD) for _ in range(CHURN_RATE)])
+        still_open.extend(range(period * CHURN_RATE, (period + 1) * CHURN_RATE))
+        picks = rng.choice(len(still_open), size=CHURN_RATE // 4, replace=False)
+        victims = [still_open[int(i)] for i in picks]
+        still_open = [i for i in still_open if i not in victims]
+        cancels.append(victims)
+    return standing, batches, cancels
+
+
+def _churn_fingerprint(proxy):
+    monitor = proxy.monitor
+    pool = monitor.pool
+    return (
+        list(monitor.schedule.pairs()),
+        monitor.probes_used,
+        pool.num_satisfied,
+        pool.num_failed,
+        pool.num_cancelled,
+        pool.num_open,
+    )
+
+
+def _run_churn(seed, batched, submit=StreamingProxy.submit_ceis):
+    """Drive an arena-backed proxy through one churn script.
+
+    ``batched`` admits each period's needs with one ``submit_ceis``
+    call; otherwise one call per need.  ``submit`` stands in for
+    ``StreamingProxy.submit_ceis``.
+    """
+    standing, batches, cancels = _churn_script(seed)
+    standing = [make_cei(*spec) for spec in standing]
+    batches = [[make_cei(*spec) for spec in batch] for batch in batches]
+    flat = [cei for batch in batches for cei in batch]
+    proxy = StreamingProxy(
+        resources=ResourcePool.uniform(CHURN_RESOURCES),
+        budget=1.0,
+        policy="MRSF",
+        config=MonitorConfig(engine="vectorized"),
+        arena=compile_arena(make_profiles(*standing)),
+    )
+    client = proxy.register_client("churn")
+    for period, batch in enumerate(batches):
+        for chunk in [batch] if batched else [[cei] for cei in batch]:
+            submit(proxy, client, chunk)
+        proxy.cancel_ceis(client, [flat[i] for i in cancels[period]])
+        proxy.tick(CHURN_PERIOD)
+    return proxy
+
+
+@pytest.fixture
+def count_patches(monkeypatch):
+    """Count ``apply_patch`` calls made by the streaming monitor."""
+    calls = []
+    original = streaming_module.apply_patch
+
+    def counting(arena, patch, pools=()):
+        calls.append(patch)
+        return original(arena, patch, pools)
+
+    monkeypatch.setattr(streaming_module, "apply_patch", counting)
+    return calls
+
+
+class TestBatchedAdmission:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batch_matches_one_by_one(self, seed):
+        proxy = _run_churn(seed, batched=True)
+        one_by_one = _run_churn(seed, batched=False)
+        assert _churn_fingerprint(proxy) == _churn_fingerprint(one_by_one)
+        assert proxy.stats() == one_by_one.stats()
+        assert proxy.monitor.probes_used > 0
+        assert proxy.monitor.pool.num_open < CHURN_PERIODS * CHURN_RATE
+
+    def test_one_patch_per_submit_call(self, count_patches):
+        per_call = []
+
+        def submit(proxy, client, ceis):
+            count_patches.clear()
+            proxy.submit_ceis(client, ceis)
+            per_call.append(len(count_patches))
+
+        _run_churn(1, batched=True, submit=submit)
+        assert per_call == [1] * CHURN_PERIODS
+
+    def test_registry_replay_is_one_patch(self, count_patches):
+        proxy = make_proxy()
+        for name in ("ana", "bob"):
+            proxy.register_client(name)
+            proxy.submit_ceis(name, [make_cei((0, 2, 9)), make_cei((1, 3, 8))])
+        count_patches.clear()
+        standing = make_cei((2, 0, 6))
+        StreamingProxy(
+            resources=ResourcePool.uniform(4),
+            config=MonitorConfig(engine="vectorized"),
+            arena=compile_arena(make_profiles(standing)),
+            registry=proxy.registry,
+        )
+        assert len(count_patches) == 1
+        assert len(count_patches[0].register) == 4
+
+
+def _arena_proxy():
+    """An arena-backed proxy with one standing compiled need, plus a
+    client that already owns one need."""
+    compiled = make_cei((0, 0, 20), (1, 5, 20))
+    proxy = make_proxy(
+        config=MonitorConfig(engine="vectorized"),
+        arena=compile_arena(make_profiles(compiled)),
+    )
+    owned = make_cei((2, 3, 20))
+    proxy.register_client("ana")
+    proxy.submit_ceis("ana", [owned])
+    return proxy, compiled, owned
+
+
+def _proxy_state(proxy):
+    monitor = proxy.monitor
+    arena = monitor.arena
+    return (
+        proxy.registry.ceis_of("ana"),
+        proxy.client_stats("ana"),
+        monitor.snapshot(),
+        (arena.n_rows, arena.n_ceis, len(arena.row_seq)) if arena else None,
+    )
+
+
+class TestAtomicSubmission:
+    """A refused batch raises ModelError and leaves the registry, the owner
+    map, the monitor and the arena as they were; the next valid batch
+    then schedules exactly like a run that never saw the refused one."""
+
+    @pytest.mark.parametrize("arena", [True, False], ids=["arena", "queue"])
+    @pytest.mark.parametrize("case", ["duplicate", "already_owned", "already_compiled"])
+    def test_refused_batch_changes_nothing(self, case, arena):
+        if arena:
+            proxy, compiled, owned = _arena_proxy()
+        else:
+            # The `compiled` analogue: a need the pool holds but no client
+            # owns any more (its owner unregistered after it revealed).
+            proxy = make_proxy()
+            proxy.register_client("ana")
+            owned = make_cei((2, 3, 20))
+            proxy.submit_ceis("ana", [owned])
+            proxy.register_client("bob")
+            compiled = make_cei((0, 0, 20), (1, 5, 20))
+            proxy.submit_ceis("bob", [compiled])
+            proxy.tick(1)
+            proxy.unregister_client("bob")
+        proxy.tick(1)
+        new = make_cei((3, 4, 12))
+        bad = {
+            "duplicate": [new, new],
+            "already_owned": [new, owned],
+            "already_compiled": [new, compiled],
+        }[case]
+        before = _proxy_state(proxy)
+        with pytest.raises(ModelError):
+            proxy.submit_ceis("ana", bad)
+        assert _proxy_state(proxy) == before
+        with pytest.raises(ExperimentError, match="never submitted"):
+            proxy.cancel_ceis("ana", [new])
+
+        assert proxy.submit_ceis("ana", [new]) == 1
+        proxy.tick(20)
+        assert proxy.client_stats("ana")["submitted_ceis"] == 2
+
+    def test_refused_batch_then_valid_schedules_like_clean_run(self):
+        runs = []
+        for refuse_first in (True, False):
+            proxy, compiled, owned = _arena_proxy()
+            proxy.tick(2)
+            new = make_cei((3, 4, 12), (1, 6, 14))
+            if refuse_first:
+                with pytest.raises(ModelError):
+                    proxy.submit_ceis("ana", [new, compiled])
+            proxy.submit_ceis("ana", [new])
+            proxy.tick(20)
+            runs.append(_churn_fingerprint(proxy))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("case", ["duplicate", "already_compiled"])
+    def test_streaming_monitor_submit_is_atomic(self, case):
+        def build():
+            compiled = make_cei((0, 0, 20), (1, 5, 20))
+            monitor = StreamingMonitor(
+                "MRSF",
+                budget=1.0,
+                resources=ResourcePool.uniform(4),
+                config=MonitorConfig(engine="vectorized"),
+                arena=compile_arena(make_profiles(compiled)),
+            )
+            monitor.advance(2)
+            return monitor, compiled
+
+        monitor, compiled = build()
+        new = make_cei((3, 4, 12), (2, 6, 14))
+        arena = monitor.arena
+        before = (arena.n_rows, arena.n_ceis, monitor.snapshot())
+        with pytest.raises(ModelError):
+            monitor.submit([new, new] if case == "duplicate" else [new, compiled])
+        assert (arena.n_rows, arena.n_ceis, monitor.snapshot()) == before
+        assert monitor.arena is arena
+
+        assert monitor.submit([new]) == 1
+        monitor.advance(20)
+        clean, _ = build()
+        clean.submit([make_cei((3, 4, 12), (2, 6, 14))])
+        clean.advance(20)
+        assert list(monitor.schedule.pairs()) == list(clean.schedule.pairs())
+        assert monitor.snapshot() == clean.snapshot()
+
+    def test_queue_monitor_refuses_duplicates_at_submit(self):
+        monitor = StreamingMonitor("MRSF", budget=1.0, resources=ResourcePool.uniform(4))
+        cei = make_cei((0, 2, 9))
+        with pytest.raises(ModelError, match="twice"):
+            monitor.submit([cei, cei])
+        assert monitor.pending_count == 0
+        monitor.submit([cei])
+        with pytest.raises(ModelError, match="already submitted"):
+            monitor.submit([cei])
+        monitor.advance(3)  # revealed: now the pool holds it
+        with pytest.raises(ModelError, match="already submitted"):
+            monitor.submit([cei])
+        monitor.advance(10)
+        assert monitor.pool.num_satisfied == 1
 
 
 class TestClocks:
