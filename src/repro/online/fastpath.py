@@ -10,12 +10,20 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   occupies one row (rows of one CEI are contiguous), and per-CEI state
   (rank, captured count, the M-EDF aggregates) lives in parallel CEI-level
   columns.  Each column exists twice: a plain-Python list that absorbs the
-  per-event bookkeeping (registration, window events, captures — all O(1)
-  scalar updates, where NumPy element access would cost more than the
-  work), and a NumPy mirror (``npr_*`` row columns, ``npc_*`` CEI columns)
-  that the scoring kernels and the ``lexsort`` consume.  Mirrors are
-  synchronized lazily at phase start: appended rows/CEIs by bulk slice
-  assignment, mutated CEIs from a dirty set.
+  per-event bookkeeping (registration, window events, captures), and a
+  NumPy mirror (``npr_*`` row columns, ``npc_*`` CEI columns) that the
+  scoring kernels and the ``lexsort`` consume.  Mirrors are synchronized
+  lazily at phase start: appended rows/CEIs by bulk slice assignment,
+  mutated CEIs from a dirty set.
+* Batched bookkeeping — an event touching few rows is handled row by
+  row, where NumPy's per-call cost would exceed the work.  On an
+  arena-backed pool, a window event, arrival batch or capture of at least
+  ``BATCH_CUTOVER`` rows (CEIs, for arrivals) is handled group-wide
+  instead: bulk set updates, one NumPy write of the active mask, mirror
+  patches in place (``np.add.at``) rather than dirty-set entries, and one
+  expiry verdict per CEI.  Activation hooks, partial per-EI fault drops
+  and shed (released) rows keep the scalar loops, which leave the same
+  state.
 * :func:`run_fast_phases` — the vectorized ``probeEIs`` loop.  Each phase
   batch-scores the whole candidate bag with one
   :class:`repro.policies.kernels.ScoreKernel` call, then *selects* rather
@@ -51,7 +59,9 @@ implements in full).
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from itertools import chain, compress
+from operator import itemgetter
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +87,22 @@ _EPS = 1e-9
 TOPK_ENABLED = True
 TOPK_OVERFLOW = 32
 TOPK_GROWTH = 4
+
+# Batched bookkeeping cut-over (module-level so tests can force either
+# path).  On an arena-backed pool, a window event whose compiled row list,
+# an arrival batch whose CEI list, or a capture whose resource group has
+# at least this many entries is handled group-wide (bulk set updates,
+# NumPy mask and mirror writes, one verdict per CEI); smaller ones keep
+# the scalar per-row loop, which NumPy's fixed per-call cost would beat.
+# Chosen by measurement: see docs/performance.md, "Batched bookkeeping".
+BATCH_CUTOVER = 32
+
+
+def _gather(column: Sequence, idx: list[int]) -> tuple:
+    """``tuple(column[i] for i in idx)`` in one C-level call."""
+    if len(idx) == 1:
+        return (column[idx[0]],)
+    return itemgetter(*idx)(column)
 
 
 class FastCEIView:
@@ -374,21 +400,8 @@ class FastCandidatePool:
         amortized O(1) per row/CEI plus O(1) per CEI mutated since the
         last sync.
         """
-        n = len(self.row_seq)
-        if self._synced_rows < n:
-            if n > self._row_cap:
-                self._grow_rows(n)
-            a = self._synced_rows
-            self.npr_seq[a:n] = self.row_seq[a:n]
-            self.npr_finish[a:n] = self.row_finish[a:n]
-            self.npr_finish_f[a:n] = self.npr_finish[a:n]
-            self.npr_resource[a:n] = self.row_resource[a:n]
-            self.npr_cidx[a:n] = self.row_cidx[a:n]
-            self.npr_static[a:n] = self.npr_finish[a:n] * (1 << 21) + self.npr_seq[a:n]
-            self._max_seq = max(self._max_seq, int(self.npr_seq[a:n].max()))
-            self._max_finish = max(self._max_finish, int(self.npr_finish[a:n].max()))
-            self._packable = self._max_seq < (1 << 21) and self._max_finish < (1 << 21)
-            self._synced_rows = n
+        if self._synced_rows < len(self.row_seq):
+            self._sync_rows()
         m = len(self.cei_rank)
         if self._synced_ceis < m:
             if m > self._cei_cap:
@@ -406,6 +419,24 @@ class FastCandidatePool:
                 self.npc_medf_s_f[c] = self.cei_medf_s[c]
                 self.npc_medf_open_f[c] = self.cei_medf_open[c]
             self._dirty_ceis.clear()
+
+    def _sync_rows(self) -> None:
+        """The row half of :meth:`sync_mirrors` (a compare when in sync)."""
+        n = len(self.row_seq)
+        if self._synced_rows < n:
+            if n > self._row_cap:
+                self._grow_rows(n)
+            a = self._synced_rows
+            self.npr_seq[a:n] = self.row_seq[a:n]
+            self.npr_finish[a:n] = self.row_finish[a:n]
+            self.npr_finish_f[a:n] = self.npr_finish[a:n]
+            self.npr_resource[a:n] = self.row_resource[a:n]
+            self.npr_cidx[a:n] = self.row_cidx[a:n]
+            self.npr_static[a:n] = self.npr_finish[a:n] * (1 << 21) + self.npr_seq[a:n]
+            self._max_seq = max(self._max_seq, int(self.npr_seq[a:n].max()))
+            self._max_finish = max(self._max_finish, int(self.npr_finish[a:n].max()))
+            self._packable = self._max_seq < (1 << 21) and self._max_finish < (1 << 21)
+            self._synced_rows = n
 
     # ------------------------------------------------------------------
     # MonitorView protocol
@@ -448,19 +479,10 @@ class FastCandidatePool:
         arena = self._arena
         if arena is not None:
             cidx = arena.cidx_of_cid.get(cei.cid)
-            if cidx is None:
-                raise ModelError(
-                    f"CEI {cei.cid} is not part of this pool's compiled arena"
-                )
             registered = self._registered
             assert registered is not None
-            if registered[cidx]:
-                raise ModelError(f"CEI {cei.cid} registered twice")
-            if now != arena.cei_release[cidx]:
-                raise ModelError(
-                    "arena-backed pools compile registration at the CEI's "
-                    f"arrival chronon {arena.cei_release[cidx]}, got {now}"
-                )
+            if cidx is None or registered[cidx] or now != arena.cei_release[cidx]:
+                self._compiled_cidx(cei, now)  # raises the error that applies
             registered[cidx] = 1
             self._num_registered += 1
             if arena.cei_failed0[cidx]:
@@ -549,6 +571,126 @@ class FastCandidatePool:
         self.cei_medf_open.append(medf_open)
         return activated
 
+    def register_arrivals(
+        self,
+        ceis: Iterable[ComplexExecutionInterval],
+        now: Chronon,
+        collect: bool = True,
+    ) -> list[ExecutionInterval]:
+        """Register one chronon's arrivals; returns the EIs active at once.
+
+        Equivalent to calling :meth:`register` on each CEI in order.  On
+        an arena-backed pool, a batch of at least ``BATCH_CUTOVER`` CEIs
+        with ``collect=False`` replays the compiled registrations as
+        column operations instead, and is atomic: an unknown or repeated
+        cid, or a wrong arrival chronon, raises the same
+        :class:`ModelError` the one-by-one loop would raise first and
+        registers nothing.
+        """
+        if not isinstance(ceis, (list, tuple)):
+            ceis = list(ceis)
+        if self._arena is None or collect or len(ceis) < BATCH_CUTOVER:
+            activated: list[ExecutionInterval] = []
+            for cei in ceis:
+                activated.extend(self.register(cei, now, collect))
+            return activated
+        arena = self._arena
+        registered = self._registered
+        assert registered is not None
+        cidxs = list(map(arena.cidx_of_cid.get, [cei.cid for cei in ceis]))
+        if (
+            None in cidxs
+            or len(set(cidxs)) != len(cidxs)
+            or _gather(arena.cei_release, cidxs).count(now) != len(cidxs)
+        ):
+            self._check_arrivals(ceis, now)
+        at = np.array(cidxs, np.intp)
+        # Zero-copy views of the bytearray, each dropped at once: while
+        # one lives (say, in a raised error's frame) it cannot grow.
+        if np.frombuffer(registered, np.bool_)[at].any():
+            self._check_arrivals(ceis, now)
+        np.frombuffer(registered, np.bool_)[at] = True
+        self._num_registered += len(cidxs)
+        failed0 = _gather(arena.cei_failed0, cidxs)
+        if any(failed0):
+            for cidx, failed in zip(cidxs, failed0):
+                if failed:
+                    self.cei_failed[cidx] = True
+                    self._num_failed += 1
+        # Dead-on-arrival CEIs compiled no rows, so no filter is needed.
+        self._activate_rows(
+            list(chain.from_iterable(_gather(arena.immediate_rows, cidxs)))
+        )
+        return []
+
+    def _check_arrivals(
+        self, ceis: Sequence[ComplexExecutionInterval], now: Chronon
+    ) -> None:
+        """Raise the error one-by-one registration of ``ceis`` hits first.
+
+        Called only once a batch check has proven some CEI invalid.
+        """
+        seen: set[int] = set()
+        for cei in ceis:
+            seen.add(self._compiled_cidx(cei, now, seen))
+
+    def _compiled_cidx(
+        self,
+        cei: ComplexExecutionInterval,
+        now: Chronon,
+        pending: Container[int] = frozenset(),
+    ) -> int:
+        """The arena index of a CEI that may register at ``now``.
+
+        Raises :class:`ModelError` for a CEI outside the arena, one
+        already registered (or in ``pending``, earlier in the same
+        batch), or one compiled to arrive at another chronon.
+        """
+        arena = self._arena
+        registered = self._registered
+        assert arena is not None and registered is not None
+        cidx = arena.cidx_of_cid.get(cei.cid)
+        if cidx is None:
+            raise ModelError(
+                f"CEI {cei.cid} is not part of this pool's compiled arena"
+            )
+        if registered[cidx] or cidx in pending:
+            raise ModelError(f"CEI {cei.cid} registered twice")
+        if now != arena.cei_release[cidx]:
+            raise ModelError(
+                "arena-backed pools compile registration at the CEI's "
+                f"arrival chronon {arena.cei_release[cidx]}, got {now}"
+            )
+        return cidx
+
+    def _activate_rows(self, rows: list[int]) -> None:
+        """Batched :meth:`_activate_row` over ``rows``, in order.
+
+        Sets and the resource index receive rows and new groups in the
+        order the scalar loop inserts them, so they end up identical,
+        iteration order included.
+        """
+        if not rows:
+            return
+        self.np_active[rows] = True
+        self.active_set.update(rows)
+        by_resource = self._by_resource
+        for row, rid in zip(rows, map(self.row_resource.__getitem__, rows)):
+            group = by_resource.get(rid)
+            if group is None:
+                group = by_resource[rid] = set()
+            group.add(row)
+
+    def _deactivate_rows(self, rows: list[int]) -> None:
+        """Batched :meth:`_deactivate_row` over the active ``rows``."""
+        if not rows:
+            return
+        self.np_active[rows] = False
+        self.active_set.difference_update(rows)
+        by_resource = self._by_resource
+        for row, rid in zip(rows, map(self.row_resource.__getitem__, rows)):
+            by_resource[rid].discard(row)
+
     def _activate_row(self, row: int, resource: ResourceId) -> None:
         self.active_set.add(row)
         self.np_active[row] = True
@@ -578,6 +720,14 @@ class FastCandidatePool:
             return opened
         registered = self._registered
         released = self._released_seqs
+        if (
+            len(rows) >= BATCH_CUTOVER
+            and registered is not None
+            and not collect
+            and not released
+        ):
+            self._open_batch(rows, now)
+            return opened
         for row in rows:
             cidx = self.row_cidx[row]
             if registered is not None and not registered[cidx]:
@@ -611,6 +761,36 @@ class FastCandidatePool:
                 opened.append(ei)
         return opened
 
+    def _open_batch(self, rows: list[int], now: Chronon) -> None:
+        """Batched :meth:`open_windows` (no hook, nothing released)."""
+        registered = self._registered
+        assert registered is not None
+        satisfied = self.cei_satisfied
+        failed = self.cei_failed
+        cancelled = self.cei_cancelled
+        captured = self.row_captured
+        # The rows the scalar loop does not ``continue`` past.
+        ceis = list(map(self.row_cidx.__getitem__, rows))
+        live = [
+            registered[c]
+            and not (satisfied[c] or failed[c] or cancelled[c] or captured[row])
+            for row, c in zip(rows, ceis)
+        ]
+        rows = list(compress(rows, live))
+        ceis = list(compress(ceis, live))
+        self._activate_rows(rows)
+        # Every row here opens at ``now``: its M-EDF move adds ``now``.
+        medf_s = self.cei_medf_s
+        medf_open = self.cei_medf_open
+        for c in ceis:
+            medf_s[c] += now
+            medf_open[c] += 1
+        # Patch the mirrors in place rather than dirtying the CEIs: the
+        # aggregates are integers, exact in float64.
+        at = np.array(ceis, np.intp)
+        np.add.at(self.npc_medf_s_f, at, float(now))
+        np.add.at(self.npc_medf_open_f, at, 1.0)
+
     # ------------------------------------------------------------------
     # Capture and expiry
     # ------------------------------------------------------------------
@@ -638,11 +818,15 @@ class FastCandidatePool:
         their rows stay active and uncaptured.  The return value lists the
         CEI *index* of every captured row (with repeats, matching the
         reference's touched list) so the probe loop can re-rank siblings
-        without materializing objects.
+        without materializing objects.  A group of ``BATCH_CUTOVER`` rows
+        or more on an arena-backed pool, with nothing skipped, is captured
+        in one batch.
         """
         group = self._by_resource.get(resource)
         if not group:
             return []
+        if len(group) >= BATCH_CUTOVER and self._arena is not None and not skip:
+            return self._capture_batch(group)
         touched: list[int] = []
         row_seq = self.row_seq
         for row in list(group):
@@ -654,6 +838,41 @@ class FastCandidatePool:
         for cidx in touched:
             if self.cei_satisfied[cidx]:
                 self._drop_remaining_rows(cidx)
+        return touched
+
+    def _capture_batch(self, group: set[int]) -> list[int]:
+        """Batched :meth:`capture_resource_rows` of a whole group."""
+        self._sync_rows()  # push captures can precede the phase's sync
+        rows = list(group)
+        at = np.array(rows, np.intp)
+        # One resource: its group empties, no per-resource split needed.
+        self.np_active[at] = False
+        self.active_set.difference_update(rows)
+        group.difference_update(rows)
+        cidx = self.npr_cidx[at]
+        touched = cidx.tolist()
+        row_captured = self.row_captured
+        captured = self.cei_captured
+        medf_s = self.cei_medf_s
+        medf_open = self.cei_medf_open
+        for row, c, finish in zip(rows, touched, self.npr_finish[at].tolist()):
+            row_captured[row] = True
+            captured[c] += 1
+            medf_s[c] -= finish + 1
+            medf_open[c] -= 1
+        # Mirrors patched in place, as in _open_batch.
+        np.add.at(self.npc_captured_f, cidx, 1.0)
+        np.add.at(self.npc_medf_s_f, cidx, -1.0 - self.npr_finish_f[at])
+        np.add.at(self.npc_medf_open_f, cidx, -1.0)
+        satisfied = self.cei_satisfied
+        required = self.cei_required
+        done = []
+        for c in touched:
+            if not satisfied[c] and captured[c] >= required[c]:
+                satisfied[c] = True
+                done.append(c)
+        self._num_satisfied += len(done)
+        self._drop_rows_of(done)
         return touched
 
     def capture_single_row(self, row: int) -> list[int]:
@@ -715,6 +934,14 @@ class FastCandidatePool:
             return expired
         registered = self._registered
         released = self._released_seqs
+        if (
+            len(rows) >= BATCH_CUTOVER
+            and registered is not None
+            and not collect
+            and not released
+        ):
+            self._close_batch(rows, now)
+            return expired
         row_seq = self.row_seq
         for row in rows:
             cidx = self.row_cidx[row]
@@ -739,6 +966,48 @@ class FastCandidatePool:
                 self._num_failed += 1
                 self._drop_remaining_rows(cidx)
         return expired
+
+    def _close_batch(self, rows: list[int], now: Chronon) -> None:
+        """Batched :meth:`close_windows` (no hook, nothing released).
+
+        With no row shed, the rows the scalar loop acts on (registered,
+        open CEI, uncaptured) are exactly the active ones: such a row was
+        activated at its window's start and only capture, closing its
+        CEI or shedding deactivate it before expiry.  The scalar loop
+        judges a CEI at its first expiring row, but the verdict cannot
+        change at its later ones: siblings expiring at ``now`` never
+        count as usable, and closing changes no capture.  So one verdict
+        per CEI, after deactivating every expiring row, leaves the same
+        state.
+        """
+        at = np.array(rows, np.intp)
+        rows = at[self.np_active[at]].tolist()
+        self._deactivate_rows(rows)
+        ceis = map(self.row_cidx.__getitem__, rows)
+        begin = self.cei_row_begin
+        end = self.cei_row_end
+        required = self.cei_required
+        # A CEI loses its expiring row, so at most its other rows stay
+        # usable: too few of them settles the verdict without a scan.
+        doomed = [
+            c
+            for c in dict.fromkeys(ceis)
+            if end[c] - begin[c] - 1 < required[c] or self._cannot_satisfy(c, now)
+        ]
+        failed = self.cei_failed
+        for c in doomed:
+            failed[c] = True
+        self._num_failed += len(doomed)
+        self._drop_rows_of(doomed)
+
+    def _drop_rows_of(self, ceis: list[int]) -> None:
+        """Batched :meth:`_drop_remaining_rows` over distinct CEIs."""
+        active = self.active_set
+        begin = self.cei_row_begin
+        end = self.cei_row_end
+        self._deactivate_rows(
+            [row for c in ceis for row in range(begin[c], end[c]) if row in active]
+        )
 
     def _cannot_satisfy(self, cidx: int, now: Chronon) -> bool:
         """Can the CEI still reach its required capture count after ``now``?

@@ -282,9 +282,11 @@ class OnlineMonitor:
             # The fast pool can skip materializing EI object lists when no
             # activation hook will consume them.
             collect = self._wants_activation_hook
-            opened: list[ExecutionInterval] = []
-            for cei in new_ceis:
-                opened.extend(self.pool.register(cei, chronon, collect))
+            opened = (
+                self.pool.register_arrivals(new_ceis, chronon, collect)
+                if new_ceis
+                else []
+            )
             opened.extend(self.pool.open_windows(chronon, collect))
         else:
             opened = []

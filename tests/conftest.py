@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
+from repro.core.metrics import evaluate_schedule
 from repro.core.profile import Profile, ProfileSet
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
@@ -168,3 +169,30 @@ def count_steps(monitor) -> list[int]:
 
     monitor.step = counting
     return stepped
+
+
+def check_paper_invariants(
+    monitor, profiles: ProfileSet, budget: BudgetVector, epoch: Epoch
+) -> None:
+    """Hold one finished monitor run to the paper, not to another engine.
+
+    The schedule fits the per-chronon budget (Problem 1), counted both
+    by the monitor's own ledger and from the schedule alone; and Eq. 1
+    recomputed from the schedule by :func:`evaluate_schedule` counts
+    exactly the CEIs the monitor believes it captured, out of the CEIs
+    it registered.  The same checks as ``perfbench/scenarios.py``'s
+    ``check_run``, so a bug two engines share cannot pass on their
+    agreement alone.
+    """
+    monitor.check_budget_feasible()
+    monitor.schedule.check_feasible(
+        budget, pool=monitor.resources, epoch=epoch, push_probes=monitor.push_probes
+    )
+    report = evaluate_schedule(
+        profiles, monitor.schedule, dropped=monitor.dropped_captures
+    )
+    pool = monitor.pool
+    assert (report.captured_ceis, report.num_ceis) == (
+        pool.num_satisfied,
+        pool.num_registered,
+    ), "Eq. 1 recomputed from the schedule disagrees with the monitor"
