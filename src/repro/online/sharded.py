@@ -535,7 +535,7 @@ def run_sharded_phases(
     """
     pool = monitor.pool
     engine: ShardedEngine = monitor._sharded
-    if not pool.active_set:
+    if not pool.num_active():
         return budget_left
     pool.sync_mirrors()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.metrics import evaluate_schedule
 from repro.core.profile import Profile, ProfileSet
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
+from repro.online import fastpath
 from repro.traces.noise import perfect_predictions
 from repro.traces.poisson import poisson_trace
 from repro.workloads.generator import GeneratorSpec, generate_profiles
@@ -196,3 +199,47 @@ def check_paper_invariants(
         pool.num_satisfied,
         pool.num_registered,
     ), "Eq. 1 recomputed from the schedule disagrees with the monitor"
+
+
+@contextlib.contextmanager
+def batch_cutover(value: int):
+    """Temporarily override the batched-bookkeeping cut-over, restoring on exit."""
+    saved = fastpath.BATCH_CUTOVER
+    try:
+        fastpath.BATCH_CUTOVER = value
+        yield
+    finally:
+        fastpath.BATCH_CUTOVER = saved
+
+
+#: Batched-bookkeeping cut-overs that send every event group-wide, and none.
+CUTOVERS = [1, 10**9]
+
+
+def check_candidate_bag(pool, reference, now) -> None:
+    """Hold a vectorized pool's candidate bag to the paper after chronon ``now``.
+
+    The ``np_active`` mask is the pool's only record of the bag.  Its
+    exact count must match the mask, and every row it holds must be an
+    uncaptured EI of a registered, open CEI whose window still contains
+    the clock (the step's expiry has removed the rows ending at ``now``).
+    The per-resource questions the pool answers from the mask must get
+    the answers of ``reference``, the reference
+    :class:`~repro.online.candidates.CandidatePool` stepped alongside it.
+    """
+    mask = pool.np_active[: len(pool.row_seq)]
+    assert pool.num_active() == np.count_nonzero(mask)
+    registered = pool._registered
+    for row in np.flatnonzero(mask).tolist():
+        cidx = pool.row_cidx[row]
+        ei = pool._row_ei[row]
+        assert not pool.row_captured[row], f"captured row {row} in the bag"
+        assert registered is None or registered[cidx], f"unregistered row {row}"
+        assert not (
+            pool.cei_satisfied[cidx] or pool.cei_failed[cidx] or pool.cei_cancelled[cidx]
+        ), f"row {row} of a closed CEI in the bag"
+        assert ei.start <= now < ei.finish, f"row {row} outside its window at {now}"
+    resources = set(pool.row_resource) | {ei.resource for ei in reference.active_eis()}
+    for rid in resources:
+        assert pool.active_uncaptured_on(rid) == reference.active_uncaptured_on(rid)
+        assert pool.active_seqs_on(rid) == reference.active_seqs_on(rid)

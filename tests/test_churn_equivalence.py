@@ -31,7 +31,7 @@ from repro.online.health import HealthConfig
 from repro.online.shedding import SheddingConfig
 from repro.online.streaming import StreamingMonitor
 from repro.sim.arena import compile_arena
-from tests.conftest import make_cei
+from tests.conftest import CUTOVERS, batch_cutover, check_candidate_bag, make_cei
 
 ENGINES = ["reference", "vectorized"]
 ARENA_ENGINES = ["vectorized"]
@@ -86,16 +86,26 @@ def _instantiate(script):
     return initial, events, index
 
 
-def _drive(monitor, events, index):
+def _drive(monitor, events, index, reference=None):
+    """Replay ``events`` one chronon at a time.
+
+    ``reference`` is an optional ``(monitor, events)`` pair advanced in
+    lockstep over the same CEI objects; ``monitor``'s candidate bag is
+    then checked against the reference pool after every chronon.
+    """
+    runs = [(monitor, events)] + ([reference] if reference else [])
     for t in range(HORIZON):
-        for chronon, kind, payload in events:
-            if chronon != t:
-                continue
-            if kind == "submit":
-                monitor.submit(payload)
-            else:
-                monitor.cancel([index[i] for i in payload])
-        monitor.advance(1)
+        for run, run_events in runs:
+            for chronon, kind, payload in run_events:
+                if chronon != t:
+                    continue
+                if kind == "submit":
+                    run.submit(payload)
+                else:
+                    run.cancel([index[i] for i in payload])
+            run.advance(1)
+        if reference:
+            check_candidate_bag(monitor.pool, reference[0].pool, t)
     return monitor
 
 
@@ -103,9 +113,9 @@ def _config(engine, extra=None):
     return MonitorConfig(engine=engine, **(extra or {}))
 
 
-def _run_queue(script, engine, extra=None):
+def _queue_replay(objects, engine, extra=None):
     """Incremental replay with no arena: churn rides the reveal queue."""
-    initial, events, index = _instantiate(script)
+    initial, events, _ = objects
     monitor = StreamingMonitor(
         "MRSF",
         budget=1.0,
@@ -113,12 +123,12 @@ def _run_queue(script, engine, extra=None):
         config=_config(engine, extra),
     )
     monitor.submit(initial)
-    return _drive(monitor, events, index)
+    return monitor, events
 
 
-def _run_arena_incremental(script, engine, extra=None, compact_every=0):
+def _arena_replay(objects, engine, extra=None, compact_every=0):
     """Arena-backed replay: churn becomes ArenaPatch deltas."""
-    initial, events, index = _instantiate(script)
+    initial, events, _ = objects
     arena = compile_arena(ProfileSet([Profile(pid=0, ceis=list(initial))]))
     monitor = StreamingMonitor(
         "MRSF",
@@ -128,12 +138,12 @@ def _run_arena_incremental(script, engine, extra=None, compact_every=0):
         arena=arena,
         compact_every=compact_every,
     )
-    return _drive(monitor, events, index)
+    return monitor, events
 
 
-def _run_from_scratch(script, engine, extra=None):
+def _scratch_replay(objects, engine, extra=None):
     """The final timeline compiled up front: the equivalence baseline."""
-    initial, events, index = _instantiate(script)
+    initial, events, index = objects
     arrivals = {}
     for cei in initial:
         arrivals.setdefault(cei.release, []).append(cei)
@@ -152,8 +162,40 @@ def _run_from_scratch(script, engine, extra=None):
         arena=arena,
     )
     # Only the cancels replay; every registration is already compiled in.
-    cancels = [e for e in events if e[1] == "cancel"]
-    return _drive(monitor, cancels, index)
+    return monitor, [e for e in events if e[1] == "cancel"]
+
+
+def _run_queue(script, engine, extra=None):
+    objects = _instantiate(script)
+    return _drive(*_queue_replay(objects, engine, extra), objects[2])
+
+
+def _run_arena_incremental(script, engine, extra=None, compact_every=0):
+    objects = _instantiate(script)
+    return _drive(
+        *_arena_replay(objects, engine, extra, compact_every), objects[2]
+    )
+
+
+def _run_from_scratch(script, engine, extra=None):
+    objects = _instantiate(script)
+    return _drive(*_scratch_replay(objects, engine, extra), objects[2])
+
+
+REPLAYS = {"queue": _queue_replay, "arena": _arena_replay, "scratch": _scratch_replay}
+
+
+def _check_bag_every_chronon(script, replay, cutover, extra=None):
+    """One vectorized replay, stepped in lockstep with the reference queue
+    replay over the same CEI objects, under a forced batching cut-over:
+    the two candidate bags agree after every chronon."""
+    objects = _instantiate(script)
+    with batch_cutover(cutover):
+        _drive(
+            *REPLAYS[replay](objects, "vectorized", extra),
+            objects[2],
+            reference=_queue_replay(objects, "reference", extra),
+        )
 
 
 def _fingerprint(monitor):
@@ -269,3 +311,26 @@ class TestChurnProperty:
             _fingerprint(_run_arena_incremental(script, "vectorized"))
             == baseline
         )
+
+
+class TestBagEveryChronon:
+    """Each vectorized replay's candidate bag, checked after every chronon
+    against the reference queue replay, with the batching cut-over forced
+    to 1 and to 10**9."""
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @pytest.mark.parametrize("replay", sorted(REPLAYS))
+    def test_scripted(self, replay, cutover):
+        for script, extra in (
+            (SCRIPT_BASIC, None),
+            (SCRIPT_OVERLOAD, TestChurnUnderSubsystems.SHED),
+            (SCRIPT_BASIC, TestChurnUnderSubsystems.FAULTY),
+        ):
+            _check_bag_every_chronon(script, replay, cutover, extra)
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    @settings(max_examples=15, deadline=None)
+    @given(script=churn_scripts())
+    def test_random_churn(self, cutover, script):
+        for replay in REPLAYS:
+            _check_bag_every_chronon(script, replay, cutover)

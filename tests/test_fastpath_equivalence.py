@@ -39,8 +39,11 @@ from repro.policies import MRSF, make_policy
 from repro.sim.arena import ArenaPatch, apply_patch, compile_arena
 from repro.sim.engine import simulate
 from tests.conftest import (
+    CUTOVERS,
     DENSE_PAPER,
     SPARSE_PAPER,
+    batch_cutover,
+    check_candidate_bag,
     check_paper_invariants,
     count_steps,
     make_cei,
@@ -1075,21 +1078,6 @@ def test_property_sharded_agrees(seed, policy_name, shards, preemptive):
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def batch_cutover(value: int):
-    """Temporarily override the batched-bookkeeping cut-over, restoring on exit."""
-    saved = fastpath.BATCH_CUTOVER
-    try:
-        fastpath.BATCH_CUTOVER = value
-        yield
-    finally:
-        fastpath.BATCH_CUTOVER = saved
-
-
-#: Everything batched, and nothing batched.
-CUTOVERS = [1, 10**9]
-
-
 def _outcome(monitor) -> tuple:
     """What the two engines, and the two bookkeeping paths, must agree on."""
     pool = monitor.pool
@@ -1112,7 +1100,9 @@ def assert_batched_agrees(
     **kwargs,
 ):
     """An arena-backed vectorized run under the cut-over in force matches
-    the reference engine, and both hold the paper's invariants.
+    the reference engine, and both hold the paper's invariants; stepped
+    in lockstep, the two engines' candidate bags agree after every
+    chronon.
 
     ``eq1=False`` skips the Eq. 1 recount for runs whose schedule alone
     cannot tell what the proxy captured: under load shedding the proxy
@@ -1134,7 +1124,46 @@ def assert_batched_agrees(
             monitor.schedule.check_feasible(
                 budget_vector, pool=monitor.resources, epoch=epoch
             )
+    _check_bag_every_chronon(policy_name, profiles, budget, shards, **kwargs)
     return ref, vec
+
+
+def _check_bag_every_chronon(
+    policy_name: str,
+    profiles,
+    budget: float,
+    shards=None,
+    faults=None,
+    retry=None,
+    health=None,
+    shedding=None,
+    **kwargs,
+) -> None:
+    """Step an arena-backed vectorized monitor and a reference one over
+    ``profiles`` in lockstep; check the vectorized bag after each chronon."""
+    arena = compile_arena(profiles)
+    ref, vec = (
+        OnlineMonitor(
+            policy=make_policy(policy_name),
+            budget=BudgetVector.constant(budget, NUM_CHRONONS),
+            config=MonitorConfig(
+                engine=engine, shards=shards if engine == "vectorized" else None,
+                faults=faults, retry=retry, health=health, shedding=shedding,
+            ),
+            arena=arena if engine == "vectorized" else None,
+            **kwargs,
+        )
+        for engine in ("reference", "vectorized")
+    )
+    try:
+        for chronon in range(NUM_CHRONONS):
+            arriving = arena.arrivals.get(chronon, ())
+            ref.step(chronon, arriving)
+            vec.step(chronon, arriving)
+            check_candidate_bag(vec.pool, ref.pool, chronon)
+    finally:
+        vec.close()
+    assert _outcome(vec) == _outcome(ref)
 
 
 def _crowded(seed: int, k_of_n_weight: float = 1.0):
@@ -1272,6 +1301,41 @@ class TestBatchedBookkeeping:
         assert patched.pool.num_cancelled > 0
         patched.monitor.check_budget_feasible()
 
+    @pytest.mark.parametrize("cutover", CUTOVERS)
+    def test_churn_bag_every_chronon(self, cutover):
+        """The same churn, both engines stepped in lockstep over shared
+        CEI objects: the patched pool's bag agrees after every chronon."""
+        from repro.online.streaming import StreamingMonitor
+
+        standing = _crowded(58)
+        ref, vec = (
+            StreamingMonitor(
+                "MRSF",
+                budget=1.0,
+                resources=ResourcePool.uniform(4),
+                config=MonitorConfig(engine=engine),
+                arena=arena,
+            )
+            for engine, arena in (
+                ("reference", None),
+                ("vectorized", compile_arena(standing)),
+            )
+        )
+        ref.submit(list(standing.ceis()))
+        previous = []
+        with batch_cutover(cutover):
+            for batch in self._churn_script(57):
+                fresh = [make_cei(*eis) for eis in batch]
+                for monitor in (ref, vec):
+                    monitor.submit(fresh)
+                    monitor.cancel(previous[-5:])
+                previous = fresh
+                for _ in range(3):
+                    ref.advance(1)
+                    now = vec.advance(1) - 1
+                    check_candidate_bag(vec.pool, ref.pool, now)
+        assert _outcome(vec) == _outcome(ref)
+
 
 class TestBatchedRegistration:
     """One chronon's arrivals, registered as a batch on an arena pool."""
@@ -1287,15 +1351,14 @@ class TestBatchedRegistration:
 
     @staticmethod
     def _state(pool) -> tuple:
-        """Everything registration writes, set iteration orders included."""
+        """Everything registration writes."""
         return (
             bytes(pool._registered),
             bytes(pool.cei_failed),
             pool.num_registered,
             pool.num_failed,
-            list(pool.active_set),
+            pool.num_active(),
             pool.np_active[: len(pool.row_seq)].tolist(),
-            [(rid, list(group)) for rid, group in pool._by_resource.items()],
         )
 
     def test_batch_equals_one_by_one(self):

@@ -2,6 +2,9 @@
 
 These pin down engine equivalences that must hold regardless of policy
 or workload, catching subtle regressions that output-level tests miss.
+Every run also goes through the vectorized engine, which must schedule
+identically and, like the reference run, satisfy the paper on its own
+(:func:`tests.conftest.check_paper_invariants`).
 """
 
 import numpy as np
@@ -13,19 +16,37 @@ from repro.core.metrics import gained_completeness
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
 from repro.online.arrivals import arrivals_from_profiles
+from repro.online.config import ENGINES, MonitorConfig
 from repro.online.monitor import OnlineMonitor
 from repro.policies import make_policy
-from tests.conftest import random_general_instance, random_unit_instance
+from tests.conftest import (
+    check_paper_invariants,
+    random_general_instance,
+    random_unit_instance,
+)
 
 
 def run_once(profiles, num_chronons, policy_name, c=1.0, preemptive=True):
-    monitor = OnlineMonitor(
-        make_policy(policy_name),
-        BudgetVector.constant(c, num_chronons),
-        preemptive=preemptive,
-    )
-    monitor.run(Epoch(num_chronons), arrivals_from_profiles(profiles))
-    return monitor
+    """One run per engine; returns the reference engine's monitor.
+
+    Both runs are held to the paper, and the vectorized schedule must
+    equal the reference one.
+    """
+    epoch = Epoch(num_chronons)
+    budget = BudgetVector.constant(c, num_chronons)
+    runs = {}
+    for engine in ENGINES:
+        monitor = OnlineMonitor(
+            make_policy(policy_name),
+            budget,
+            preemptive=preemptive,
+            config=MonitorConfig(engine=engine),
+        )
+        monitor.run(epoch, arrivals_from_profiles(profiles))
+        check_paper_invariants(monitor, profiles, budget, epoch)
+        runs[engine] = monitor
+    assert runs["vectorized"].schedule.probes == runs["reference"].schedule.probes
+    return runs["reference"]
 
 
 class TestDeterminism:
@@ -45,12 +66,15 @@ class TestDeterminism:
         arrivals = arrivals_from_profiles(profiles)
         batched = run_once(profiles, 25, "M-EDF")
 
-        stepped = OnlineMonitor(
-            make_policy("M-EDF"), BudgetVector.constant(1, 25)
-        )
-        for chronon in range(25):
-            stepped.step(chronon, arrivals.get(chronon, ()))
-        assert stepped.schedule.probes == batched.schedule.probes
+        for engine in ENGINES:
+            budget = BudgetVector.constant(1, 25)
+            stepped = OnlineMonitor(
+                make_policy("M-EDF"), budget, config=MonitorConfig(engine=engine)
+            )
+            for chronon in range(25):
+                stepped.step(chronon, arrivals.get(chronon, ()))
+            check_paper_invariants(stepped, profiles, budget, Epoch(25))
+            assert stepped.schedule.probes == batched.schedule.probes
 
 
 class TestPreemptionEquivalences:
