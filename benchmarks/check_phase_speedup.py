@@ -4,12 +4,17 @@ Runs the dense full-monitor benchmark workload (see ``bench_micro``) on
 the vectorized engine twice — once with ``fastpath.TOPK_ENABLED`` (the
 default: budget-sized ``argpartition`` slices, widened on demand) and
 once forced back to the legacy full-bag lexsort — and compares
-best-of-N wall-clock times.  The two runs are interleaved and the best
-round is taken per side, which suppresses most scheduler noise on
-shared CI runners.  Both sides must probe identically: top-k is a pure
-reordering of when sort keys are materialized, so any probe-count
-divergence means the selection invariant broke and the timing is
-meaningless.
+best-of-N wall-clock times.  The policy is MRSF with a no-op
+``on_chronon_start`` (``SteppedMRSF``, as in
+``check_shedding_overhead.py``): a plain MRSF ``run()`` takes the
+whole-run heap walker (``fastpath.run_fast_span``), which never
+selects, so both sides would time the same code; the hook makes
+``run()`` step every chronon through the per-chronon phases.  The two
+runs are interleaved and the best round is taken per side, which
+suppresses most scheduler noise on shared CI runners.  Both sides must
+probe identically: top-k is a pure reordering of when sort keys are
+materialized, so any probe-count divergence means the selection
+invariant broke and the timing is meaningless.
 
 Exit status 0 when ``full_sort / topk >= THRESHOLD``, 1 otherwise.
 
@@ -29,20 +34,28 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_micro import _instance  # noqa: E402
 
 from repro.core.schedule import BudgetVector  # noqa: E402
+from repro.core.timebase import Chronon  # noqa: E402
 from repro.online import fastpath  # noqa: E402
 from repro.online.config import MonitorConfig  # noqa: E402
 from repro.online.monitor import OnlineMonitor  # noqa: E402
-from repro.policies import make_policy  # noqa: E402
+from repro.policies.mrsf import MRSF  # noqa: E402
 
 THRESHOLD = 1.3
 ROUNDS = 9
 POLICY = "MRSF"
 
 
+class SteppedMRSF(MRSF):
+    """MRSF with run batching defeated: every chronon runs its phases."""
+
+    def on_chronon_start(self, chronon: Chronon) -> None:
+        pass
+
+
 def timed_run(topk: bool) -> tuple[float, int]:
     epoch, arrivals, budget = _instance("dense")
     monitor = OnlineMonitor(
-        make_policy(POLICY),
+        SteppedMRSF(),
         BudgetVector.constant(budget, len(epoch)),
         config=MonitorConfig(engine="vectorized"),
     )
@@ -78,7 +91,7 @@ def main() -> int:
     full = min(full_times)
     speedup = full / topk
     print(
-        f"dense vectorized {POLICY} full run, best of {ROUNDS}: "
+        f"dense vectorized stepped {POLICY} full run, best of {ROUNDS}: "
         f"full lexsort {full:.3f}s, top-k {topk:.3f}s, "
         f"speedup {speedup:.2f}x (threshold {THRESHOLD}x)"
     )

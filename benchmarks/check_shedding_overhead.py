@@ -6,9 +6,10 @@ per-chronon detector tick through the monitor.  With
 ``MonitorConfig.shedding`` unset — the default every existing workload
 runs under — all of that must collapse to truthiness tests on an empty
 set; with it set but never triggered, the only addition is the
-per-chronon tick plus the loss of ``run()``'s event-free-span batching
-(armed shedding needs a tick every chronon, so that modal difference is
-by design and not what this gate bounds).
+per-chronon tick plus the loss of ``run()``'s batching — the idle hop
+and, for MRSF, the whole-run heap walker (armed shedding needs a tick
+every chronon, so that modal difference is by design and not what this
+gate bounds; ``SteppedMRSF`` defeats the batching on both sides).
 
 Two measurements, both on the dense full-monitor benchmark workload
 (see ``bench_micro``), vectorized engine, per-chronon stepping:
@@ -69,7 +70,7 @@ TICK_ITERATIONS = 50_000
 
 
 class SteppedMRSF(MRSF):
-    """MRSF with span batching defeated: both sides step every chronon."""
+    """MRSF with run batching defeated: both sides step every chronon."""
 
     def on_chronon_start(self, chronon: Chronon) -> None:
         pass

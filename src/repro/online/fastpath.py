@@ -39,6 +39,11 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   siblings of captured EIs through an overlay heap with stale-entry
   invalidation — the same invariant the reference heap maintains, at
   ``O(A + k log k)`` per phase instead of ``O(A log A)``.
+* :func:`run_fast_span` — ``monitor.run``'s whole-run walker for
+  shift-invariant kernels (S-EDF, MRSF): each row is scored once, when
+  it activates, into one priority heap kept for the whole run, so a
+  chronon costs ``O((new + touched) log A)`` instead of a pass over the
+  bag.  Everything else steps through :func:`run_fast_phases`.
 
 Pools can also be built from a pre-compiled
 :class:`repro.sim.arena.InstanceArena` (``FastCandidatePool(arena=...)``)
@@ -63,14 +68,14 @@ from __future__ import annotations
 import heapq
 from itertools import chain, compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
 from repro.core.resource import ResourceId, ResourcePool
-from repro.core.timebase import Chronon
+from repro.core.timebase import Chronon, Epoch
 from repro.policies.kernels import pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,6 +108,11 @@ BATCH_CUTOVER = 32
 # many indexed rows, with NumPy at or above (measured break-even on an
 # Intel Xeon: 1.5 us at 16 rows; NumPy is 2.5x faster at 128).
 _NUMPY_FILTER_MIN = 16
+
+# The whole-run walker packs keys with NumPy while priorities stay inside
+# +-2^20 (as the phases do), above the 42-bit static key finish*2^21+seq.
+_PRIO_LIMIT = float(1 << 20)
+_SEQ_MASK = (1 << 21) - 1
 
 
 def _gather(column: Sequence, idx: list[int]) -> tuple:
@@ -1672,132 +1682,125 @@ def _refresh_siblings_fast(
                 heapq.heappush(overlay, key + (row, rid))
 
 
-def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
-    """Probe every chronon of the event-free span ``[t0, t1)`` in one call.
+def run_fast_span(
+    monitor: "OnlineMonitor",
+    epoch: Epoch,
+    arrivals: Mapping[Chronon, Sequence[ComplexExecutionInterval]],
+) -> None:
+    """Probe a whole run from one priority heap (``monitor.run``'s fast path).
 
-    The batched-stepping fast path for ``monitor.run``: when no window
-    opens, no window expires and no CEI arrives anywhere in ``[t0, t1)``,
-    the candidate bag only changes through this walk's own captures — so
-    the whole span can be scored *once* at ``t0`` and consumed chronon by
-    chronon from the same sorted stream.  The caller guarantees the gates
-    (see ``OnlineMonitor._run_batched``): preemptive mode, overlap
-    exploitation on, uniform probe costs, no faults, no probe hook, and a
-    :attr:`repro.policies.kernels.ScoreKernel.shift_invariant` kernel.
-    That last gate is what licenses cross-chronon key reuse: either the
-    scores are chronon-free (MRSF family — so re-ranked sibling keys from
-    a later slot compare exactly against span-start stream keys), or the
-    policy is not sibling-sensitive and every score shifts by the same
-    per-chronon constant (S-EDF), preserving the stream order.
+    Each row is scored once, when it activates, in the frame of the
+    epoch's first chronon, which a shift-invariant kernel licenses (see
+    :attr:`repro.policies.kernels.ScoreKernel.shift_invariant`; the other
+    gates are in ``OnlineMonitor.run``).  Per chronon: register and open,
+    pushing the rows that became active; walk the budget; close — heap
+    work O((new + touched) log A), never O(A).  A popped key is stale
+    when its row left the bag or a sibling re-rank superseded it, so the
+    first fresh one is the step loop's pick.  Overlap is on, so a probe
+    captures every live row on its resource: no "already probed" check.
+    Re-ranks run even once the budget is spent, for later chronons.
 
-    Per slot the walk replays the exact single-chronon semantics: a fresh
-    budget and probed set, the stream rescanned from the top (entries
-    skipped only because their resource was probed *this* slot become
-    eligible again), and overlay entries blocked only by the probed set
-    are *deferred* to the next slot instead of dropped.  Sibling
-    refreshes run even with the slot's budget spent — unlike the
-    single-phase walk, their fresh keys feed the later slots of the span.
+    Keys are packed ints, ``priority << 42 | finish << 21 | seq``
+    (:func:`repro.policies.kernels.pack_keys`), while every key pushed
+    fits; from the first that does not, ``(priority, finish, seq, row)``.
     """
     pool: FastCandidatePool = monitor.pool
     kernel = monitor._kernel
     schedule = monitor.schedule
     budget = monitor.budget
     assert kernel is not None and kernel.shift_invariant
-    pool.sync_mirrors()
-    rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
-    if rows.size == 0:
-        monitor._clock = t1 - 1
-        return
-    cidx = pool.npr_cidx[rows]
-    prio = kernel.score_rows(pool, rows, cidx, t0)
-    # Materialize the full sorted stream up front (no top-k cut: the span
-    # replays it once per slot, and a budget-sized cut would have to be
-    # sized for the whole span anyway).
-    if pool._packable:
-        static = pool.npr_static[rows]
-        if kernel.integer_valued and float(np.abs(prio).max()) < float(1 << 20):
-            order = np.argsort(pack_keys(prio, static))
-        else:
-            order = np.lexsort((static, prio))
-    else:
-        order = np.lexsort((pool.npr_seq[rows], pool.npr_finish[rows], prio))
-    sp = prio[order].tolist()
-    sr = rows[order].tolist()
-
-    active = pool._active
-    row_finish = pool.row_finish
-    row_seq = pool.row_seq
-    row_resource = pool.row_resource
     sensitive = monitor._sibling_sensitive
-    no_probed: frozenset[ResourceId] = frozenset()
-    overlay: list[tuple] = []  # (priority, finish, seq, row, resource)
-    cur: dict[int, tuple] = {}  # row -> freshest key among refreshed rows
-    dirty: set[int] = set()  # rows whose stream entry was superseded
-    deferred: list[tuple] = []  # overlay entries blocked only by `probed`
-
-    for t in range(t0, t1):
-        if not pool.num_active():
-            break
+    timeline = monitor._activation_timeline()
+    row_of_seq = pool._row_of_seq
+    row_resource = pool.row_resource
+    heap: list = []
+    cur: dict[int, object] = {}  # row -> its freshest re-ranked key
+    packed = kernel.integer_valued
+    frame = epoch.first
+    rows: list[int] = []  # the bag starts empty: run() refuses a stepped monitor
+    for t in monitor._busy_chronons(epoch, arrivals):
         monitor._clock = t
-        budget_left = budget.at(t)
-        probed: set[ResourceId] = set()
-        si = 0
-        if deferred:
-            # Their resources are probe-able again now the slot rolled.
-            for entry in deferred:
-                heapq.heappush(overlay, entry)
-            deferred = []
-        while budget_left > _EPS:
-            if 1.0 > budget_left + _EPS:
-                break  # uniform costs: the slot's budget is spent
-            row = -1
-            rid = -1
-            stream_ready = False
-            while si < len(sr):
-                row = sr[si]
-                if row in dirty or not active[row]:
-                    si += 1
-                    continue
-                rid = row_resource[row]
-                if rid in probed:
-                    si += 1  # per-slot skip; si resets at the next slot
-                    continue
-                stream_ready = True
-                break
-            while overlay:
-                entry = overlay[0]
-                orow = entry[3]
-                if (
-                    cur.get(orow) != (entry[0], entry[1], entry[2])
-                    or not active[orow]
-                ):
-                    heapq.heappop(overlay)
-                    continue
-                if entry[4] in probed:
-                    # Ineligible only this slot: defer, don't drop.
-                    deferred.append(heapq.heappop(overlay))
-                    continue
-                break
-            if stream_ready and (
-                not overlay
-                or (sp[si], row_finish[row], row_seq[row]) <= overlay[0][:3]
+        new = arrivals.get(t)
+        if new:
+            pool.register_arrivals(new, t, collect=False)
+            for cei in new:
+                c = pool._cidx_of_cid[cei.cid]
+                rows.extend(range(pool.cei_row_begin[c], pool.cei_row_end[c]))
+        rows.extend(timeline.get(t, ()))  # read before the pool pops it
+        pool.open_windows(t, collect=False)
+        active = pool._active  # registration may have grown the mask
+        rows = [row for row in rows if active[row]]
+        if rows:
+            pool.sync_mirrors()
+            at = np.array(rows, np.intp)
+            prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
+            if packed and not (
+                pool._packable and float(np.abs(prio).max()) < _PRIO_LIMIT
             ):
-                si += 1
-            elif overlay:
-                entry = heapq.heappop(overlay)
-                row, rid = entry[3], entry[4]
+                # A key that will not pack: restart the heap in tuple form
+                # from the whole bag, whose live keys are its scores now.
+                packed = False
+                heap.clear()
+                cur.clear()
+                at = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+                rows = at.tolist()
+                prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
+            if packed:
+                keys = pack_keys(prio, pool.npr_static[at]).tolist()
             else:
-                break  # bag exhausted for this slot
+                finish, seq = _gather(pool.row_finish, rows), _gather(pool.row_seq, rows)
+                keys = zip(prio.tolist(), finish, seq, rows)
+            for key in keys:
+                heapq.heappush(heap, key)
+            rows = []
+
+        budget_left = budget.at(t)
+        while heap and 1.0 <= budget_left + _EPS:
+            key = heapq.heappop(heap)
+            row = row_of_seq[key & _SEQ_MASK] if packed else key[3]
+            if not active[row] or cur.get(row, key) != key:
+                continue  # left the bag, or superseded by a re-rank
+            rid = row_resource[row]
             budget_left -= 1.0
             monitor._probes_used += 1
             monitor._charge(rid, t, 1.0)
             schedule.add_probe(rid, t)
-            probed.add(rid)
             touched = pool.capture_resource_rows(rid)
             if sensitive and touched:
-                # Empty probed set on purpose: a probed-resource sibling
-                # still needs its fresh key, or its stale stream entry
-                # would rank it wrongly at the next slot.
-                _refresh_siblings_fast(
-                    pool, kernel, touched, t, None, no_probed, overlay, cur, dirty
-                )
-    monitor._clock = t1 - 1
+                _rerank_siblings(pool, kernel, touched, frame, heap, cur, packed)
+        pool.close_windows(t, collect=False)
+
+
+def _rerank_siblings(
+    pool: FastCandidatePool, kernel, touched: list[int], frame: Chronon,
+    heap: list, cur: dict[int, object], packed: bool,
+) -> None:
+    """Push fresh keys for the live siblings of each CEI in ``touched``.
+
+    Packed keys are Python ints here, so no score is too large to pack.
+    """
+    active = pool._active
+    row_finish = pool.row_finish
+    row_seq = pool.row_seq
+    push = heapq.heappush
+    for cidx in touched:
+        if pool.cei_satisfied[cidx] or pool.cei_failed[cidx] or pool.cei_cancelled[cidx]:
+            continue  # closed CEIs left the candidate bag entirely
+        fresh = kernel.score_cei(pool, cidx, frame)
+        # One loop per key form keeps the branch out of the row loop.
+        rows = range(pool.cei_row_begin[cidx], pool.cei_row_end[cidx])
+        if packed:
+            high = int(fresh) << 42
+            for row in rows:
+                if active[row]:
+                    key = high + (row_finish[row] << 21) + row_seq[row]
+                    if cur.get(row) != key:
+                        cur[row] = key
+                        push(heap, key)
+        else:
+            for row in rows:
+                if active[row]:
+                    key = (fresh, row_finish[row], row_seq[row], row)
+                    if cur.get(row) != key:
+                        cur[row] = key
+                        push(heap, key)

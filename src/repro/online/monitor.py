@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
@@ -254,10 +254,7 @@ class OnlineMonitor:
 
         Chronons must be visited in strictly increasing order.
         """
-        if chronon <= self._clock:
-            raise ModelError(
-                f"chronons must increase: step({chronon}) after step({self._clock})"
-            )
+        self._check_increasing(chronon)
         if self._sharded is not None and not self._sharded.attached(self.pool):
             # Growth churn reallocated the pool's mirrors away from the
             # shared segment (adopt_arena after a registering patch):
@@ -349,32 +346,57 @@ class OnlineMonitor:
 
         Equivalent to stepping every chronon in order, but when the
         policy keeps the default per-chronon hooks (``on_chronon_start``,
-        ``select_resources``) and no failure model is configured, the
-        loop consults the pool's window-event timelines to batch the
-        event-free stretches: idle chronons (empty bag, no arrivals, no
-        activations) are skipped outright, and — on the vectorized engine
-        under a shift-invariant kernel — whole event-free spans are
-        stepped in one :func:`repro.online.fastpath.run_fast_span` call.
-        Schedules, budgets and counters are bit-identical to the step
-        loop either way.
+        ``select_resources``) and no failure model or shedder is
+        configured, the loop consults the pool's activation timeline to
+        skip idle chronons (empty bag, no arrivals, no activations)
+        outright.  On the vectorized engine under a shift-invariant
+        kernel, with no probe, activation or expiry hook, the whole run is
+        then walked by :func:`repro.online.fastpath.run_fast_span` from
+        one priority heap instead of re-ranking the bag every chronon.
+        Schedules, budgets, counters and errors are bit-identical to the
+        step loop either way.
         """
         cls = type(self.policy)
-        batchable = (
+        if not (
             self._faults is None
             and self._shedder is None
             and cls.on_chronon_start is Policy.on_chronon_start
             and cls.select_resources is Policy.select_resources
-        )
-        if batchable:
-            return self._run_batched(epoch, arrivals)
-        for chronon in epoch:
-            self.step(chronon, arrivals.get(chronon, ()))
+        ):
+            for chronon in epoch:
+                self.step(chronon, arrivals.get(chronon, ()))
+            return self.schedule
+        # The step loop raises at its first chronon; hopping must not hide it.
+        self._check_increasing(epoch.first)
+        kernel = self._kernel
+        if (
+            self.preemptive
+            and self.exploit_overlap
+            and self.resources is None
+            and kernel is not None
+            and kernel.shift_invariant
+            and not self._wants_probe_hook
+            and not self._wants_activation_hook
+            and not self._wants_expiry_hook
+            # Sharded runs step chronon by chronon through the shard merge.
+            and self._sharded is None
+        ):
+            run_fast_span(self, epoch, arrivals)
+        else:
+            for t in self._busy_chronons(epoch, arrivals):
+                self.step(t, arrivals.get(t, ()))
         return self.schedule
 
-    def _event_timelines(self) -> tuple[Mapping[Chronon, list], Mapping[Chronon, list]]:
-        """The pool's pending (activation, expiry) chronon maps.
+    def _check_increasing(self, chronon: Chronon) -> None:
+        if chronon <= self._clock:
+            raise ModelError(
+                f"chronons must increase: step({chronon}) after step({self._clock})"
+            )
 
-        Arena-backed pools read the arena's shared timelines, whose keys
+    def _activation_timeline(self) -> Mapping[Chronon, list]:
+        """The pool's pending window openings, keyed by chronon.
+
+        Arena-backed pools read the arena's shared timeline, whose keys
         may belong to never-registered CEIs — treated as events anyway
         (conservative: the run just steps those chronons normally).
         Entries at already-passed chronons can linger after skips; they
@@ -384,28 +406,21 @@ class OnlineMonitor:
         pool = self.pool
         arena = getattr(pool, "_arena", None)
         if arena is not None:
-            return arena.activate_at, arena.expire_at
-        return pool._to_activate, pool._to_expire
+            return arena.activate_at
+        return pool._to_activate
 
-    def _run_batched(
+    def _busy_chronons(
         self,
         epoch: Epoch,
         arrivals: Mapping[Chronon, Sequence[ComplexExecutionInterval]],
-    ) -> Schedule:
-        kernel = self._kernel
-        span_ok = (
-            self.preemptive
-            and self.exploit_overlap
-            and self.resources is None
-            and kernel is not None
-            and kernel.shift_invariant
-            and not self._wants_probe_hook
-            # Sharded runs step chronon-by-chronon: the span batcher
-            # bypasses the shard merge stream (idle skips stay allowed).
-            and self._sharded is None
-        )
+    ) -> Iterator[Chronon]:
+        """The chronons of ``epoch`` a run must step, hopping idle stretches.
+
+        Lazy: each chronon is judged after the previous one was stepped.
+        """
         last = epoch.last
         horizon = last + 1
+        act = self._activation_timeline()
         # Sorted non-empty arrival chronons; `ai` only ever advances.
         arr_keys = sorted(k for k, v in arrivals.items() if v)
         ai = 0
@@ -413,14 +428,12 @@ class OnlineMonitor:
         while t <= last:
             while ai < len(arr_keys) and arr_keys[ai] < t:
                 ai += 1
-            has_arrival = ai < len(arr_keys) and arr_keys[ai] == t
-            act, exp = self._event_timelines()
-            if not has_arrival and t not in act and self.pool.num_active() == 0:
+            next_arr = arr_keys[ai] if ai < len(arr_keys) else horizon
+            if next_arr != t and t not in act and self.pool.num_active() == 0:
                 # Idle run: with an empty bag and no openings, nothing can
                 # happen until the next arrival or activation (expiries in
                 # the window are pure pop-skips — an expiring row that
                 # mattered would have had to be active).  Skip to it.
-                next_arr = arr_keys[ai] if ai < len(arr_keys) else horizon
                 next_act = min((k for k in act if k > t), default=horizon)
                 u = min(next_arr, next_act, horizon)
                 num_budgeted = len(self.budget.values)
@@ -432,26 +445,8 @@ class OnlineMonitor:
                 self._clock = u - 1
                 t = u
                 continue
-            if (
-                span_ok
-                and not has_arrival
-                and t not in act
-                and t not in exp
-                and self.pool.num_active() > 0
-            ):
-                next_arr = arr_keys[ai] if ai < len(arr_keys) else horizon
-                next_act = min((k for k in act if k > t), default=horizon)
-                next_exp = min((k for k in exp if k > t), default=horizon)
-                u = min(next_arr, next_act, next_exp, horizon)
-                if u - t >= 2:
-                    # Event-free span: the bag only changes through this
-                    # walk's own captures — one batched call covers it.
-                    run_fast_span(self, t, u)
-                    t = u
-                    continue
-            self.step(t, arrivals.get(t, ()))
+            yield t
             t += 1
-        return self.schedule
 
     # ------------------------------------------------------------------
     # Probe selection (the paper's probeEIs procedure)

@@ -93,16 +93,16 @@ class ScoreKernel:
     #: instead of once per CEI via :meth:`score_cei`.
     row_dependent = False
 
-    #: True when scores taken at one chronon stay valid for ranking at any
-    #: later chronon of an event-free span (no window openings/closings,
-    #: no registrations) — the licence for
-    #: :func:`repro.online.fastpath.run_fast_span` to score a whole span
-    #: once.  Precisely: either the scores are chronon-free (MRSF's
-    #: residual, weighted or not — so re-ranked sibling keys from a later
-    #: chronon compare exactly against span-start stream keys), or the
+    #: True when a row's score, taken once in the frame of one fixed
+    #: chronon, ranks it correctly at every later chronon of the run — the
+    #: licence for :func:`repro.online.fastpath.run_fast_span` to score
+    #: each row once, when it activates, and keep its key in one heap for
+    #: the whole run.  Precisely: either the scores are chronon-free
+    #: (MRSF's residual, weighted or not — so a sibling re-ranked at a
+    #: later chronon compares exactly against keys pushed earlier), or the
     #: policy is not sibling-sensitive and a chronon step shifts every
     #: score by the same constant (S-EDF), preserving the order of the
-    #: one-shot stream.  M-EDF fails both (per-CEI slopes differ via
+    #: stored keys.  M-EDF fails both (per-CEI slopes differ via
     #: ``n_open``), as do the weighted deadline kernels (per-CEI shift
     #: ``1/weight``) and the reliability kernels (health state moves).
     shift_invariant = False

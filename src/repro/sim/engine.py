@@ -126,8 +126,9 @@ def simulate(
         else arrivals_from_profiles(profiles, epoch=epoch)
     )
     started = time.perf_counter()
-    # run() rather than a bare step loop: the monitor batches event-free
-    # chronon stretches (and skips idle ones) with bit-identical results.
+    # run() rather than a bare step loop: the monitor skips idle chronons
+    # and, for S-EDF/MRSF, walks the whole run from one heap, with
+    # bit-identical results.
     try:
         monitor.run(epoch, arrivals)
     finally:

@@ -160,8 +160,9 @@ def paper_instance(
 def count_steps(monitor) -> list[int]:
     """Record the chronons ``monitor.run`` hands to ``step`` one by one.
 
-    ``run`` skips idle chronons and batches event-free spans; the
-    returned list (filled as the monitor runs) shows which it stepped.
+    ``run`` skips idle chronons and, where the whole-run walker applies,
+    steps none at all; the returned list (filled as the monitor runs)
+    shows which it stepped.
     """
     stepped: list[int] = []
     step = monitor.step
@@ -172,6 +173,24 @@ def count_steps(monitor) -> list[int]:
 
     monitor.step = counting
     return stepped
+
+
+def count_chronons(monitor) -> list[int]:
+    """Record the chronons ``monitor.run`` processes, however it steps them.
+
+    Every processed chronon ends with the pool closing its windows, on
+    both engines, in the step loop and in the whole-run walker alike; a
+    chronon missing from the returned list was hopped as idle.
+    """
+    closed: list[int] = []
+    close = monitor.pool.close_windows
+
+    def counting(now, *args, **kwargs):
+        closed.append(now)
+        return close(now, *args, **kwargs)
+
+    monitor.pool.close_windows = counting
+    return closed
 
 
 def check_paper_invariants(

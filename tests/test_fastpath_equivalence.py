@@ -45,6 +45,7 @@ from tests.conftest import (
     batch_cutover,
     check_candidate_bag,
     check_paper_invariants,
+    count_chronons,
     count_steps,
     make_cei,
     make_ei,
@@ -825,10 +826,75 @@ class TestBatchedRun:
             BudgetVector.constant(1, 50),
             config=MonitorConfig(engine=engine),
         )
-        stepped = count_steps(monitor)
+        processed = count_chronons(monitor)
         monitor.run(Epoch(50), arrivals_from_profiles(profiles))
-        assert not any(3 <= t < 40 for t in stepped)
+        assert processed == [0, 40]  # each window is probed as it opens
         assert monitor.probes_used == 2
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_run_after_step_raises_like_the_step_loop(self, engine):
+        # The leading chronons are idle: hopping them must not hide that
+        # the epoch starts at or before the clock.
+        arrivals = arrivals_from_profiles(ProfileSet.from_ceis([make_cei((0, 6, 8))]))
+        monitor = OnlineMonitor(
+            make_policy("MRSF"),
+            BudgetVector.constant(1, 10),
+            config=MonitorConfig(engine=engine),
+        )
+        monitor.step(3)
+        with pytest.raises(ModelError, match="chronons must increase"):
+            monitor.run(Epoch(10), arrivals)
+        assert monitor.probes_used == 0
+
+    @pytest.mark.parametrize("with_arena", [True, False], ids=["arena", "no-arena"])
+    @pytest.mark.parametrize(
+        "policy_name, case",
+        [
+            ("S-EDF", "dense"),
+            ("MRSF", "dense"),
+            ("S-EDF", "budget-vector"),
+            ("MRSF", "budget-vector"),
+            ("W-MRSF", "weighted"),
+            ("S-EDF", "huge-finish"),
+            ("MRSF", "huge-finish"),
+        ],
+    )
+    def test_whole_run_walker(self, policy_name, case, with_arena):
+        """The whole-run walker equals the step loop and the reference engine.
+
+        ``budget-vector`` has chronons with no budget and with three
+        probes; ``weighted`` ranks by float keys; ``huge-finish`` has
+        windows ending past 2^20 and 2^21, which packed keys cannot hold,
+        and an idle stretch the run hops.
+        """
+        epoch, profiles, budget = _WALKER_CASES[case]()
+        arrivals = arrivals_from_profiles(profiles)
+
+        def monitor(engine):
+            arena = compile_arena(profiles) if with_arena and engine != "reference" else None
+            return OnlineMonitor(
+                make_policy(policy_name), budget,
+                config=MonitorConfig(engine=engine), arena=arena,
+            )
+
+        walked = monitor("vectorized")
+        not_stepped = count_steps(walked)
+        processed = count_chronons(walked)
+        walked.run(epoch, arrivals)
+        assert not_stepped == []  # the walker ran every chronon
+        stepped = monitor("vectorized")
+        for chronon in epoch:
+            stepped.step(chronon, arrivals.get(chronon, ()))
+        reference = monitor("reference")
+        reference.run(epoch, arrivals)
+        for other in (stepped, reference):
+            assert walked.schedule.probes == other.schedule.probes
+            assert walked.probes_used == other.probes_used
+            assert walked.believed_completeness == other.believed_completeness
+        for run in (walked, stepped, reference):
+            check_paper_invariants(run, profiles, budget, epoch)
+        if case == "huge-finish":
+            assert len(processed) < len(epoch)  # the idle stretch was hopped
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_custom_chronon_hooks_disable_batching(self, engine):
@@ -845,6 +911,50 @@ class TestBatchedRun:
         )
         monitor.run(Epoch(12), {})
         assert seen == list(range(12))
+
+
+def _dense_case():
+    epoch, profiles = paper_instance(*DENSE_PAPER)
+    return epoch, profiles, BudgetVector.constant(1, len(epoch))
+
+
+def _budget_vector_case():
+    epoch, profiles = paper_instance(*DENSE_PAPER)
+    cycle = (0, 3, 1, 1.5, 0, 2)
+    budget = BudgetVector.from_sequence([cycle[t % len(cycle)] for t in epoch])
+    return epoch, profiles, budget
+
+
+def _weighted_case():
+    budget = BudgetVector.constant(1, NUM_CHRONONS)
+    return Epoch(NUM_CHRONONS), _crowded(4, k_of_n_weight=2.5), budget
+
+
+def _huge_finish_case():
+    far, farther = (1 << 20) + 5, (1 << 21) + 3
+    profiles = ProfileSet.from_ceis(
+        [
+            make_cei((0, 0, 12), (1, 2, 8)),
+            make_cei((1, 0, 5)),
+            make_cei((2, 1, 9), (0, 4, 10), (3, 3, 3)),
+            # Arrive once packed keys are in the heap.
+            make_cei((3, 6, farther), (2, 7, 11)),
+            make_cei((1, 6, far), (0, 6, 9)),
+            make_cei((0, 8, 9)),
+            # After an idle stretch.
+            make_cei((1, 30, 33), (2, 31, farther)),
+            make_cei((3, 32, 35), (2, 32, 33)),
+        ]
+    )
+    return Epoch(40), profiles, BudgetVector.constant(1, 40)
+
+
+_WALKER_CASES = {
+    "dense": _dense_case,
+    "budget-vector": _budget_vector_case,
+    "weighted": _weighted_case,
+    "huge-finish": _huge_finish_case,
+}
 
 
 class TestPaperInstances:

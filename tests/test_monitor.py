@@ -16,7 +16,7 @@ from repro.online.monitor import OnlineMonitor
 from repro.policies import MRSF, SEDF, make_policy
 from repro.sim.arena import compile_arena
 from repro.sim.engine import simulate
-from tests.conftest import count_steps, make_cei, make_ei
+from tests.conftest import count_chronons, make_cei, make_ei
 
 
 def run_monitor(ceis, num_chronons, c=1.0, policy=None, preemptive=True, **kwargs):
@@ -260,10 +260,10 @@ class TestBoundaries:
             config=MonitorConfig(engine="vectorized"),
             arena=arena,
         )
-        stepped = count_steps(monitor)
+        processed = count_chronons(monitor)
         monitor.run(Epoch(10), arena.arrivals)
         assert monitor.probes_used == 0
-        assert stepped == []  # all ten chronons skipped as idle
+        assert processed == []  # all ten chronons skipped as idle
 
     def test_single_row_instance_both_engines(self):
         profiles = ProfileSet.from_ceis([make_cei((0, 2, 6))])

@@ -9,6 +9,10 @@
 * Proposition 4 — the feasible-schedule count formula.
 * Proposition 5 — capturing a combination CEI captures the original, and
   any original capture corresponds to some combination.
+
+Propositions 1-3 are checked on every engine (``ENGINES``), and each run
+also against the paper's invariants, so an engine cannot pass merely by
+agreeing with another.
 """
 
 import numpy as np
@@ -22,18 +26,30 @@ from repro.core.timebase import Epoch
 from repro.offline.enumeration import solve_exact
 from repro.offline.transform import cei_to_combinations
 from repro.online.arrivals import arrivals_from_profiles
+from repro.online.config import MonitorConfig
 from repro.online.monitor import OnlineMonitor
 from repro.policies import MEDF, MRSF, SEDF
-from tests.conftest import make_cei, random_unit_instance
+from repro.sim.arena import compile_arena
+from tests.conftest import check_paper_invariants, make_cei, random_unit_instance
 
 
-def run_policy(profiles, num_chronons, policy, c=1.0, preemptive=True):
+#: The engines every proposition holds on: Algorithm 1 as written, the
+#: vectorized engine, and the vectorized engine over a compiled arena.
+ENGINES = ("reference", "vectorized", "arena")
+
+
+def run_policy(profiles, num_chronons, policy, c=1.0, preemptive=True, engine="reference"):
+    epoch = Epoch(num_chronons)
+    budget = BudgetVector.constant(c, num_chronons)
     monitor = OnlineMonitor(
         policy=policy,
-        budget=BudgetVector.constant(c, num_chronons),
+        budget=budget,
         preemptive=preemptive,
+        config=MonitorConfig(engine="reference" if engine == "reference" else "vectorized"),
+        arena=compile_arena(profiles) if engine == "arena" else None,
     )
-    monitor.run(Epoch(num_chronons), arrivals_from_profiles(profiles))
+    monitor.run(epoch, arrivals_from_profiles(profiles))
+    check_paper_invariants(monitor, profiles, budget, epoch)
     return monitor
 
 
@@ -66,8 +82,9 @@ class TestProposition1:
             profiles, Epoch(horizon), BudgetVector.constant(1, horizon),
             max_nodes=1_000_000,
         )
-        monitor = run_policy(profiles, horizon, SEDF())
-        assert monitor.pool.num_satisfied == exact.captured_ceis
+        for engine in ENGINES:
+            monitor = run_policy(profiles, horizon, SEDF(), engine=engine)
+            assert monitor.pool.num_satisfied == exact.captured_ceis, engine
 
     def test_sedf_beats_fifo_on_adversarial_deadlines(self):
         # Two EIs active together; the tight one must go first.
@@ -98,9 +115,10 @@ class TestProposition2:
         exact = solve_exact(
             profiles, Epoch(10), BudgetVector.constant(1, 10), max_nodes=500_000
         )
-        monitor = run_policy(profiles, 10, MRSF())
         l = max(cei.total_chronons for cei in profiles.ceis())
-        assert monitor.pool.num_satisfied * l >= exact.captured_ceis
+        for engine in ENGINES:
+            monitor = run_policy(profiles, 10, MRSF(), engine=engine)
+            assert monitor.pool.num_satisfied * l >= exact.captured_ceis, engine
 
     def test_counterexample_without_feasibility_precondition(self):
         """Reproduction finding: Proposition 2 as literally stated fails
@@ -136,10 +154,11 @@ class TestProposition3:
             rng, num_resources=6, num_chronons=12, num_ceis=8, max_rank=4
         )
         assert profiles.is_unit
-        mrsf = run_policy(profiles, 14, MRSF())
-        medf = run_policy(profiles, 14, MEDF())
-        assert mrsf.schedule.probes == medf.schedule.probes
-        assert mrsf.pool.num_satisfied == medf.pool.num_satisfied
+        for engine in ENGINES:
+            mrsf = run_policy(profiles, 14, MRSF(), engine=engine)
+            medf = run_policy(profiles, 14, MEDF(), engine=engine)
+            assert mrsf.schedule.probes == medf.schedule.probes, engine
+            assert mrsf.pool.num_satisfied == medf.pool.num_satisfied, engine
 
     def test_medf_differs_from_mrsf_on_wide_eis(self):
         # Sanity: the equivalence is specific to unit instances.
