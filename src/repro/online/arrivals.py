@@ -28,10 +28,10 @@ def arrival_map(
     epoch raises :class:`ModelError` — the monitor's step loop would
     otherwise silently never reveal it (release past the epoch) and the
     streaming path depends on every arrival chronon being steppable.
-    Callers that intentionally accept stale or future needs (e.g.
-    :class:`repro.proxy.session.ProxySession`, which reveals late CEIs
-    at submission time instead) omit the epoch and keep the permissive
-    behaviour.
+    Callers that intentionally accept needs released past the epoch
+    (e.g. :meth:`repro.proxy.proxy.MonitoringProxy.run`, where such a
+    need simply stays unsatisfied) omit the epoch and keep the
+    permissive behaviour.
     """
     arrivals: dict[Chronon, list[ComplexExecutionInterval]] = {}
     for cei in ceis:

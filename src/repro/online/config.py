@@ -1,30 +1,22 @@
 """Unified monitor configuration: one frozen object instead of kwarg sprawl.
 
 The engine/fault/retry/worker knobs used to travel as loose keywords
-through four separate entry points (``OnlineMonitor``, ``MonitoringProxy``,
-``run_suite``, ``sweep``), each validating the engine string on its own.
-:class:`MonitorConfig` collapses them into a single frozen dataclass that
-every entry point accepts as ``config=``; :class:`Engine` promotes the
-engine string to a str-enum whose :meth:`Engine.coerce` is the one place
-an engine value is validated.
+through separate entry points (``OnlineMonitor``, ``simulate``,
+``MonitoringProxy``, ``run_suite``, ``sweep``), each validating the
+engine string on its own.  :class:`MonitorConfig` collapses them into a
+single frozen dataclass that every entry point accepts as ``config=``;
+:class:`Engine` promotes the engine string to a str-enum whose
+:meth:`Engine.coerce` is the one place an engine value is validated.
 
-The old keywords went through a deprecation cycle (``DeprecationWarning``
-since the ``MonitorConfig`` PR) and are now *removed*: passing bare
-``engine=``/``faults=``/``retry=``/``workers=`` to a config-accepting
-entry point raises :class:`TypeError` through :func:`resolve_config`, the
-shared graduation shim, with a message naming the ``config=`` replacement.
-
-The retired ``engine="auto"`` value (bag-size dispatch between the two
-engines) is on the same path: :meth:`Engine.coerce` maps it to
-:attr:`Engine.VECTORIZED` with a :class:`DeprecationWarning`.  Schedules
-are unchanged, since auto always matched both engines bit for bit.
+The loose keywords are gone from every signature, so Python itself
+rejects them with a :class:`TypeError`.  The retired ``"auto"`` engine
+value is an unknown engine like any other.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -50,20 +42,11 @@ class Engine(str, enum.Enum):
     def coerce(cls, value: "Engine | str") -> "Engine":
         """The single validation point for engine values.
 
-        The retired ``"auto"`` spelling still coerces, to
-        :attr:`VECTORIZED`, with a :class:`DeprecationWarning`.
+        Anything but a member or a member's value (the retired
+        ``"auto"`` included) raises :class:`ModelError`.
         """
         if isinstance(value, Engine):
             return value
-        if value == "auto":
-            warnings.warn(
-                'engine="auto" is deprecated; use engine="vectorized" '
-                "(the schedules are identical)",
-                DeprecationWarning,
-                # coerce <- __post_init__ <- MonitorConfig() <- caller
-                stacklevel=4,
-            )
-            return cls.VECTORIZED
         try:
             return cls(value)
         except ValueError:
@@ -150,40 +133,13 @@ class MonitorConfig:
 
 
 def resolve_config(
-    config: Optional[MonitorConfig],
-    *,
-    engine: "Optional[Engine | str]" = None,
-    faults: "Optional[FailureModel]" = None,
-    retry: "Optional[RetryPolicy]" = None,
-    workers: Optional[int] = None,
-    owner: str = "OnlineMonitor",
+    config: Optional[MonitorConfig], *, owner: str = "OnlineMonitor"
 ) -> MonitorConfig:
-    """The graduation shim shared by every config-accepting entry point.
+    """``config`` as a :class:`MonitorConfig`: ``None`` is the default one.
 
-    The loose keywords (``engine=``, ``faults=``, ``retry=``,
-    ``workers=``) were deprecated when :class:`MonitorConfig` landed and
-    have completed their cycle: passing any of them now raises
-    :class:`TypeError` naming the ``config=`` replacement, so old call
-    sites fail loudly with a migration hint instead of a generic
-    "unexpected keyword argument".
+    Anything else that is not a :class:`MonitorConfig` raises
+    :class:`ModelError` naming ``owner``.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("engine", engine),
-            ("faults", faults),
-            ("retry", retry),
-            ("workers", workers),
-        )
-        if value is not None
-    }
-    if legacy:
-        names = ", ".join(f"{name}=" for name in legacy)
-        raise TypeError(
-            f"{owner}: the {names} keyword(s) were removed; "
-            f"pass config=MonitorConfig({', '.join(f'{n}=...' for n in legacy)}) "
-            f"instead"
-        )
     if config is None:
         return MonitorConfig()
     if not isinstance(config, MonitorConfig):

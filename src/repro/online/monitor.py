@@ -44,7 +44,7 @@ from repro.core.schedule import BudgetVector, Schedule
 from repro.core.timebase import Chronon, Epoch
 from repro.online.candidates import CandidatePool
 from repro.online.config import ENGINES, MonitorConfig, resolve_config
-from repro.online.faults import FailureModel, FaultInjector, FaultStats, RetryPolicy
+from repro.online.faults import FaultInjector, FaultStats
 from repro.online.fastpath import FastCandidatePool, run_fast_phases, run_fast_span
 from repro.online.health import HealthStats, HealthTracker
 from repro.online.sharded import (
@@ -106,10 +106,6 @@ class OnlineMonitor:
         rebuilding them per run — bit-identical results, with the per-EI
         registration walk amortized across every policy run of the same
         instance.  Requires ``Engine.VECTORIZED``.
-    engine, faults, retry:
-        Removed keyword equivalents of the ``config`` fields; passing
-        any of them raises :class:`TypeError` naming the ``config=``
-        replacement.
     """
 
     def __init__(
@@ -122,13 +118,8 @@ class OnlineMonitor:
         config: Optional[MonitorConfig] = None,
         *,
         arena: Optional["InstanceArena"] = None,
-        engine: Optional[str] = None,
-        faults: Optional[FailureModel] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
-        cfg = resolve_config(
-            config, engine=engine, faults=faults, retry=retry, owner="OnlineMonitor"
-        )
+        cfg = resolve_config(config)
         if cfg.retry is not None and cfg.faults is None:
             raise ModelError("a retry policy needs a failure model to retry against")
         if cfg.health is not None and cfg.faults is None:

@@ -18,7 +18,6 @@ users are expected to touch first.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,14 +30,13 @@ from repro.core.schedule import BudgetVector, Schedule
 from repro.core.timebase import Epoch
 from repro.online.arrivals import arrivals_from_profiles
 from repro.online.config import MonitorConfig, resolve_config
-from repro.online.faults import FailureModel, RetryPolicy
 from repro.online.monitor import OnlineMonitor
 from repro.online.shedding import SheddingStats
 from repro.policies.base import Policy, make_policy
 from repro.proxy.compiler import CompilationContext, compile_queries
 from repro.proxy.delivery import ClientReport, client_report
 from repro.proxy.queries import ContinuousQuery, parse_queries
-from repro.proxy.registry import ClientHandle, ClientRegistry
+from repro.proxy.registry import ClientRegistry
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +63,43 @@ class ProxyRunResult:
         raise ExperimentError(f"unknown client {name!r}")
 
 
+def epoch_budget(budget: BudgetVector | float, epoch: Epoch) -> BudgetVector:
+    """A scalar broadcast over ``epoch``, or a vector that covers it.
+
+    Raises :class:`ExperimentError` for a vector shorter than the epoch.
+    """
+    if isinstance(budget, (int, float)):
+        return BudgetVector.constant(float(budget), len(epoch))
+    if len(budget) < len(epoch):
+        raise ExperimentError(
+            f"budget covers {len(budget)} chronons but the epoch has "
+            f"{len(epoch)}"
+        )
+    return budget
+
+
+def score_run(
+    registry: ClientRegistry, profiles: ProfileSet, monitor: OnlineMonitor
+) -> ProxyRunResult:
+    """Score a finished run of ``profiles`` (built from ``registry``)."""
+    schedule = monitor.schedule
+    report = evaluate_schedule(
+        profiles, schedule, dropped=monitor.dropped_captures
+    )
+    clients = tuple(
+        client_report(name, profiles[pid], schedule)
+        for pid, name in enumerate(registry.names)
+    )
+    return ProxyRunResult(
+        schedule=schedule,
+        report=report,
+        clients=clients,
+        probes_used=monitor.probes_used,
+        probes_failed=monitor.probes_failed,
+        shedding=monitor.shedding_stats,
+    )
+
+
 class MonitoringProxy:
     """Register clients, compile their needs, run a monitoring epoch."""
 
@@ -77,60 +112,22 @@ class MonitoringProxy:
         preemptive: bool = True,
         chronons_per_minute: float = 1.0,
         config: Optional[MonitorConfig] = None,
-        *,
-        engine: Optional[str] = None,
-        faults: Optional[FailureModel] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.epoch = epoch
         self.resources = resources
-        if isinstance(budget, (int, float)):
-            budget = BudgetVector.constant(float(budget), len(epoch))
-        if len(budget) < len(epoch):
-            raise ExperimentError(
-                f"budget covers {len(budget)} chronons but the epoch has "
-                f"{len(epoch)}"
-            )
-        self.budget = budget
+        self.budget = epoch_budget(budget, epoch)
         if isinstance(policy, str):
             policy = make_policy(policy)
         self.policy = policy
         self.preemptive = preemptive
         self.chronons_per_minute = chronons_per_minute
-        self.config = resolve_config(
-            config, engine=engine, faults=faults, retry=retry,
-            owner="MonitoringProxy",
-        )
+        self.config = resolve_config(config, owner="MonitoringProxy")
         self.registry = ClientRegistry()
         self._resource_ids = {r.name: r.rid for r in resources}
-
-    # Read-only views of the config for callers written against the old
-    # attribute surface.
-    @property
-    def engine(self) -> str:
-        return self.config.engine.value
-
-    @property
-    def faults(self) -> Optional[FailureModel]:
-        return self.config.faults
-
-    @property
-    def retry(self) -> Optional[RetryPolicy]:
-        return self.config.retry
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-
-    def register_client(self, name: str) -> ClientHandle:
-        """Deprecated: use ``proxy.registry.register(name)`` instead."""
-        warnings.warn(
-            "MonitoringProxy.register_client is deprecated; use "
-            "proxy.registry.register(name) (returns a ClientHandle)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.registry.register(name)
 
     @property
     def client_names(self) -> list[str]:
@@ -178,20 +175,12 @@ class MonitoringProxy:
         """The current registration state as a profile set (one per client)."""
         return self.registry.build_profiles()
 
-    def run(
-        self,
-        config: Optional[MonitorConfig] = None,
-        *,
-        engine: Optional[str] = None,
-    ) -> ProxyRunResult:
+    def run(self, config: Optional[MonitorConfig] = None) -> ProxyRunResult:
         """Run one monitoring epoch over everything submitted so far.
 
         ``config`` overrides the proxy's configured :class:`MonitorConfig`
-        for this run only.  The removed ``engine=`` keyword raises
-        :class:`TypeError` via :func:`resolve_config`.
+        for this run only.
         """
-        if engine is not None:
-            resolve_config(None, engine=engine, owner="MonitoringProxy.run")
         if config is not None:
             cfg = resolve_config(config, owner="MonitoringProxy.run")
         else:
@@ -204,19 +193,5 @@ class MonitoringProxy:
             resources=self.resources,
             config=cfg,
         )
-        schedule = monitor.run(self.epoch, arrivals_from_profiles(profiles))
-        report = evaluate_schedule(
-            profiles, schedule, dropped=monitor.dropped_captures
-        )
-        clients = tuple(
-            client_report(name, profiles[pid], schedule)
-            for pid, name in enumerate(self.client_names)
-        )
-        return ProxyRunResult(
-            schedule=schedule,
-            report=report,
-            clients=clients,
-            probes_used=monitor.probes_used,
-            probes_failed=monitor.probes_failed,
-            shedding=monitor.shedding_stats,
-        )
+        monitor.run(self.epoch, arrivals_from_profiles(profiles))
+        return score_run(self.registry, profiles, monitor)

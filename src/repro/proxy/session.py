@@ -2,11 +2,17 @@
 
 "At every chronon T_j, the proxy may receive a set of new CEIs."
 (paper Section IV.)  :class:`MonitoringProxy.run` replays a fixed
-workload; :class:`ProxySession` exposes the true online loop: the caller
-advances the clock chronon by chronon and may submit new client needs at
-any point — a CEI submitted at chronon ``t`` is revealed to the monitor
-at ``max(t, release)``, never earlier, exactly like a request arriving
-over the wire.
+workload; :class:`ProxySession` exposes the online loop over one epoch:
+the caller advances the clock chronon by chronon and may submit new
+client needs at any point — a CEI submitted at chronon ``t`` is revealed
+to the monitor at ``max(t, release)``, never earlier, exactly like a
+request arriving over the wire.
+
+The session is an epoch-bounded adapter over
+:class:`repro.online.streaming.StreamingMonitor`, the same online loop
+:class:`repro.proxy.streaming.StreamingProxy` drives: the clock stops at
+the epoch's end, and :meth:`ProxySession.finish` scores the run like
+:meth:`MonitoringProxy.run` does.
 
 Typical use::
 
@@ -21,21 +27,18 @@ Typical use::
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 from repro.core.errors import ExperimentError
 from repro.core.intervals import ComplexExecutionInterval
-from repro.core.metrics import evaluate_schedule
 from repro.core.profile import ProfileSet
 from repro.core.resource import ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Chronon, Epoch
-from repro.online.monitor import OnlineMonitor
-from repro.policies.base import Policy, make_policy
-from repro.proxy.delivery import client_report
-from repro.proxy.proxy import ProxyRunResult
-from repro.proxy.registry import ClientHandle, ClientRegistry
+from repro.online.streaming import StreamingMonitor
+from repro.policies.base import Policy
+from repro.proxy.proxy import ProxyRunResult, epoch_budget, score_run
+from repro.proxy.registry import ClientRegistry
 
 
 class ProxySession:
@@ -51,19 +54,13 @@ class ProxySession:
     ) -> None:
         self.epoch = epoch
         self.resources = resources
-        if isinstance(budget, (int, float)):
-            budget = BudgetVector.constant(float(budget), len(epoch))
-        self.budget = budget
-        if isinstance(policy, str):
-            policy = make_policy(policy)
-        self._monitor = OnlineMonitor(
-            policy=policy,
-            budget=budget,
-            preemptive=preemptive,
+        self.budget = epoch_budget(budget, epoch)
+        self._monitor = StreamingMonitor(
+            policy,
+            budget=self.budget,
             resources=resources,
+            preemptive=preemptive,
         )
-        self._next_chronon: Chronon = 0
-        self._pending: dict[Chronon, list[ComplexExecutionInterval]] = {}
         self.registry = ClientRegistry()
 
     # ------------------------------------------------------------------
@@ -73,31 +70,21 @@ class ProxySession:
     @property
     def now(self) -> Chronon:
         """The next chronon to be executed (0 before the first advance)."""
-        return self._next_chronon
+        return self._monitor.now
 
     @property
     def finished(self) -> bool:
         """Has the whole epoch been executed?"""
-        return self._next_chronon >= len(self.epoch)
+        return self.remaining == 0
 
     @property
     def remaining(self) -> int:
         """Chronons left to execute."""
-        return len(self.epoch) - self._next_chronon
+        return len(self.epoch) - self._monitor.now
 
     # ------------------------------------------------------------------
     # Clients and submissions
     # ------------------------------------------------------------------
-
-    def register_client(self, name: str) -> ClientHandle:
-        """Deprecated: use ``session.registry.register(name)`` instead."""
-        warnings.warn(
-            "ProxySession.register_client is deprecated; use "
-            "session.registry.register(name) (returns a ClientHandle)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.registry.register(name)
 
     @property
     def client_names(self) -> list[str]:
@@ -110,16 +97,16 @@ class ProxySession:
 
         CEIs whose windows already fully passed still count against the
         client's completeness (they can never be captured) — submitting
-        stale needs is the client's loss, exactly as in a live proxy.
+        stale needs is the client's loss, exactly as in a live proxy.  A
+        CEI releasing past the epoch is never revealed and stays
+        unsatisfied.  A batch the monitor refuses (a CEI submitted
+        twice) raises :class:`repro.core.errors.ModelError` and changes
+        nothing.
         """
-        self.registry.submit(client, ceis)
-        for cei in ceis:
-            reveal_at = max(self._next_chronon, cei.release)
-            if reveal_at < len(self.epoch):
-                self._pending.setdefault(reveal_at, []).append(cei)
-            # A CEI releasing past the epoch is never revealed; it simply
-            # stays unsatisfied in the final scoring.
-        return len(ceis)
+        ceis = list(ceis)
+        self.registry.require(client)
+        self._monitor.submit(ceis)
+        return self.registry.submit(client, ceis)
 
     # ------------------------------------------------------------------
     # Execution
@@ -129,12 +116,7 @@ class ProxySession:
         """Execute the next ``chronons`` chronons; returns the new now."""
         if chronons < 0:
             raise ExperimentError(f"cannot advance by {chronons}")
-        target = min(len(self.epoch), self._next_chronon + chronons)
-        while self._next_chronon < target:
-            t = self._next_chronon
-            self._monitor.step(t, self._pending.pop(t, ()))
-            self._next_chronon += 1
-        return self._next_chronon
+        return self._monitor.advance(min(chronons, self.remaining))
 
     def run_to_end(self) -> Chronon:
         """Execute every remaining chronon."""
@@ -151,16 +133,16 @@ class ProxySession:
         been revealed, satisfied, failed, how many probes are spent, and
         the proxy's believed completeness so far.
         """
-        pool = self._monitor.pool
+        live = self._monitor.snapshot()
         return {
-            "now": self._next_chronon,
+            "now": live["now"],
             "remaining": self.remaining,
-            "registered_ceis": pool.num_registered,
-            "satisfied_ceis": pool.num_satisfied,
-            "failed_ceis": pool.num_failed,
-            "open_ceis": pool.num_open,
-            "probes_used": self._monitor.probes_used,
-            "believed_completeness": self._monitor.believed_completeness,
+            "registered_ceis": live["registered_ceis"],
+            "satisfied_ceis": live["satisfied_ceis"],
+            "failed_ceis": live["failed_ceis"],
+            "open_ceis": live["open_ceis"],
+            "probes_used": live["probes_used"],
+            "believed_completeness": live["believed_completeness"],
         }
 
     # ------------------------------------------------------------------
@@ -175,15 +157,4 @@ class ProxySession:
         """Run to the end (if needed) and score the session."""
         self.run_to_end()
         profiles = self.build_profiles()
-        schedule = self._monitor.schedule
-        report = evaluate_schedule(profiles, schedule)
-        clients = tuple(
-            client_report(name, profiles[pid], schedule)
-            for pid, name in enumerate(self.client_names)
-        )
-        return ProxyRunResult(
-            schedule=schedule,
-            report=report,
-            clients=clients,
-            probes_used=self._monitor.probes_used,
-        )
+        return score_run(self.registry, profiles, self._monitor.monitor)

@@ -1,6 +1,7 @@
 """The always-on proxy: a service facade over the streaming monitor.
 
-:class:`MonitoringProxy` replays one epoch; :class:`StreamingProxy` is
+:class:`MonitoringProxy` replays one epoch and :class:`ProxySession`
+steps one; :class:`StreamingProxy` is
 the paper's Section I platform as a *service*: clients register, submit
 and withdraw continuous needs at any time, and the proxy's clock runs
 forever — driven manually (:meth:`StreamingProxy.tick`), by a background
@@ -12,8 +13,10 @@ restores into a fresh process.
 
 The facade shares :class:`repro.proxy.registry.ClientRegistry` with the
 batch facades and delegates scheduling to
-:class:`repro.online.streaming.StreamingMonitor`, so churn rides the
-arena delta layer whenever the run is arena-backed.  An optional thin
+:class:`repro.online.streaming.StreamingMonitor` — the one online loop,
+which :class:`ProxySession` also adapts, bounded to an epoch — so churn
+rides the arena delta layer whenever the run is arena-backed.  Clients
+register with :meth:`StreamingProxy.register_client`.  An optional thin
 HTTP front end lives in :mod:`repro.proxy.service`.
 """
 

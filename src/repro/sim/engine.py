@@ -27,7 +27,6 @@ from repro.core.timebase import Epoch
 from repro.offline.local_ratio import LocalRatioScheduler
 from repro.online.arrivals import arrivals_from_profiles
 from repro.online.config import Engine, MonitorConfig, resolve_config
-from repro.online.faults import FailureModel, RetryPolicy
 from repro.online.health import HealthStats
 from repro.online.monitor import OnlineMonitor
 from repro.online.sharded import ShardingStats
@@ -80,10 +79,6 @@ def simulate(
     resources: Optional[ResourcePool] = None,
     exploit_overlap: bool = True,
     config: Optional[MonitorConfig] = None,
-    *,
-    engine: Optional[str] = None,
-    faults: Optional[FailureModel] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> SimulationResult:
     """Run one online policy over a full epoch and score the schedule.
 
@@ -98,13 +93,9 @@ def simulate(
     identical schedules on any engine, so that choice only changes the
     runtime statistics.  The equivalence extends to runs with a failure
     model: its verdicts are pure functions of
-    ``(resource, chronon, attempt)``, never of engine internals.  The
-    bare ``engine=``/``faults=``/``retry=`` keywords were removed; passing
-    them raises :class:`TypeError` naming the ``config=`` replacement.
+    ``(resource, chronon, attempt)``, never of engine internals.
     """
-    cfg = resolve_config(
-        config, engine=engine, faults=faults, retry=retry, owner="simulate"
-    )
+    cfg = resolve_config(config, owner="simulate")
     arena: Optional[InstanceArena] = None
     if isinstance(profiles, InstanceArena):
         arena = profiles

@@ -37,7 +37,7 @@ from repro.core.profile import ProfileSet
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
 from repro.online.config import Engine, MonitorConfig, resolve_config
-from repro.online.faults import FailureModel, RetryPolicy
+from repro.online.faults import FailureModel
 from repro.sim.arena import InstanceArena, compile_arena
 from repro.sim.engine import SimulationResult, policy_label, simulate, simulate_offline
 
@@ -206,11 +206,6 @@ def run_suite(
     include_offline: bool = False,
     offline_max_combinations: int = 100_000,
     config: Optional[MonitorConfig] = None,
-    *,
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
-    faults: Optional[FailureModel] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> dict[str, AggregateResult]:
     """Run each policy ``repetitions`` times on shared problem instances.
 
@@ -228,18 +223,9 @@ def run_suite(
     :class:`repro.sim.arena.InstanceArena` on the vectorized engine) and
     runs every policy cell against it (requires the ``fork`` start
     method, i.e. POSIX; falls back to the serial loop elsewhere) with
-    results identical to the serial loop, seed for seed.  The bare
-    ``engine=``/``workers=``/``faults=``/``retry=`` keywords are
-    deprecated.
+    results identical to the serial loop, seed for seed.
     """
-    cfg = resolve_config(
-        config,
-        engine=engine,
-        faults=faults,
-        retry=retry,
-        workers=workers,
-        owner="run_suite",
-    )
+    cfg = resolve_config(config, owner="run_suite")
     runs: dict[str, list[SimulationResult]] = {
         policy_label(name, preemptive): [] for name, preemptive in policies
     }
@@ -322,10 +308,7 @@ def sweep(
     include_offline: bool = False,
     config: Optional[MonitorConfig] = None,
     *,
-    engine: Optional[str] = None,
-    workers: Optional[int] = None,
     faults_for: Optional[Callable[[object], Optional[FailureModel]]] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> dict[object, dict[str, AggregateResult]]:
     """Run a suite at every point of a one-dimensional parameter sweep.
 
@@ -334,12 +317,9 @@ def sweep(
     with no failure model precisely for this use).  ``faults_for`` stays
     a first-class sweep hook — it maps each sweep value to the failure
     model for that point (or ``None`` for a failure-free point),
-    overriding the template's ``faults`` field per point.  The bare
-    ``engine=``/``workers=``/``retry=`` keywords are deprecated.
+    overriding the template's ``faults`` field per point.
     """
-    cfg = resolve_config(
-        config, engine=engine, retry=retry, workers=workers, owner="sweep"
-    )
+    cfg = resolve_config(config, owner="sweep")
     results: dict[object, dict[str, AggregateResult]] = {}
     for offset, value in enumerate(values):
         point_cfg = cfg

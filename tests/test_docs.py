@@ -48,6 +48,26 @@ class TestTutorial:
         for block in blocks[:2]:  # §1: model; §1b: semantics
             exec(compile(block, "<tutorial>", "exec"), context)
 
+    def test_proxy_blocks_run(self, capsys):
+        """§6: the query-text proxy and the mid-run session both run."""
+        blocks = python_blocks(TUTORIAL)
+        proxy_block = next(b for b in blocks if "MonitoringProxy(" in b)
+        session_block = next(b for b in blocks if "ProxySession(" in b)
+        exec(compile(proxy_block, "<tutorial-proxy>", "exec"), {})
+        assert capsys.readouterr().out.strip()  # the analyst's report
+        exec(compile(session_block, "<tutorial-session>", "exec"), {})
+        assert capsys.readouterr().out.strip() == "1.0"
+
+    def test_streaming_block_runs_with_context(self, capsys):
+        """§7: the always-on service block, given a small morning."""
+        from repro import cei
+
+        blocks = python_blocks(TUTORIAL)
+        streaming_block = next(b for b in blocks if "StreamingProxy(" in b)
+        context = {"morning_ceis": [cei((0, 2, 8)), cei((1, 5, 12), (2, 5, 12))]}
+        exec(compile(streaming_block, "<tutorial-streaming>", "exec"), context)
+        assert capsys.readouterr().out.strip()  # ana's live stats
+
     def test_every_mentioned_symbol_is_importable(self):
         """Every `repro.<something>` dotted name in the docs resolves."""
         import importlib

@@ -1,11 +1,11 @@
-"""The unified MonitorConfig API and its deprecation shims.
+"""The unified MonitorConfig API.
 
 One frozen config object replaces the loose ``engine=``/``faults=``/
-``retry=``/``workers=`` keywords across all four entry points
-(``OnlineMonitor``, ``MonitoringProxy``, ``run_suite``, ``sweep``).
-These tests pin the enum coercion, the dataclass validation, and —
-per entry point — that the graduated legacy keywords now raise a
-``TypeError`` naming the ``config=`` replacement.
+``retry=``/``workers=`` keywords across the entry points
+(``OnlineMonitor``, ``simulate``, ``MonitoringProxy`` and its ``run``,
+``run_suite``, ``sweep``).  These tests pin the enum coercion, the
+dataclass validation, and — per entry point — that the removed keywords
+are rejected with Python's own ``TypeError``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from repro.policies import SEDF
 from repro.proxy import MonitoringProxy
 from repro.sim.engine import simulate
 from repro.sim.runner import run_suite, sweep
-from tests.conftest import (
-    DENSE_PAPER,
-    SPARSE_PAPER,
-    make_cei,
-    paper_instance,
-    random_general_instance,
-)
+from tests.conftest import random_general_instance
 
 
 class TestEngineEnum:
@@ -53,22 +47,6 @@ class TestEngineEnum:
     def test_coerce_rejects_unknown(self):
         with pytest.raises(ModelError, match="unknown engine 'quantum'"):
             Engine.coerce("quantum")
-
-
-class TestRetiredAutoEngine:
-    @pytest.mark.parametrize("regime", [SPARSE_PAPER, DENSE_PAPER])
-    def test_auto_shim_warns_and_runs_vectorized(self, regime):
-        with pytest.warns(DeprecationWarning, match='"vectorized"'):
-            cfg = MonitorConfig(engine="auto")
-        assert cfg.engine is Engine.VECTORIZED
-        epoch, profiles = paper_instance(*regime)
-        budget = BudgetVector.constant(2, len(epoch))
-        via_auto = simulate(profiles, epoch, budget, "M-EDF", config=cfg)
-        via_ref = simulate(
-            profiles, epoch, budget, "M-EDF",
-            config=MonitorConfig(engine="reference"),
-        )
-        assert via_auto.schedule.probes == via_ref.schedule.probes
 
 
 class TestMonitorConfig:
@@ -138,26 +116,6 @@ class TestResolveConfig:
         cfg = MonitorConfig(engine="vectorized")
         assert resolve_config(cfg) is cfg
 
-    def test_legacy_keywords_raise_type_error(self):
-        with pytest.raises(TypeError, match=r"simulate: the engine= keyword"):
-            resolve_config(None, engine="vectorized", owner="simulate")
-
-    def test_error_names_the_replacement(self):
-        with pytest.raises(TypeError, match=r"config=MonitorConfig\(engine=\.\.\.\)"):
-            resolve_config(None, engine="vectorized")
-
-    def test_config_plus_legacy_still_raises(self):
-        # Even alongside a valid config, a legacy keyword is a hard error
-        # (the keyword is gone; there is nothing to merge).
-        with pytest.raises(TypeError, match=r"engine= keyword"):
-            resolve_config(MonitorConfig(), engine="vectorized")
-
-    def test_multiple_legacy_keywords_all_named(self):
-        with pytest.raises(TypeError, match=r"engine=, faults="):
-            resolve_config(
-                None, engine="vectorized", faults=FailureModel(rate=0.5)
-            )
-
     def test_non_config_rejected(self):
         with pytest.raises(ModelError, match="MonitorConfig"):
             resolve_config({"engine": "vectorized"})
@@ -183,8 +141,74 @@ def _instance_factory(rng):
     )
 
 
+def _sweep_kwargs():
+    return dict(
+        make_instance_for=lambda value: _instance_factory,
+        epoch_for=lambda value: EPOCH,
+        budget_for=lambda value: BudgetVector.constant(value, 15),
+        policies=[("MRSF", True)],
+        repetitions=1,
+    )
+
+
 class TestEntryPointShims:
-    """Every entry point accepts config= and shims the old keywords."""
+    """Every entry point accepts config= and rejects the removed keywords."""
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            pytest.param(
+                lambda: OnlineMonitor(
+                    SEDF(), BudgetVector.constant(1, 15), engine="vectorized"
+                ),
+                TypeError, "unexpected keyword argument 'engine'",
+                id="OnlineMonitor",
+            ),
+            pytest.param(
+                lambda: simulate(
+                    _profiles(), EPOCH, BudgetVector.constant(1, 15), "MRSF",
+                    engine="vectorized",
+                ),
+                TypeError, "unexpected keyword argument 'engine'",
+                id="simulate",
+            ),
+            pytest.param(
+                lambda: MonitoringProxy(
+                    EPOCH, ResourcePool.uniform(4), engine="vectorized"
+                ),
+                TypeError, "unexpected keyword argument 'engine'",
+                id="MonitoringProxy",
+            ),
+            pytest.param(
+                lambda: MonitoringProxy(EPOCH, ResourcePool.uniform(4)).run(
+                    engine="vectorized"
+                ),
+                TypeError, "unexpected keyword argument 'engine'",
+                id="MonitoringProxy.run",
+            ),
+            pytest.param(
+                lambda: run_suite(
+                    _instance_factory, EPOCH, BudgetVector.constant(1, 15),
+                    [("MRSF", True)], repetitions=1, engine="vectorized",
+                ),
+                TypeError, "unexpected keyword argument 'engine'",
+                id="run_suite",
+            ),
+            pytest.param(
+                lambda: sweep([1], engine="vectorized", **_sweep_kwargs()),
+                TypeError, "unexpected keyword argument 'engine'",
+                id="sweep",
+            ),
+            pytest.param(
+                lambda: MonitorConfig(engine="auto"),
+                ModelError, "unknown engine 'auto'",
+                id="auto",
+            ),
+        ],
+    )
+    def test_removed_spelling_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
 
     def test_monitor_accepts_config(self):
         monitor = OnlineMonitor(
@@ -195,20 +219,15 @@ class TestEntryPointShims:
         assert monitor.engine == "vectorized"
         assert monitor.config.engine is Engine.VECTORIZED
 
-    def test_monitor_legacy_engine_raises(self):
-        with pytest.raises(TypeError, match=r"OnlineMonitor: the engine="):
-            OnlineMonitor(
-                SEDF(), BudgetVector.constant(1, 15), engine="vectorized"
-            )
-
     def test_monitor_legacy_faults_raises(self):
-        with pytest.raises(TypeError, match=r"faults="):
+        with pytest.raises(TypeError, match=r"keyword argument 'faults'"):
             OnlineMonitor(
                 SEDF(), BudgetVector.constant(1, 15), faults=FailureModel(rate=0.5)
             )
 
     def test_monitor_config_plus_legacy_raises(self):
-        with pytest.raises(TypeError, match=r"engine= keyword"):
+        # A valid config does not make the removed keyword acceptable.
+        with pytest.raises(TypeError, match=r"keyword argument 'engine'"):
             OnlineMonitor(
                 SEDF(),
                 BudgetVector.constant(1, 15),
@@ -221,8 +240,8 @@ class TestEntryPointShims:
         proxy = MonitoringProxy(
             Epoch(10), pool, budget=1.0, config=MonitorConfig(engine="vectorized")
         )
-        assert proxy.engine == "vectorized"
-        with pytest.raises(TypeError, match=r"MonitoringProxy: the engine="):
+        assert proxy.config.engine is Engine.VECTORIZED
+        with pytest.raises(TypeError, match=r"keyword argument 'engine'"):
             MonitoringProxy(Epoch(10), pool, budget=1.0, engine="vectorized")
 
     def test_run_suite_accepts_config_and_legacy_raises(self):
@@ -232,23 +251,17 @@ class TestEntryPointShims:
             repetitions=2, config=MonitorConfig(engine="vectorized"),
         )
         assert via_config["MRSF(P)"].completeness_mean >= 0.0
-        with pytest.raises(TypeError, match=r"run_suite: the engine="):
+        with pytest.raises(TypeError, match=r"keyword argument 'engine'"):
             run_suite(
                 _instance_factory, EPOCH, budget, [("MRSF", True)],
                 repetitions=2, engine="vectorized",
             )
 
     def test_sweep_accepts_config_and_legacy_raises(self):
-        kwargs = dict(
-            make_instance_for=lambda value: _instance_factory,
-            epoch_for=lambda value: EPOCH,
-            budget_for=lambda value: BudgetVector.constant(value, 15),
-            policies=[("MRSF", True)],
-            repetitions=1,
-        )
+        kwargs = _sweep_kwargs()
         via_config = sweep([1], config=MonitorConfig(engine="vectorized"), **kwargs)
         assert via_config[1]["MRSF(P)"].completeness_mean >= 0.0
-        with pytest.raises(TypeError, match=r"sweep: the engine="):
+        with pytest.raises(TypeError, match=r"keyword argument 'engine'"):
             sweep([1], engine="vectorized", **kwargs)
 
     def test_sweep_faults_for_overrides_template_per_point(self):

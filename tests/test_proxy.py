@@ -187,19 +187,19 @@ class TestMonitoringProxy:
 
     def test_engine_override_per_run(self):
         proxy = self.make_proxy()
-        assert proxy.engine == "reference"
+        assert proxy.config.engine == "reference"
         proxy.registry.register("ana")
         proxy.submit_ceis("ana", [make_cei((0, 0, 5))])
         result = proxy.run(config=proxy.config.replace(engine="vectorized"))
         assert result.completeness == 1.0
         # The override is per-run only.
-        assert proxy.engine == "reference"
+        assert proxy.config.engine == "reference"
 
     def test_engine_override_keyword_graduated(self):
         proxy = self.make_proxy()
         proxy.registry.register("ana")
         proxy.submit_ceis("ana", [make_cei((0, 0, 5))])
-        with pytest.raises(TypeError, match=r"engine= keyword"):
+        with pytest.raises(TypeError, match=r"unexpected keyword argument 'engine'"):
             proxy.run(engine="vectorized")
         assert proxy.run(config=MonitorConfig(engine="vectorized")).completeness == 1.0
 
@@ -284,10 +284,3 @@ class TestClientRegistry:
         profiles = registry.build_profiles()
         assert [p.pid for p in profiles] == [0, 1]
         assert len(profiles[0].ceis) == 1  # pid 0 == "ana"
-
-    def test_register_client_shim_warns_and_delegates(self):
-        proxy = self.make_proxy()
-        with pytest.warns(DeprecationWarning, match="register_client is deprecated"):
-            handle = proxy.register_client("ana")
-        assert handle == "ana"
-        assert "ana" in proxy.registry

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.errors import ExperimentError
+from repro.core.errors import ExperimentError, ModelError
 from repro.core.resource import ResourcePool
+from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
 from repro.proxy import MonitoringProxy, ProxySession
 from tests.conftest import make_cei
@@ -173,10 +174,27 @@ class TestSnapshot:
         assert snap["failed_ceis"] == 1
 
 
-class TestRegistryShim:
-    def test_register_client_shim_warns_and_delegates(self):
-        session = make_session()
-        with pytest.warns(DeprecationWarning, match="register_client is deprecated"):
-            handle = session.register_client("ana")
-        assert handle == "ana"
-        assert "ana" in session.registry
+class TestAdapterGuards:
+    """Input the online loop refuses before it changes anything."""
+
+    def test_short_budget_vector_rejected(self):
+        with pytest.raises(ExperimentError):
+            ProxySession(
+                Epoch(10), ResourcePool.uniform(3),
+                budget=BudgetVector.constant(1.0, 4),
+            )
+
+    def test_duplicate_cei_rejected_without_side_effects(self):
+        session = make_session(num_chronons=20)
+        session.registry.register("ana")
+        cei = make_cei((0, 5, 10))
+        session.submit_ceis("ana", [cei])
+        session.advance(3)
+        with pytest.raises(ModelError, match="already submitted"):
+            session.submit_ceis("ana", [cei])
+        assert session.registry.ceis_of("ana") == [cei]
+        assert session.now == 3
+        result = session.finish()
+        assert session.now == 20
+        assert result.client("ana").completeness == 1.0
+        assert result.probes_used == 1
