@@ -39,11 +39,17 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   siblings of captured EIs through an overlay heap with stale-entry
   invalidation — the same invariant the reference heap maintains, at
   ``O(A + k log k)`` per phase instead of ``O(A log A)``.
-* :func:`run_fast_span` — ``monitor.run``'s whole-run walker for
-  shift-invariant kernels (S-EDF, MRSF): each row is scored once, when
-  it activates, into one priority heap kept for the whole run, so a
+* :func:`run_fast_span` — ``monitor.run``'s whole-run walker, one loop
+  over the busy chronons around one priority heap.  Under a
+  shift-invariant kernel (S-EDF, MRSF) each row is scored once, when it
+  activates, and its key stays in the heap for the whole run, so a
   chronon costs ``O((new + touched) log A)`` instead of a pass over the
-  bag.  Everything else steps through :func:`run_fast_phases`.
+  bag.  Under M-EDF, whose keys move with the chronon at per-CEI
+  slopes, the live bag is scored once per chronon and the heap
+  re-seeded from its top-k cut, without the phase machinery.  Runs
+  with float keys, faults, shedding, hooks, an explicit resource pool,
+  shards, no preemption or no overlap step through
+  :func:`run_fast_phases` (the gates are in ``OnlineMonitor.run``).
 
 Pools can also be built from a pre-compiled
 :class:`repro.sim.arena.InstanceArena` (``FastCandidatePool(arena=...)``)
@@ -1278,6 +1284,20 @@ def run_fast_phases(
     return budget_left
 
 
+def _topk_cut(budget_left: float, min_probe_cost: float, n: int) -> int:
+    """How many of a phase's ``n`` keys to materialize first.
+
+    The picks the budget can make (every probe attempt costs at least the
+    cheapest resource), plus ``TOPK_OVERFLOW`` to absorb walk skips
+    (captured siblings, probed or backed-off resources); all ``n`` when
+    selection is off or partitioning would not pay for itself.
+    """
+    if not TOPK_ENABLED:
+        return n
+    cut = int(budget_left / min_probe_cost) + 1 + TOPK_OVERFLOW
+    return n if 2 * cut >= n else cut
+
+
 class _LocalStream:
     """Lazily-materialized sorted key stream over one phase partition.
 
@@ -1341,15 +1361,7 @@ class _LocalStream:
         self.sr: list[int] = []  # materialized rows, sorted
         self._remaining: Optional[np.ndarray] = np.arange(n)
         self.bound: Optional[tuple] = None
-        if TOPK_ENABLED:
-            # Picks this phase can make: every probe attempt costs at
-            # least the cheapest resource; the overflow absorbs walk
-            # skips (captured siblings, probed or backed-off resources).
-            cut = int(budget_left / min_probe_cost) + 1 + TOPK_OVERFLOW
-            if 2 * cut >= n:
-                cut = n  # partitioning would not pay for itself
-        else:
-            cut = n
+        cut = _topk_cut(budget_left, min_probe_cost, n)
         self._materialize(cut)
         self._next_cut = max(cut, 1) * TOPK_GROWTH
 
@@ -1689,32 +1701,45 @@ def run_fast_span(
 ) -> None:
     """Probe a whole run from one priority heap (``monitor.run``'s fast path).
 
-    Each row is scored once, when it activates, in the frame of the
-    epoch's first chronon, which a shift-invariant kernel licenses (see
-    :attr:`repro.policies.kernels.ScoreKernel.shift_invariant`; the other
-    gates are in ``OnlineMonitor.run``).  Per chronon: register and open,
-    pushing the rows that became active; walk the budget; close — heap
-    work O((new + touched) log A), never O(A).  A popped key is stale
-    when its row left the bag or a sibling re-rank superseded it, so the
-    first fresh one is the step loop's pick.  Overlap is on, so a probe
-    captures every live row on its resource: no "already probed" check.
-    Re-ranks run even once the budget is spent, for later chronons.
+    A shift-invariant kernel (S-EDF, MRSF; see
+    :attr:`repro.policies.kernels.ScoreKernel.shift_invariant`) carries
+    its keys across chronons: each row is scored once, when it
+    activates, in the frame of the epoch's first chronon, so a chronon
+    costs O((new + touched) log A), never O(A).  An integer-valued kernel
+    without that licence (M-EDF) is re-keyed instead: on each chronon
+    with budget, one ``score_rows`` call scores the live bag in the frame
+    of that chronon and the heap is seeded from its top-k cut
+    (:func:`_topk_cut`).  The smallest key left out is the bound: a pick
+    past it widens the cut first, as in :func:`_phase_walk`.  The other
+    gates are in ``OnlineMonitor.run``.
+
+    Per chronon: register and open, then walk the budget, then close.
+    A popped key is stale when its row left the bag or a sibling re-rank
+    superseded it, so the first fresh one is the step loop's pick.
+    Overlap is on, so a probe captures every live row on its resource:
+    no "already probed" check.  Re-ranks score in the current frame.
+    Carried keys are re-ranked even once the budget is spent, for later
+    chronons; a re-keyed heap is dropped when its chronon ends.
 
     Keys are packed ints, ``priority << 42 | finish << 21 | seq``
     (:func:`repro.policies.kernels.pack_keys`), while every key pushed
-    fits; from the first that does not, ``(priority, finish, seq, row)``.
+    fits.  From the first that does not, they are ``(priority, finish,
+    seq, row)`` tuples over the whole bag: for the rest of the run when
+    keys are carried, for that chronon when they are re-keyed.
     """
     pool: FastCandidatePool = monitor.pool
     kernel = monitor._kernel
     schedule = monitor.schedule
     budget = monitor.budget
-    assert kernel is not None and kernel.shift_invariant
+    assert kernel is not None and (kernel.shift_invariant or kernel.integer_valued)
+    carry = kernel.shift_invariant
     sensitive = monitor._sibling_sensitive
     timeline = monitor._activation_timeline()
     row_of_seq = pool._row_of_seq
     row_resource = pool.row_resource
     heap: list = []
     cur: dict[int, object] = {}  # row -> its freshest re-ranked key
+    rest: Optional[_KeyCut] = None  # re-keyed bag keys not yet in the heap
     packed = kernel.integer_valued
     frame = epoch.first
     rows: list[int] = []  # the bag starts empty: run() refuses a stepped monitor
@@ -1723,52 +1748,111 @@ def run_fast_span(
         new = arrivals.get(t)
         if new:
             pool.register_arrivals(new, t, collect=False)
-            for cei in new:
-                c = pool._cidx_of_cid[cei.cid]
-                rows.extend(range(pool.cei_row_begin[c], pool.cei_row_end[c]))
-        rows.extend(timeline.get(t, ()))  # read before the pool pops it
+            if carry:
+                for cei in new:
+                    c = pool._cidx_of_cid[cei.cid]
+                    rows.extend(range(pool.cei_row_begin[c], pool.cei_row_end[c]))
+        if carry:
+            rows.extend(timeline.get(t, ()))  # read before the pool pops it
         pool.open_windows(t, collect=False)
         active = pool._active  # registration may have grown the mask
-        rows = [row for row in rows if active[row]]
-        if rows:
+        budget_left = budget.at(t)
+        at = None  # the rows to score and push
+        if carry:
+            rows = [row for row in rows if active[row]]
+            if rows:
+                at = np.array(rows, np.intp)
+                rows = []
+        else:
+            # Re-keyed: last chronon's keys are void in this frame.
+            frame = t
+            heap.clear()
+            cur.clear()
+            rest = None
+            packed = True  # until this chronon's keys prove too wide
+            if 1.0 <= budget_left + _EPS and pool.num_active():
+                at = pool.np_active[: len(pool.row_seq)].nonzero()[0]
+        if at is not None:
             pool.sync_mirrors()
-            at = np.array(rows, np.intp)
             prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
-            if packed and not (
-                pool._packable and float(np.abs(prio).max()) < _PRIO_LIMIT
-            ):
+            if packed and not (pool._packable and abs(prio).max() < _PRIO_LIMIT):
                 # A key that will not pack: restart the heap in tuple form
                 # from the whole bag, whose live keys are its scores now.
                 packed = False
-                heap.clear()
-                cur.clear()
-                at = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
-                rows = at.tolist()
-                prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
-            if packed:
-                keys = pack_keys(prio, pool.npr_static[at]).tolist()
+                if carry:
+                    heap.clear()
+                    cur.clear()
+                    at = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+                    prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
+            if packed and not carry:
+                rest = _KeyCut(
+                    pack_keys(prio, pool.npr_static[at]),
+                    _topk_cut(budget_left, monitor._min_probe_cost, at.size),
+                ).widen(heap)
             else:
-                finish, seq = _gather(pool.row_finish, rows), _gather(pool.row_seq, rows)
-                keys = zip(prio.tolist(), finish, seq, rows)
-            for key in keys:
-                heapq.heappush(heap, key)
-            rows = []
+                if packed:
+                    keys = pack_keys(prio, pool.npr_static[at]).tolist()
+                else:
+                    seen = at.tolist()
+                    finish, seq = _gather(pool.row_finish, seen), _gather(pool.row_seq, seen)
+                    keys = zip(prio.tolist(), finish, seq, seen)
+                for key in keys:
+                    heapq.heappush(heap, key)
 
-        budget_left = budget.at(t)
-        while heap and 1.0 <= budget_left + _EPS:
+        while 1.0 <= budget_left + _EPS:
+            if not heap:
+                if rest is None:
+                    break
+                rest = rest.widen(heap)
+                continue
             key = heapq.heappop(heap)
             row = row_of_seq[key & _SEQ_MASK] if packed else key[3]
             if not active[row] or cur.get(row, key) != key:
                 continue  # left the bag, or superseded by a re-rank
+            if rest is not None and key > rest.bound:
+                # A key not yet in the heap may rank first: widen the cut
+                # before trusting this pick.
+                heapq.heappush(heap, key)
+                rest = rest.widen(heap)
+                continue
             rid = row_resource[row]
             budget_left -= 1.0
             monitor._probes_used += 1
             monitor._charge(rid, t, 1.0)
             schedule.add_probe(rid, t)
             touched = pool.capture_resource_rows(rid)
-            if sensitive and touched:
+            if sensitive and touched and (carry or 1.0 <= budget_left + _EPS):
                 _rerank_siblings(pool, kernel, touched, frame, heap, cur, packed)
         pool.close_windows(t, collect=False)
+
+
+class _KeyCut:
+    """The packed keys of one re-keyed bag that the run heap lacks.
+
+    :meth:`widen` pushes the ``count`` smallest onto the heap, then grows
+    ``count`` by ``TOPK_GROWTH``; ``bound``, the smallest key left, lies
+    above every key pushed.
+    """
+
+    __slots__ = ("keys", "count", "bound")
+
+    def __init__(self, keys: np.ndarray, count: int) -> None:
+        self.keys = keys
+        self.count = count
+
+    def widen(self, heap: list) -> Optional["_KeyCut"]:
+        """Push the next slice onto ``heap``; None once no key is left."""
+        keys, count = self.keys, self.count
+        if count >= keys.size:
+            taken, self.keys = keys, None
+        else:
+            part = np.partition(keys, count)  # distinct keys: part[count] is the bound
+            taken, self.keys = part[:count], part[count:]
+            self.bound = int(part[count])
+            self.count *= TOPK_GROWTH
+        heap.extend(taken.tolist())
+        heapq.heapify(heap)
+        return None if self.keys is None else self
 
 
 def _rerank_siblings(

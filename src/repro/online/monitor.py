@@ -340,10 +340,13 @@ class OnlineMonitor:
         ``select_resources``) and no failure model or shedder is
         configured, the loop consults the pool's activation timeline to
         skip idle chronons (empty bag, no arrivals, no activations)
-        outright.  On the vectorized engine under a shift-invariant
-        kernel, with no probe, activation or expiry hook, the whole run is
-        then walked by :func:`repro.online.fastpath.run_fast_span` from
-        one priority heap instead of re-ranking the bag every chronon.
+        outright.  On the vectorized engine under a shift-invariant or
+        integer-valued kernel (S-EDF, MRSF, M-EDF), with no probe,
+        activation or expiry hook, the whole run is then walked by
+        :func:`repro.online.fastpath.run_fast_span` from one priority heap
+        instead of stepping the per-chronon phases: shift-invariant keys
+        are kept for the whole run, M-EDF's are re-keyed once per chronon.
+        Float-keyed and reliability kernels keep stepping.
         Schedules, budgets, counters and errors are bit-identical to the
         step loop either way.
         """
@@ -365,7 +368,7 @@ class OnlineMonitor:
             and self.exploit_overlap
             and self.resources is None
             and kernel is not None
-            and kernel.shift_invariant
+            and (kernel.shift_invariant or kernel.integer_valued)
             and not self._wants_probe_hook
             and not self._wants_activation_hook
             and not self._wants_expiry_hook

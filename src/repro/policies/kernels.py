@@ -84,7 +84,11 @@ class ScoreKernel:
     #: True when every priority this kernel produces is an exact integer
     #: (stored in float64).  The probe loop then packs priority, finish and
     #: seq into one int64 sort key and orders a phase with a single
-    #: ``argsort`` instead of a three-key ``lexsort``.
+    #: ``argsort`` instead of a three-key ``lexsort``; and ``monitor.run``
+    #: may take :func:`repro.online.fastpath.run_fast_span` even without
+    #: :attr:`shift_invariant`, re-keying the live bag into its heap once
+    #: per chronon from the same top-k cut the phases use.  Float-keyed
+    #: kernels without that licence keep stepping the phases.
     integer_valued = False
 
     #: True when two candidate rows of the *same* CEI can score differently
@@ -95,16 +99,19 @@ class ScoreKernel:
 
     #: True when a row's score, taken once in the frame of one fixed
     #: chronon, ranks it correctly at every later chronon of the run — the
-    #: licence for :func:`repro.online.fastpath.run_fast_span` to score
-    #: each row once, when it activates, and keep its key in one heap for
-    #: the whole run.  Precisely: either the scores are chronon-free
-    #: (MRSF's residual, weighted or not — so a sibling re-ranked at a
-    #: later chronon compares exactly against keys pushed earlier), or the
-    #: policy is not sibling-sensitive and a chronon step shifts every
-    #: score by the same constant (S-EDF), preserving the order of the
-    #: stored keys.  M-EDF fails both (per-CEI slopes differ via
-    #: ``n_open``), as do the weighted deadline kernels (per-CEI shift
-    #: ``1/weight``) and the reliability kernels (health state moves).
+    #: licence for :func:`repro.online.fastpath.run_fast_span` to keep
+    #: keys *across* chronons: score each row once, when it activates, and
+    #: keep its key in one heap for the whole run.  Precisely: either the
+    #: scores are chronon-free (MRSF's residual, weighted or not — so a
+    #: sibling re-ranked at a later chronon compares exactly against keys
+    #: pushed earlier), or the policy is not sibling-sensitive and a
+    #: chronon step shifts every score by the same constant (S-EDF),
+    #: preserving the order of the stored keys.  M-EDF fails both (per-CEI
+    #: slopes differ via ``n_open``), so the walker re-keys its bag every
+    #: chronon instead (it is :attr:`integer_valued`); the weighted
+    #: deadline kernels (per-CEI shift ``1/weight``) and the reliability
+    #: kernels (health state moves) fail both and are float-valued, so
+    #: their runs step the phases.
     shift_invariant = False
 
     def score_rows(

@@ -857,15 +857,21 @@ class TestBatchedRun:
             ("W-MRSF", "weighted"),
             ("S-EDF", "huge-finish"),
             ("MRSF", "huge-finish"),
+            ("M-EDF", "dense"),
+            ("M-EDF", "budget-vector"),
+            ("M-EDF", "huge-finish"),
+            ("M-EDF", "weighted"),
         ],
     )
     def test_whole_run_walker(self, policy_name, case, with_arena):
         """The whole-run walker equals the step loop and the reference engine.
 
         ``budget-vector`` has chronons with no budget and with three
-        probes; ``weighted`` ranks by float keys; ``huge-finish`` has
-        windows ending past 2^20 and 2^21, which packed keys cannot hold,
-        and an idle stretch the run hops.
+        probes; ``weighted`` ranks by float keys (W-MRSF) or weights
+        k-of-n CEIs; ``huge-finish`` has windows ending past 2^20 and
+        2^21, which packed keys cannot hold, and an idle stretch the run
+        hops.  M-EDF re-keys the bag every chronon; the others keep their
+        keys for the whole run.
         """
         epoch, profiles, budget = _WALKER_CASES[case]()
         arrivals = arrivals_from_profiles(profiles)
@@ -895,6 +901,85 @@ class TestBatchedRun:
             check_paper_invariants(run, profiles, budget, epoch)
         if case == "huge-finish":
             assert len(processed) < len(epoch)  # the idle stretch was hopped
+
+    def test_rekeyed_walker_widens_its_cut(self, monkeypatch):
+        """M-EDF under tiny cuts: the walker widens and still agrees.
+
+        With budget 3 and no overflow the seeded cut holds four keys, so
+        captures and sibling re-ranks past the bound make the walker widen
+        on some chronons (a budget-1 chronon never widens: its one pick is
+        the top of the seeded cut).
+        """
+        epoch, profiles = paper_instance(*DENSE_PAPER)
+        budget = BudgetVector.constant(3, len(epoch))
+        arrivals = arrivals_from_profiles(profiles)
+        seeded = set()  # each chronon's cut, once its seed slice is pushed
+        widened = []
+        widen = fastpath._KeyCut.widen
+
+        def counting(self, heap):
+            if self in seeded:
+                widened.append(self.count)
+            seeded.add(self)
+            return widen(self, heap)
+
+        monkeypatch.setattr(fastpath._KeyCut, "widen", counting)
+
+        def monitor(engine):
+            return OnlineMonitor(
+                make_policy("M-EDF"), budget, config=MonitorConfig(engine=engine)
+            )
+
+        with topk_knobs(overflow=0, growth=2):
+            walked = monitor("vectorized")
+            not_stepped = count_steps(walked)
+            walked.run(epoch, arrivals)
+            stepped = monitor("vectorized")
+            for chronon in epoch:
+                stepped.step(chronon, arrivals.get(chronon, ()))
+        reference = monitor("reference")
+        reference.run(epoch, arrivals)
+        assert not_stepped == []
+        assert widened  # the widening path ran
+        for other in (stepped, reference):
+            assert walked.schedule.probes == other.schedule.probes
+            assert walked.probes_used == other.probes_used
+            assert walked.believed_completeness == other.believed_completeness
+        check_paper_invariants(walked, profiles, budget, epoch)
+
+    @pytest.mark.parametrize(
+        "policy_name, faults",
+        [
+            ("W-S-EDF", None),
+            ("W-M-EDF", None),
+            ("EG-M-EDF", FailureModel(rate=0.2, seed=19)),
+        ],
+    )
+    def test_float_and_reliability_kernels_keep_stepping(self, policy_name, faults):
+        """Float-keyed and reliability kernels stay off the walker.
+
+        Their ``run()`` steps the per-chronon phases and schedules what
+        the step loop schedules.
+        """
+        epoch, profiles, budget = _weighted_case()
+        arrivals = arrivals_from_profiles(profiles)
+
+        def monitor():
+            return OnlineMonitor(
+                make_policy(policy_name), budget,
+                config=MonitorConfig(engine="vectorized", faults=faults),
+            )
+
+        batched = monitor()
+        stepped_chronons = count_steps(batched)
+        batched.run(epoch, arrivals)
+        assert stepped_chronons  # run() went through step
+        stepped = monitor()
+        for chronon in epoch:
+            stepped.step(chronon, arrivals.get(chronon, ()))
+        assert batched.schedule.probes == stepped.schedule.probes
+        assert batched.probes_used == stepped.probes_used
+        assert batched.believed_completeness == stepped.believed_completeness
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_custom_chronon_hooks_disable_batching(self, engine):

@@ -30,7 +30,12 @@ from repro.online.config import MonitorConfig
 from repro.online.monitor import OnlineMonitor
 from repro.policies import MEDF, MRSF, SEDF
 from repro.sim.arena import compile_arena
-from tests.conftest import check_paper_invariants, make_cei, random_unit_instance
+from tests.conftest import (
+    check_paper_invariants,
+    count_steps,
+    make_cei,
+    random_unit_instance,
+)
 
 
 #: The engines every proposition holds on: Algorithm 1 as written, the
@@ -38,7 +43,15 @@ from tests.conftest import check_paper_invariants, make_cei, random_unit_instanc
 ENGINES = ("reference", "vectorized", "arena")
 
 
-def run_policy(profiles, num_chronons, policy, c=1.0, preemptive=True, engine="reference"):
+def run_policy(
+    profiles, num_chronons, policy, c=1.0, preemptive=True, engine="reference",
+    stepped=None,
+):
+    """Run ``policy`` over ``profiles`` and hold the run to the paper.
+
+    ``stepped``, if given, receives the chronons ``run`` handed to
+    ``step`` one by one (none when the whole-run walker ran them all).
+    """
     epoch = Epoch(num_chronons)
     budget = BudgetVector.constant(c, num_chronons)
     monitor = OnlineMonitor(
@@ -48,8 +61,11 @@ def run_policy(profiles, num_chronons, policy, c=1.0, preemptive=True, engine="r
         config=MonitorConfig(engine="reference" if engine == "reference" else "vectorized"),
         arena=compile_arena(profiles) if engine == "arena" else None,
     )
+    steps = count_steps(monitor)
     monitor.run(epoch, arrivals_from_profiles(profiles))
     check_paper_invariants(monitor, profiles, budget, epoch)
+    if stepped is not None:
+        stepped.extend(steps)
     return monitor
 
 
@@ -155,10 +171,15 @@ class TestProposition3:
         )
         assert profiles.is_unit
         for engine in ENGINES:
-            mrsf = run_policy(profiles, 14, MRSF(), engine=engine)
-            medf = run_policy(profiles, 14, MEDF(), engine=engine)
+            steps = {"MRSF": [], "M-EDF": []}
+            mrsf = run_policy(profiles, 14, MRSF(), engine=engine, stepped=steps["MRSF"])
+            medf = run_policy(profiles, 14, MEDF(), engine=engine, stepped=steps["M-EDF"])
             assert mrsf.schedule.probes == medf.schedule.probes, engine
             assert mrsf.pool.num_satisfied == medf.pool.num_satisfied, engine
+            if engine != "reference":
+                # Both vectorized runs took the whole-run walker, so the
+                # proposition holds on the code the paper workloads run.
+                assert steps == {"MRSF": [], "M-EDF": []}, engine
 
     def test_medf_differs_from_mrsf_on_wide_eis(self):
         # Sanity: the equivalence is specific to unit instances.
