@@ -21,7 +21,7 @@ never be satisfied and is dropped together with all its sibling EIs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
@@ -76,6 +76,11 @@ class CandidatePool:
         self._num_satisfied = 0
         self._num_failed = 0
         self._num_cancelled = 0
+
+    @property
+    def activate_at(self) -> Mapping[Chronon, list[ExecutionInterval]]:
+        """Pending window openings: chronon -> the EIs opening there."""
+        return self._to_activate
 
     # ------------------------------------------------------------------
     # MonitorView protocol

@@ -6,26 +6,30 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
 ``engine="vectorized"`` alternative:
 
 * :class:`FastCandidatePool` — a structure-of-arrays mirror of the
-  candidate state.  Every execution interval of every registered CEI
-  occupies one row (rows of one CEI are contiguous), and per-CEI state
-  (rank, captured count, the M-EDF aggregates) lives in parallel CEI-level
-  columns.  Each column exists twice: a plain-Python list that absorbs the
-  per-event bookkeeping (registration, window events, captures), and a
-  NumPy mirror (``npr_*`` row columns, ``npc_*`` CEI columns) that the
-  scoring kernels and the ``lexsort`` consume.  Mirrors are synchronized
-  lazily at phase start: appended rows/CEIs by bulk slice assignment,
-  mutated CEIs from a dirty set.  The candidate bag has one record, the
-  ``np_active`` row mask (scalar paths use a byte ``memoryview`` of it,
-  plus an exact count); the rows on one resource are every row ever
-  placed there, filtered by the mask.
+  candidate state over a compiled
+  :class:`repro.sim.arena.InstanceArena`.  Every usable execution
+  interval of every compiled CEI occupies one row (rows of one CEI are
+  contiguous), and per-CEI state (rank, captured count, the M-EDF
+  aggregates) lives in parallel CEI-level columns.  Each column exists
+  twice: a plain-Python list, and a NumPy mirror (``npr_*`` row
+  columns, ``npc_*`` CEI columns) that the scoring kernels and the
+  ``lexsort`` consume.  The static columns, the activation/expiry
+  timelines and the per-resource row index belong to the arena; only
+  its compile walk (``repro.sim.arena._register_cei``) appends rows.
+  The pool holds the per-run state the events write (window events,
+  captures).  Mirrors are synchronized lazily at phase start: appended
+  rows/CEIs by bulk slice assignment, mutated CEIs from a dirty set.
+  The candidate bag has one record, the ``np_active`` row mask (scalar
+  paths use a byte ``memoryview`` of it, plus an exact count); the rows
+  on one resource are every row ever placed there, filtered by the mask.
 * Batched bookkeeping — an event touching few rows is handled row by
-  row, where NumPy's per-call cost would exceed the work.  On an
-  arena-backed pool, a window event, arrival batch or capture of at least
-  ``BATCH_CUTOVER`` rows (CEIs, for arrivals) is handled group-wide
-  instead: one NumPy write of the mask, mirror patches in place
-  (``np.add.at``) rather than dirty-set entries, and one expiry verdict
-  per CEI.  Activation hooks and shed (released) rows keep the scalar
-  loops, which leave the same state.
+  row, where NumPy's per-call cost would exceed the work.  A window
+  event, arrival batch or capture of at least ``BATCH_CUTOVER`` rows
+  (CEIs, for arrivals) is handled group-wide instead: one NumPy write of
+  the mask, mirror patches in place (``np.add.at``) rather than
+  dirty-set entries, and one expiry verdict per CEI.  Activation hooks
+  and shed (released) rows keep the scalar loops, which leave the same
+  state.
 * :func:`run_fast_phases` — the vectorized ``probeEIs`` loop.  Each phase
   batch-scores the whole candidate bag with one
   :class:`repro.policies.kernels.ScoreKernel` call, then *selects* rather
@@ -51,11 +55,11 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   shards, no preemption or no overlap step through
   :func:`run_fast_phases` (the gates are in ``OnlineMonitor.run``).
 
-Pools can also be built from a pre-compiled
-:class:`repro.sim.arena.InstanceArena` (``FastCandidatePool(arena=...)``)
-which shares the immutable row/CEI columns and mirrors across every
-policy run of one problem instance and skips the per-EI registration
-walk entirely.
+A pool built from a pre-compiled arena (``FastCandidatePool(arena=...)``)
+shares its columns and mirrors with every other policy run of that
+problem instance and registers a CEI without walking its EIs.  A pool
+built without one owns an empty arena and compiles each CEI into it,
+in place, when the CEI registers.
 
 The two engines are interchangeable: for any deterministic policy they
 produce bit-for-bit identical schedules, probe counts and completeness
@@ -72,14 +76,16 @@ implements in full).
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from itertools import chain, compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Container, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
+from repro.core.profile import ProfileSet
 from repro.core.resource import ResourceId, ResourcePool
 from repro.core.timebase import Chronon, Epoch
 from repro.policies.kernels import pack_keys
@@ -102,11 +108,11 @@ TOPK_OVERFLOW = 32
 TOPK_GROWTH = 4
 
 # Batched bookkeeping cut-over (module-level so tests can force either
-# path).  On an arena-backed pool, a window event whose compiled row list,
-# an arrival batch whose CEI list, or a capture whose live rows on the
-# resource have at least this many entries is handled group-wide (NumPy
-# mask and mirror writes, one verdict per CEI); smaller ones keep the
-# scalar per-row loop, which NumPy's fixed per-call cost would beat.
+# path).  A window event whose compiled row list, an arrival batch whose
+# CEI list, or a capture whose live rows on the resource have at least
+# this many entries is handled group-wide (NumPy mask and mirror writes,
+# one verdict per CEI); smaller ones keep the scalar per-row loop, which
+# NumPy's fixed per-call cost would beat.
 # Chosen by measurement: see docs/performance.md, "Batched bookkeeping".
 BATCH_CUTOVER = 32
 
@@ -167,120 +173,79 @@ class FastCandidatePool:
     """
 
     def __init__(self, arena: Optional["InstanceArena"] = None) -> None:
+        """Start a run over ``arena``, or over an empty arena of its own.
+
+        The arena's columns, mirrors, indexes and timelines are *shared*
+        (and, for a supplied arena, with every other pool built from it)
+        and only the arena's compile walk appends to them; the per-run
+        mutable state (captured flags, the active mask, M-EDF aggregates,
+        counters) is the pool's own.  The mirrors arrive fully synced, so
+        ``sync_mirrors`` reduces to the dirty-CEI patch until rows are
+        added.
+
+        A supplied arena fixes which CEIs may register, and at which
+        chronon.  A pool built without one owns an empty arena and
+        compiles each CEI into it as it registers (:meth:`register`), so
+        it accepts any arrival; an owned arena is never patched.
+        """
         #: Mirror-capacity reallocations performed so far.  Growth is
         #: geometric (capacity doubling), so this stays O(log rows) for
         #: any registration stream — bench_micro's mirror-growth bench
         #: and tests/test_fastpath_equivalence.py guard the bound.
         self.mirror_reallocs = 0
-        if arena is not None:
-            self._init_from_arena(arena)
-            return
-        self._arena: Optional["InstanceArena"] = None
-        self._registered: Optional[bytearray] = None
-        # Row-level columns (one row per usable EI; Python side).
-        self.row_seq: list[int] = []
-        self.row_finish: list[int] = []
-        self.row_resource: list[int] = []
-        self.row_cidx: list[int] = []
-        self.row_captured: list[bool] = []
-        self._row_ei: list[ExecutionInterval] = []
-        self.np_active = np.zeros(256, bool)
-        self._n_active = 0
+        #: The compile walk into the pool's own arena; None when the arena
+        #: was supplied.
+        self._compile_cei: Optional[Callable[..., None]] = None
+        if arena is None:
+            # Deferred: repro.sim imports the monitor, which imports this
+            # module.
+            from repro.sim.arena import _register_cei, compile_arena
 
-        # CEI-level columns (Python side).
-        self.cei_rank: list[int] = []
-        self.cei_required: list[int] = []
-        self.cei_captured: list[int] = []
-        self.cei_weight: list[float] = []
-        self.cei_satisfied: list[bool] = []
-        self.cei_failed: list[bool] = []
-        self.cei_cancelled: list[bool] = []
-        self.cei_medf_s: list[int] = []
-        self.cei_medf_open: list[int] = []
-        self.cei_row_begin: list[int] = []
-        self.cei_row_end: list[int] = []
-        self._cei_obj: list[ComplexExecutionInterval] = []
-
-        # NumPy mirrors consumed by the kernels and the lexsort.  Appended
-        # entries sync in bulk; mutated CEIs sync from the dirty set.
-        cap = 256
-        self._row_cap = cap
-        self.npr_seq = np.zeros(cap, np.int64)
-        self.npr_finish = np.zeros(cap, np.int64)
-        self.npr_finish_f = np.zeros(cap, np.float64)
-        self.npr_resource = np.zeros(cap, np.int64)
-        self.npr_cidx = np.zeros(cap, np.int64)
-        # Static per-row tie-break key: finish * 2^21 + seq orders rows
-        # exactly like the lexicographic (finish, seq) pair as long as both
-        # components stay below 2^21 (_packable tracks this); one int64
-        # column then replaces two lexsort key levels per phase.
-        self.npr_static = np.zeros(cap, np.int64)
-        self._synced_rows = 0
-        self._max_seq = 0
-        self._max_finish = 0
-        self._packable = True
-        ccap = 64
-        self._cei_cap = ccap
-        self.npc_rank_f = np.zeros(ccap, np.float64)
-        self.npc_captured_f = np.zeros(ccap, np.float64)
-        self.npc_weight = np.ones(ccap, np.float64)
-        self.npc_medf_s_f = np.zeros(ccap, np.float64)
-        self.npc_medf_open_f = np.zeros(ccap, np.float64)
-        self._synced_ceis = 0
-        self._dirty_ceis: set[int] = set()
-
-        self._row_of_seq: dict[int, int] = {}
-        self._cidx_of_cid: dict[int, int] = {}
-        self._resource_rows: dict[ResourceId, list[int]] = {}
-        self._resource_rows_np: dict[ResourceId, np.ndarray] = {}
-        self._to_activate: dict[Chronon, list[int]] = {}
-        self._to_expire: dict[Chronon, list[int]] = {}
-        # EI seqs withdrawn by load shedding: deactivated for good but
-        # still contributing to the M-EDF aggregates (the reference
-        # sibling walk counts them too; see repro.online.shedding).
-        self._released_seqs: set[int] = set()
-        self._num_registered = 0
-        self._num_satisfied = 0
-        self._num_failed = 0
-        self._num_cancelled = 0
-
-    def _init_from_arena(self, arena: "InstanceArena") -> None:
-        """Start a run from a compiled arena: share statics, copy state.
-
-        The immutable structures (row/CEI columns, NumPy mirrors, seq and
-        cid indexes) are *shared* with the arena — and therefore with
-        every other pool built from it — and never written; only the
-        per-run mutable state (captured flags, active masks, M-EDF
-        aggregates, counters) is freshly allocated.  The mirrors arrive
-        fully synced, so ``sync_mirrors`` reduces to the dirty-CEI patch.
-        """
+            arena = compile_arena(ProfileSet(), arrivals={})
+            self._compile_cei = partial(_register_cei, arena)
         self._arena = arena
-        self._registered = bytearray(arena.n_ceis)
+        # Row and CEI capacities, floored at one so the doubling in
+        # _grow_rows/_grow_ceis always makes progress.  The per-run
+        # columns are sized to them (entries past the arena's rows and
+        # CEIs are unused), so they grow with the NumPy mirrors' doubling
+        # rather than by one extend per registered CEI.
         n = arena.n_rows
+        m = arena.n_ceis
+        self._row_cap = row_cap = max(n, 1)
+        self._cei_cap = cei_cap = max(m, 1)
         self.row_seq = arena.row_seq
         self.row_finish = arena.row_finish
         self.row_resource = arena.row_resource
         self.row_cidx = arena.row_cidx
         self._row_ei = arena.row_ei
-        self.row_captured = [False] * n
-        self.np_active = np.zeros(max(n, 1), bool)
+        self.row_captured = [False] * row_cap
+        self.np_active = np.zeros(row_cap, bool)
         self._n_active = 0
 
-        m = arena.n_ceis
         self.cei_rank = arena.cei_rank
         self.cei_required = arena.cei_required
         self.cei_weight = arena.cei_weight
-        self.cei_captured = [0] * m
-        self.cei_satisfied = [False] * m
-        self.cei_failed = [False] * m
-        self.cei_cancelled = [False] * m
-        self.cei_medf_s = list(arena.cei_medf_s0)
-        self.cei_medf_open = list(arena.cei_medf_open0)
+        self._registered = bytearray(cei_cap)
+        self.cei_captured = [0] * cei_cap
+        self.cei_satisfied = [False] * cei_cap
+        self.cei_failed = [False] * cei_cap
+        self.cei_cancelled = [False] * cei_cap
+        self.cei_medf_s = arena.cei_medf_s0 + [0] * (cei_cap - m)
+        self.cei_medf_open = arena.cei_medf_open0 + [0] * (cei_cap - m)
+        #: CEIs whose per-run aggregates are set: the rest of the
+        #: capacity waits for _extend_run_state.
+        self._run_ceis = m
         self.cei_row_begin = arena.cei_row_begin
         self.cei_row_end = arena.cei_row_end
         self._cei_obj = arena.cei_obj
 
-        self._row_cap = max(n, 1)
+        # NumPy mirrors consumed by the kernels and the lexsort, shared
+        # with the arena until rows or CEIs are added (the first growth
+        # privatizes them).  The static per-row tie-break key
+        # npr_static = finish * 2^21 + seq orders rows exactly like the
+        # lexicographic (finish, seq) pair as long as both components
+        # stay below 2^21 (_packable tracks this); one int64 column then
+        # replaces two lexsort key levels per phase.
         self.npr_seq = arena.npr_seq
         self.npr_finish = arena.npr_finish
         self.npr_finish_f = arena.npr_finish_f
@@ -291,81 +256,86 @@ class FastCandidatePool:
         self._max_seq = arena.max_seq
         self._max_finish = arena.max_finish
         self._packable = arena.packable
-        self._cei_cap = max(m, 1)
         self.npc_rank_f = arena.npc_rank_f
         self.npc_weight = arena.npc_weight
         self.npc_captured_f = np.zeros(m, np.float64)
         self.npc_medf_s_f = np.asarray(arena.cei_medf_s0, np.float64)
         self.npc_medf_open_f = np.asarray(arena.cei_medf_open0, np.float64)
         self._synced_ceis = m
-        self._dirty_ceis = set()
+        self._dirty_ceis: set[int] = set()
 
         self._row_of_seq = arena.row_of_seq
         self._cidx_of_cid = arena.cidx_of_cid
         self._resource_rows = arena.resource_rows
         self._resource_rows_np = arena.resource_rows_np
-        # Window events come from the arena's shared timelines (read
-        # without popping); these stay empty.
-        self._to_activate = {}
-        self._to_expire = {}
-        self._released_seqs = set()
+        # EI seqs withdrawn by load shedding: deactivated for good but
+        # still contributing to the M-EDF aggregates (the reference
+        # sibling walk counts them too; see repro.online.shedding).
+        self._released_seqs: set[int] = set()
         self._num_registered = 0
         self._num_satisfied = 0
         self._num_failed = 0
         self._num_cancelled = 0
 
     def adopt_arena(self, arena: "InstanceArena") -> None:
-        """Absorb a patched generation of this pool's arena mid-run.
+        """Absorb a patched generation of this pool's supplied arena mid-run.
 
         ``apply_patch`` has already extended the shared Python containers
         in place (this pool references them directly, so its row/CEI
         columns have silently grown); what remains is the per-run state
-        the patch cannot see: extend the captured flags, the per-run CEI
-        columns (fresh CEIs start from their compiled ``*0`` aggregates)
-        and the registration mask, and privatize the NumPy mirrors —
-        the shared arrays belong to the arena and are sized to the *old*
-        generation, so the next ``sync_mirrors`` would otherwise write
-        out of their bounds (or into sibling pools' shared view).  All
-        run state accumulated so far (captures, active bag, counters,
-        released seqs) is untouched: adopting a patch is invisible to the
-        schedule until the patched CEIs' arrival chronons are stepped.
+        the patch cannot see (:meth:`_extend_run_state`).  All run state
+        accumulated so far (captures, active bag, counters, released
+        seqs) is untouched: adopting a patch is invisible to the schedule
+        until the patched CEIs' arrival chronons are stepped.
         """
-        old = self._arena
-        if old is None:
-            raise ModelError("only arena-backed pools can adopt a patched arena")
-        if arena.cidx_of_cid is not old.cidx_of_cid:
+        if self._compile_cei is not None:
+            raise ModelError(
+                "only pools built on a supplied arena (arena-backed pools) "
+                "can adopt a patched arena"
+            )
+        if arena.cidx_of_cid is not self._arena.cidx_of_cid:
             raise ModelError(
                 "adopt_arena requires a patched generation of this pool's own "
                 "arena (shared containers must be identical)"
             )
+        self._extend_run_state()
+        self._arena = arena
+
+    def _extend_run_state(self) -> None:
+        """Size the per-run state to the arena's grown shared columns.
+
+        Grows the capacity of the per-run columns and the NumPy mirrors
+        when the rows or CEIs outgrow it, and starts fresh CEIs from
+        their compiled ``*0`` aggregates.  The first growth privatizes
+        the mirrors: the arena's own are sized to the rows it had when
+        this pool adopted it, so the next ``sync_mirrors`` would
+        otherwise write out of their bounds (or into sibling pools'
+        shared view).
+        """
         # Grow when capacity is short, not only when the mirrors are still
-        # the arena's shared arrays: after the first registering patch the
-        # mirrors are private (identity no longer says anything) and a
-        # later patch may outgrow their doubled capacity.  The identity
-        # test covers the one case capacity misses: shared mirrors of an
-        # empty arena, whose capacity is rounded up to 1 row/CEI.
+        # the arena's shared arrays: after the first growth the mirrors
+        # are private (identity no longer says anything) and later rows
+        # may outgrow their doubled capacity.  The identity test covers
+        # the one case capacity misses: shared mirrors of an empty arena,
+        # whose capacity is rounded up to 1 row/CEI.
+        arena = self._arena
         n = len(self.row_seq)
         if n > self._row_cap or (
-            n > self._synced_rows and self.npr_seq is old.npr_seq
+            n > self._synced_rows and self.npr_seq is arena.npr_seq
         ):
             self._grow_rows(n)
         m = len(self.cei_rank)
         if m > self._cei_cap or (
-            m > self._synced_ceis and self.npc_rank_f is old.npc_rank_f
+            m > self._synced_ceis and self.npc_rank_f is arena.npc_rank_f
         ):
             self._grow_ceis(m)
-        self.row_captured.extend([False] * (n - len(self.row_captured)))
-        grown = m - len(self.cei_captured)
-        if grown:
-            self.cei_captured.extend([0] * grown)
-            self.cei_satisfied.extend([False] * grown)
-            self.cei_failed.extend([False] * grown)
-            self.cei_cancelled.extend([False] * grown)
-            self.cei_medf_s.extend(arena.cei_medf_s0[m - grown :])
-            self.cei_medf_open.extend(arena.cei_medf_open0[m - grown :])
-            assert self._registered is not None
-            self._registered.extend(bytes(grown))
-        self._arena = arena
+        medf_s = self.cei_medf_s
+        medf_open = self.cei_medf_open
+        # A loop, not slice copies: registration adds one CEI at a time.
+        for c in range(self._run_ceis, m):
+            medf_s[c] = arena.cei_medf_s0[c]
+            medf_open[c] = arena.cei_medf_open0[c]
+        self._run_ceis = m
 
     # ------------------------------------------------------------------
     # The candidate bag
@@ -385,6 +355,11 @@ class FastCandidatePool:
         # and its demotion) re-takes the view, so it never goes stale.
         self._np_active = mask
         self._active = memoryview(mask.view(np.uint8))
+
+    @property
+    def activate_at(self) -> Mapping[Chronon, list[int]]:
+        """Window openings, chronon -> rows: the arena's timeline, never popped."""
+        return self._arena.activate_at
 
     def _activate_row(self, row: int) -> None:
         self._active[row] = 1
@@ -465,6 +440,7 @@ class FastCandidatePool:
         new_active = np.zeros(cap, bool)
         new_active[: len(self._np_active)] = self._np_active
         self.np_active = new_active
+        self.row_captured += [False] * (cap - len(self.row_captured))
         self._row_cap = cap
         self.mirror_reallocs += 1
 
@@ -484,6 +460,15 @@ class FastCandidatePool:
             new = np.zeros(cap, old.dtype)
             new[: self._synced_ceis] = old[: self._synced_ceis]
             setattr(self, name, new)
+        pad = cap - len(self.cei_captured)
+        self.cei_captured += [0] * pad
+        falses = [False] * pad
+        self.cei_satisfied += falses
+        self.cei_failed += falses
+        self.cei_cancelled += falses
+        self.cei_medf_s += [0] * pad
+        self.cei_medf_open += [0] * pad
+        self._registered += bytes(pad)
         self._cei_cap = cap
         self.mirror_reallocs += 1
 
@@ -492,14 +477,13 @@ class FastCandidatePool:
 
         Called by the probe loop before each batch score.  Cost is
         amortized O(1) per row/CEI plus O(1) per CEI mutated since the
-        last sync.
+        last sync.  Capacity already covers every row and CEI
+        (:meth:`_extend_run_state` grows it when they are added).
         """
         if self._synced_rows < len(self.row_seq):
             self._sync_rows()
         m = len(self.cei_rank)
         if self._synced_ceis < m:
-            if m > self._cei_cap:
-                self._grow_ceis(m)
             a = self._synced_ceis
             self.npc_rank_f[a:m] = self.cei_rank[a:m]
             self.npc_captured_f[a:m] = self.cei_captured[a:m]
@@ -518,8 +502,6 @@ class FastCandidatePool:
         """The row half of :meth:`sync_mirrors` (a compare when in sync)."""
         n = len(self.row_seq)
         if self._synced_rows < n:
-            if n > self._row_cap:
-                self._grow_rows(n)
             a = self._synced_rows
             self.npr_seq[a:n] = self.row_seq[a:n]
             self.npr_finish[a:n] = self.row_finish[a:n]
@@ -565,106 +547,37 @@ class FastCandidatePool:
         :meth:`repro.online.candidates.CandidatePool.register` exactly,
         including the dead-on-arrival rule for late submissions.
 
-        Arena-backed pools replay the compiled registration instead of
-        walking the EIs: activate the precomputed immediate rows, copy
-        nothing.  They only accept the CEIs (and arrival chronons) the
-        arena was compiled for.
+        Registration replays the CEI's compiled registration instead of
+        walking its EIs: activate the precomputed immediate rows, copy
+        nothing.  A pool that owns its arena first compiles a CEI it has
+        not seen at ``now``; a supplied arena only accepts the CEIs (and
+        arrival chronons) it was compiled for.
         """
         arena = self._arena
-        if arena is not None:
-            cidx = arena.cidx_of_cid.get(cei.cid)
-            registered = self._registered
-            assert registered is not None
-            if cidx is None or registered[cidx] or now != arena.cei_release[cidx]:
-                self._compiled_cidx(cei, now)  # raises the error that applies
-            registered[cidx] = 1
-            self._num_registered += 1
-            if arena.cei_failed0[cidx]:
-                self.cei_failed[cidx] = True
-                self._num_failed += 1
-                return []
-            rows = arena.immediate_rows[cidx]
-            for row in rows:
-                self._activate_row(row)
-            if collect and rows:
-                row_ei = self._row_ei
-                return [row_ei[row] for row in rows]
-            return []
-        if cei.cid in self._cidx_of_cid:
-            raise ModelError(f"CEI {cei.cid} registered twice")
-        if len(self.row_seq) + len(cei.eis) > self._row_cap:
-            self._grow_rows(len(self.row_seq) + len(cei.eis))
-        cidx = len(self.cei_rank)
-        self._cidx_of_cid[cei.cid] = cidx
-        self._cei_obj.append(cei)
+        registered = self._registered
+        cidx = arena.cidx_of_cid.get(cei.cid)
+        if cidx is None and self._compile_cei is not None:
+            cidx = len(self.cei_rank)
+            self._compile_cei(cei, now)
+            self._extend_run_state()
+        elif cidx is None or registered[cidx] or now != arena.cei_release[cidx]:
+            self._compiled_cidx(cei, now)  # raises the error that applies
+        registered[cidx] = 1
         self._num_registered += 1
-
-        eis = cei.eis
-        expired_on_arrival = sum(1 for ei in eis if ei.finish < now)
-        alive = len(eis) - expired_on_arrival
-        failed = alive < cei.required
-        n_rows = len(self.row_seq)
-        self.cei_rank.append(len(eis))
-        self.cei_required.append(cei.required)
-        self.cei_captured.append(0)
-        self.cei_weight.append(cei.weight)
-        self.cei_satisfied.append(False)
-        self.cei_failed.append(failed)
-        self.cei_cancelled.append(False)
-        self.cei_row_begin.append(n_rows)
-        if failed:
-            # Dead on arrival (late submission): no rows materialize.
-            self.cei_row_end.append(n_rows)
-            self.cei_medf_s.append(0)
-            self.cei_medf_open.append(0)
+        if arena.cei_failed0[cidx]:
+            self.cei_failed[cidx] = True
             self._num_failed += 1
             return []
-
-        activated: list[ExecutionInterval] = []
-        medf_s = 0
-        medf_open = 0
-        row_seq = self.row_seq
-        seq_append = row_seq.append
-        finish_append = self.row_finish.append
-        resource_append = self.row_resource.append
-        cidx_append = self.row_cidx.append
-        captured_append = self.row_captured.append
-        ei_append = self._row_ei.append
-        row_of_seq = self._row_of_seq
-        resource_rows = self._resource_rows
-        to_activate = self._to_activate
-        to_expire = self._to_expire
-        for ei in eis:
-            finish = ei.finish
-            if finish < now:
-                # Unusable, but an uncaptured sibling for M-EDF purposes:
-                # contributes finish - T + 1 like any open-window sibling.
-                medf_s += finish + 1
-                medf_open += 1
-                continue
-            row = len(row_seq)
-            seq_append(ei.seq)
-            finish_append(finish)
-            resource_append(ei.resource)
-            cidx_append(cidx)
-            captured_append(False)
-            ei_append(ei)
-            row_of_seq[ei.seq] = row
-            resource_rows.setdefault(ei.resource, []).append(row)
-            if ei.start <= now:
-                self._activate_row(row)
-                medf_s += finish + 1
-                medf_open += 1
-                if collect:
-                    activated.append(ei)
-            else:
-                medf_s += finish - ei.start + 1
-                to_activate.setdefault(ei.start, []).append(row)
-            to_expire.setdefault(finish, []).append(row)
-        self.cei_row_end.append(len(row_seq))
-        self.cei_medf_s.append(medf_s)
-        self.cei_medf_open.append(medf_open)
-        return activated
+        rows = arena.immediate_rows[cidx]
+        if rows:
+            active = self._active
+            for row in rows:
+                active[row] = 1
+            self._n_active += len(rows)
+        if collect and rows:
+            row_ei = self._row_ei
+            return [row_ei[row] for row in rows]
+        return []
 
     def register_arrivals(
         self,
@@ -674,24 +587,34 @@ class FastCandidatePool:
     ) -> list[ExecutionInterval]:
         """Register one chronon's arrivals; returns the EIs active at once.
 
-        Equivalent to calling :meth:`register` on each CEI in order.  On
-        an arena-backed pool, a batch of at least ``BATCH_CUTOVER`` CEIs
-        with ``collect=False`` replays the compiled registrations as
-        column operations instead, and is atomic: an unknown or repeated
-        cid, or a wrong arrival chronon, raises the same
-        :class:`ModelError` the one-by-one loop would raise first and
-        registers nothing.
+        Equivalent to calling :meth:`register` on each CEI in order.  A
+        batch of at least ``BATCH_CUTOVER`` CEIs with ``collect=False``
+        replays the compiled registrations as column operations instead
+        (a pool that owns its arena compiles the whole batch first).  On
+        a supplied arena it is atomic: an unknown or repeated cid, or a
+        wrong arrival chronon, raises the same :class:`ModelError` the
+        one-by-one loop would raise first and registers nothing.  On an
+        owned arena a batch repeating a cid goes one by one, so it
+        raises where that loop does.
         """
         if not isinstance(ceis, (list, tuple)):
             ceis = list(ceis)
-        if self._arena is None or collect or len(ceis) < BATCH_CUTOVER:
+        batch = not collect and len(ceis) >= BATCH_CUTOVER
+        compile_cei = self._compile_cei
+        if batch and compile_cei is not None:
+            cids = {cei.cid for cei in ceis}
+            batch = len(cids) == len(ceis) and cids.isdisjoint(self._cidx_of_cid)
+            if batch:
+                for cei in ceis:
+                    compile_cei(cei, now)
+                self._extend_run_state()
+        if not batch:
             activated: list[ExecutionInterval] = []
             for cei in ceis:
                 activated.extend(self.register(cei, now, collect))
             return activated
         arena = self._arena
         registered = self._registered
-        assert registered is not None
         cidxs = list(map(arena.cidx_of_cid.get, [cei.cid for cei in ceis]))
         if (
             None in cidxs
@@ -742,14 +665,12 @@ class FastCandidatePool:
         batch), or one compiled to arrive at another chronon.
         """
         arena = self._arena
-        registered = self._registered
-        assert arena is not None and registered is not None
         cidx = arena.cidx_of_cid.get(cei.cid)
         if cidx is None:
             raise ModelError(
                 f"CEI {cei.cid} is not part of this pool's compiled arena"
             )
-        if registered[cidx] or cidx in pending:
+        if self._registered[cidx] or cidx in pending:
             raise ModelError(f"CEI {cei.cid} registered twice")
         if now != arena.cei_release[cidx]:
             raise ModelError(
@@ -760,28 +681,20 @@ class FastCandidatePool:
 
     def open_windows(self, now: Chronon, collect: bool = True) -> list[ExecutionInterval]:
         """Activate every EI whose window opens at ``now``; returns them."""
-        if self._arena is not None:
-            # Shared timeline, read without popping (sibling pools of the
-            # same arena replay it too).
-            rows = self._arena.activate_at.get(now)
-        else:
-            rows = self._to_activate.pop(now, None)
+        # The arena's timeline, read without popping (sibling pools of a
+        # supplied arena replay it too).
+        rows = self._arena.activate_at.get(now)
         opened: list[ExecutionInterval] = []
         if rows is None:
             return opened
         registered = self._registered
         released = self._released_seqs
-        if (
-            len(rows) >= BATCH_CUTOVER
-            and registered is not None
-            and not collect
-            and not released
-        ):
+        if len(rows) >= BATCH_CUTOVER and not collect and not released:
             self._open_batch(rows, now)
             return opened
         for row in rows:
             cidx = self.row_cidx[row]
-            if registered is not None and not registered[cidx]:
+            if not registered[cidx]:
                 continue  # compiled timeline row of a never-revealed CEI
             if (
                 self.cei_satisfied[cidx]
@@ -810,7 +723,6 @@ class FastCandidatePool:
     def _open_batch(self, rows: list[int], now: Chronon) -> None:
         """Batched :meth:`open_windows` (no hook, nothing released)."""
         registered = self._registered
-        assert registered is not None
         satisfied = self.cei_satisfied
         failed = self.cei_failed
         cancelled = self.cei_cancelled
@@ -870,8 +782,8 @@ class FastCandidatePool:
         return self._capture_rows(self._live_rows_on(resource, skip))
 
     def _capture_rows(self, live: list[int]) -> list[int]:
-        """Capture the active rows ``live`` (batched on an arena pool)."""
-        if len(live) >= BATCH_CUTOVER and self._arena is not None:
+        """Capture the active rows ``live`` (batched when there are many)."""
+        if len(live) >= BATCH_CUTOVER:
             return self._capture_batch(live)
         touched: list[int] = []
         done: list[int] = []
@@ -949,27 +861,19 @@ class FastCandidatePool:
 
     def close_windows(self, now: Chronon, collect: bool = True) -> list[ExecutionInterval]:
         """End-of-chronon expiry (Algorithm 1, lines 20-27)."""
-        if self._arena is not None:
-            rows = self._arena.expire_at.get(now)
-        else:
-            rows = self._to_expire.pop(now, None)
+        rows = self._arena.expire_at.get(now)
         expired: list[ExecutionInterval] = []
         if rows is None:
             return expired
         registered = self._registered
         released = self._released_seqs
-        if (
-            len(rows) >= BATCH_CUTOVER
-            and registered is not None
-            and not collect
-            and not released
-        ):
+        if len(rows) >= BATCH_CUTOVER and not collect and not released:
             self._close_batch(rows, now)
             return expired
         row_seq = self.row_seq
         for row in rows:
             cidx = self.row_cidx[row]
-            if registered is not None and not registered[cidx]:
+            if not registered[cidx]:
                 continue  # compiled timeline row of a never-revealed CEI
             if (
                 self.cei_satisfied[cidx]
@@ -1073,7 +977,7 @@ class FastCandidatePool:
         if row is None:
             return False  # expired on arrival: never materialized
         cidx = self.row_cidx[row]
-        if self._registered is not None and not self._registered[cidx]:
+        if not self._registered[cidx]:
             return False
         if (
             self.cei_satisfied[cidx]
@@ -1095,7 +999,7 @@ class FastCandidatePool:
         cidx = self._cidx_of_cid.get(cei.cid)
         if cidx is None:
             return False
-        if self._registered is not None and not self._registered[cidx]:
+        if not self._registered[cidx]:
             return False
         if (
             self.cei_satisfied[cidx]
@@ -1121,7 +1025,7 @@ class FastCandidatePool:
         cidx = self._cidx_of_cid.get(cei.cid)
         if cidx is None:
             return False
-        if self._registered is not None and not self._registered[cidx]:
+        if not self._registered[cidx]:
             return False
         if (
             self.cei_satisfied[cidx]
@@ -1140,7 +1044,7 @@ class FastCandidatePool:
         return [
             self._cei_obj[cidx]
             for cidx in range(len(self.cei_rank))
-            if (registered is None or registered[cidx])
+            if registered[cidx]
             and not self.cei_satisfied[cidx]
             and not self.cei_failed[cidx]
             and not self.cei_cancelled[cidx]
@@ -1188,7 +1092,7 @@ class FastCandidatePool:
     def state_of(self, cei: ComplexExecutionInterval) -> Optional[FastCEIView]:
         """Capture state of a registered CEI (None if never registered)."""
         cidx = self._cidx_of_cid.get(cei.cid)
-        if cidx is None:
+        if cidx is None or not self._registered[cidx]:
             return None
         return FastCEIView(
             cei=cei,
@@ -1753,7 +1657,7 @@ def run_fast_span(
                     c = pool._cidx_of_cid[cei.cid]
                     rows.extend(range(pool.cei_row_begin[c], pool.cei_row_end[c]))
         if carry:
-            rows.extend(timeline.get(t, ()))  # read before the pool pops it
+            rows.extend(timeline.get(t, ()))
         pool.open_windows(t, collect=False)
         active = pool._active  # registration may have grown the mask
         budget_left = budget.at(t)

@@ -388,20 +388,16 @@ class OnlineMonitor:
             )
 
     def _activation_timeline(self) -> Mapping[Chronon, list]:
-        """The pool's pending window openings, keyed by chronon.
+        """The pool's window openings, keyed by chronon.
 
-        Arena-backed pools read the arena's shared timeline, whose keys
-        may belong to never-registered CEIs — treated as events anyway
-        (conservative: the run just steps those chronons normally).
-        Entries at already-passed chronons can linger after skips; they
-        are harmless (pops are exact-key and the clock only advances) and
-        never looked at again.
+        The reference pool pops each entry as its windows open.  A
+        vectorized pool reads its arena's timeline, whose keys may
+        belong to never-registered CEIs — treated as events anyway
+        (conservative: the run just steps those chronons normally) — and
+        which is never popped: entries at already-passed chronons linger,
+        harmless because the clock only advances.
         """
-        pool = self.pool
-        arena = getattr(pool, "_arena", None)
-        if arena is not None:
-            return arena.activate_at
-        return pool._to_activate
+        return self.pool.activate_at
 
     def _busy_chronons(
         self,

@@ -1,38 +1,41 @@
-"""Compiled problem-instance arenas: build candidate state once per instance.
+"""Compiled problem-instance arenas: the vectorized engine's candidate columns.
 
-The suite methodology (paper Section V-A.3) runs *every* policy on the
-identical problem instance of each repetition.  Without help, each of
-those runs pays the same pure-Python setup walk:
-``FastCandidatePool.register`` iterates every EI of every CEI, recomputes
-the M-EDF aggregates and rebuilds the window-event timelines —
-identically, once per *(repetition, policy)* cell.
+Every :class:`repro.online.fastpath.FastCandidatePool` runs over an
+:class:`InstanceArena`: a structure-of-arrays record of the CEIs it can
+register, holding the per-row columns, NumPy mirrors, the initial M-EDF
+aggregates, the rows active at registration and the activation/expiry
+timelines, plus the arrival map the monitor consumes.  One function
+compiles a CEI into it, :func:`_register_cei`; it is the only code that
+appends rows.  A pool *shares* the arena's structures and holds only the
+per-run mutable state (captured flags, the active mask, aggregate
+columns), so registering a compiled CEI replays its compiled activation
+without walking its EIs.
 
-:func:`compile_arena` performs that walk once and freezes the result into
-an :class:`InstanceArena`: a structure-of-arrays snapshot of the instance
-holding the per-row columns, fully-synced NumPy mirrors, the initial
-M-EDF aggregates and the activation/expiry timelines, plus the arrival
-map the monitor consumes.  ``FastCandidatePool(arena=...)`` then starts a
-run by *sharing* the immutable structures and copying only the per-run
-mutable state (captured flags, active masks, aggregate columns), which
-turns per-policy setup from O(total EIs) of Python bookkeeping into a
-handful of array copies.
+There are two ways to get an arena:
 
-The arena is strictly a cache: a monitor run against an arena-backed pool
-is bit-for-bit identical to one that registers the same CEIs
-incrementally (``tests/test_arena.py`` enforces this, and
+* :func:`compile_arena` compiles a whole instance up front, for arrival
+  at each CEI's release chronon by default — the arrival rule
+  ``simulate`` / ``run_suite`` use — or at explicit arrival chronons for
+  streaming workloads.  The suite methodology (paper Section V-A.3) runs
+  *every* policy on the identical instance of each repetition, so the
+  O(total EIs) walk is paid once per instance instead of once per
+  *(repetition, policy)* cell; pools built from the arena
+  (``FastCandidatePool(arena=...)``) reject CEIs and arrival chronons it
+  was not compiled for.
+* ``FastCandidatePool()`` compiles an empty arena of its own and
+  compiles each CEI into it, in place, when the CEI registers: any CEI
+  may arrive at any chronon, and registration costs O(new EIs).
+
+A run is bit-for-bit identical whichever way its arena was built
+(``tests/test_arena.py`` enforces this, and
 ``tests/test_fastpath_equivalence.py`` closes the loop against the
-reference engine).  Registration semantics are compiled for arrival at
-each CEI's release chronon by default — the arrival rule ``simulate`` /
-``run_suite`` use — or at explicit arrival chronons for streaming
-workloads, and the arena-backed pool rejects registrations that disagree
-with the compiled schedule.
+reference engine).
 
 **Delta layer.**  A long-lived proxy cannot afford a full recompile per
 churn event.  :class:`ArenaPatch` describes one churn batch (CEIs to
 register at given arrival chronons, cids to cancel, a horizon to expire)
 and :func:`apply_patch` applies it *incrementally*: the shared Python
-columns are extended in place through the same per-CEI compile walk
-``compile_arena`` uses, the NumPy mirrors are extended by one
+columns are extended in place through the same per-CEI compile walk, the NumPy mirrors are extended by one
 concatenate each, and live arena-backed pools adopt the result without
 losing any run state (``FastCandidatePool.adopt_arena``).  The mirror
 copies are a fixed cost per registering patch, so a whole batch should
@@ -51,6 +54,7 @@ import dataclasses
 import os
 import secrets
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
@@ -74,8 +78,10 @@ class InstanceArena:
     The scalar fields and NumPy mirrors are immutable for the lifetime of
     *this arena object*; pools built from it share the Python containers
     and never write to them.  Rows appear in registration order (CEIs
-    sorted by arrival, EIs in CEI order), exactly the order an
-    incremental pool would build.
+    sorted by arrival, EIs in CEI order), exactly the order a pool
+    compiling the CEIs as they register would build.  A pool's own arena
+    (``FastCandidatePool()``) keeps the scalars and mirrors of its empty
+    compile while its containers grow: the pool holds the mirrors.
 
     :func:`apply_patch` extends the shared containers in place; a patch
     that registers CEIs returns a *new* ``InstanceArena`` with fresh
@@ -127,15 +133,17 @@ class InstanceArena:
     #: Rows active immediately at registration, per CEI index.
     immediate_rows: list[list[int]]
     #: Window-event timelines: chronon -> rows opening / expiring there.
-    activate_at: dict[Chronon, list[int]]
-    expire_at: dict[Chronon, list[int]]
+    #: Like ``resource_rows``, a ``defaultdict(list)`` that only
+    #: :func:`_register_cei` subscripts; readers use ``get``.
+    activate_at: defaultdict[Chronon, list[int]]
+    expire_at: defaultdict[Chronon, list[int]]
 
     row_of_seq: dict[int, int]
     cidx_of_cid: dict[int, int]
     #: Every row ever placed on each resource, in row order.  Pools find
     #: the live rows on a resource by filtering this with their active
     #: mask; :func:`apply_patch` extends it in place.
-    resource_rows: dict[int, list[int]]
+    resource_rows: defaultdict[int, list[int]]
     #: NumPy copies of ``resource_rows``' lists, shared by every pool of
     #: the arena; a copy shorter than its list is stale and rebuilt.
     resource_rows_np: dict[int, np.ndarray] = field(default_factory=dict)
@@ -157,7 +165,7 @@ class ArenaPatch:
         ``(cei, arrival_chronon)`` pairs to compile into the arena.  The
         arrival chronon is where the CEI will be revealed to the monitor
         (``register(cei, arrival)``); late arrivals (past the CEI's
-        release) compile with the incremental pool's exact late-submission
+        release) compile with the reference pool's exact late-submission
         semantics, dead-on-arrival included.
     cancel:
         cids to withdraw: pending arrivals are unscheduled, already
@@ -192,33 +200,48 @@ class ArenaPatch:
         return bool(self.register or self.cancel or self.expire_before is not None)
 
 
-def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> None:
+def _register_cei(
+    arena: InstanceArena, cei: ComplexExecutionInterval, at: Chronon
+) -> None:
     """Compile one CEI's registration at arrival chronon ``at``.
 
-    ``cols`` is anything exposing the arena's mutable containers (the
-    arena itself, or the builder below).  Mirrors
-    ``FastCandidatePool.register`` / ``CandidatePool.register`` exactly:
-    EIs already expired at arrival contribute the open M-EDF form
-    ``(finish + 1, 1)`` without materializing a row, and a CEI whose
-    surviving EIs cannot reach ``required`` is dead on arrival (no rows).
+    Appends to ``arena``'s containers: the arena being compiled or
+    patched, or the arena a ``FastCandidatePool`` owns, when the CEI
+    registers there.  This is the only code that appends rows.  It follows
+    ``CandidatePool.register``: EIs already expired at arrival contribute
+    the open M-EDF form ``(finish + 1, 1)`` without materializing a row,
+    and a CEI whose surviving EIs cannot reach ``required`` is dead on
+    arrival (no rows).
     """
-    cidx = len(cols.cei_rank)
-    cols.cidx_of_cid[cei.cid] = cidx
-    cols.cei_obj.append(cei)
-    cols.cei_release.append(at)
+    row_seq = arena.row_seq
+    row = len(row_seq)
+    cidx = len(arena.cei_rank)
+    arena.cidx_of_cid[cei.cid] = cidx
+    arena.cei_obj.append(cei)
+    arena.cei_release.append(at)
     eis = cei.eis
-    cols.cei_rank.append(len(eis))
-    cols.cei_required.append(cei.required)
-    cols.cei_weight.append(cei.weight)
-    expired_on_arrival = sum(1 for ei in eis if ei.finish < at)
-    failed = len(eis) - expired_on_arrival < cei.required
-    cols.cei_failed0.append(failed)
-    cols.cei_row_begin.append(len(cols.row_seq))
+    arena.cei_rank.append(len(eis))
+    arena.cei_required.append(cei.required)
+    arena.cei_weight.append(cei.weight)
+    alive = len(eis)
+    for ei in eis:
+        if ei.finish < at:
+            alive -= 1
+    failed = alive < cei.required
+    arena.cei_failed0.append(failed)
+    arena.cei_row_begin.append(row)
     immediate: list[int] = []
     medf_s = 0
     medf_open = 0
     if not failed:
-        resource_rows = cols.resource_rows
+        row_finish = arena.row_finish
+        row_resource = arena.row_resource
+        row_cidx = arena.row_cidx
+        row_ei = arena.row_ei
+        row_of_seq = arena.row_of_seq
+        resource_rows = arena.resource_rows
+        activate_at = arena.activate_at
+        expire_at = arena.expire_at
         for ei in eis:
             finish = ei.finish
             if finish < at:
@@ -227,26 +250,29 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> None:
                 medf_s += finish + 1
                 medf_open += 1
                 continue
-            row = len(cols.row_seq)
-            cols.row_seq.append(ei.seq)
-            cols.row_finish.append(finish)
-            cols.row_resource.append(ei.resource)
-            cols.row_cidx.append(cidx)
-            cols.row_ei.append(ei)
-            cols.row_of_seq[ei.seq] = row
-            resource_rows.setdefault(ei.resource, []).append(row)
-            if ei.start <= at:
+            seq = ei.seq
+            resource = ei.resource
+            row_seq.append(seq)
+            row_finish.append(finish)
+            row_resource.append(resource)
+            row_cidx.append(cidx)
+            row_ei.append(ei)
+            row_of_seq[seq] = row
+            resource_rows[resource].append(row)
+            start = ei.start
+            if start <= at:
                 immediate.append(row)
                 medf_s += finish + 1
                 medf_open += 1
             else:
-                medf_s += finish - ei.start + 1
-                cols.activate_at.setdefault(ei.start, []).append(row)
-            cols.expire_at.setdefault(finish, []).append(row)
-    cols.cei_row_end.append(len(cols.row_seq))
-    cols.cei_medf_s0.append(medf_s)
-    cols.cei_medf_open0.append(medf_open)
-    cols.immediate_rows.append(immediate)
+                medf_s += finish - start + 1
+                activate_at[start].append(row)
+            expire_at[finish].append(row)
+            row += 1
+    arena.cei_row_end.append(row)
+    arena.cei_medf_s0.append(medf_s)
+    arena.cei_medf_open0.append(medf_open)
+    arena.immediate_rows.append(immediate)
 
 
 def _row_mirrors(
@@ -258,7 +284,7 @@ def _row_mirrors(
     """NumPy row mirrors plus the packed-key scalars for a row slice."""
     npr_seq = np.asarray(row_seq, np.int64)
     npr_finish = np.asarray(row_finish, np.int64)
-    # Same packed tie-break key the incremental pool maintains: valid
+    # Same packed tie-break key the pool's own mirror sync computes: valid
     # while both components fit in 21 bits (FastCandidatePool._packable).
     return dict(
         npr_seq=npr_seq,
@@ -279,12 +305,11 @@ def compile_arena(
 ) -> InstanceArena:
     """Compile a profile set into a reusable :class:`InstanceArena`.
 
-    Performs the registration walk of every CEI exactly once, mirroring
-    ``FastCandidatePool.register`` semantics: the dead-on-arrival rule,
-    the immediate-vs-deferred activation split and the initial M-EDF
-    aggregates (``S`` and ``n_open`` right after registration).  The cost
-    is O(total EIs) — amortized over every policy run that reuses the
-    arena.
+    Performs the registration walk (:func:`_register_cei`) of every CEI
+    exactly once: the dead-on-arrival rule, the immediate-vs-deferred
+    activation split and the initial M-EDF aggregates (``S`` and
+    ``n_open`` right after registration).  The cost is O(total EIs) —
+    amortized over every policy run that reuses the arena.
 
     By default every CEI registers at its release chronon (the only
     arrival rule ``simulate`` / ``run_suite`` use).  An explicit
@@ -327,11 +352,11 @@ def compile_arena(
         npc_rank_f=np.empty(0, np.float64),
         npc_weight=np.empty(0, np.float64),
         immediate_rows=[],
-        activate_at={},
-        expire_at={},
+        activate_at=defaultdict(list),
+        expire_at=defaultdict(list),
         row_of_seq={},
         cidx_of_cid={},
-        resource_rows={},
+        resource_rows=defaultdict(list),
     )
     for arrival in sorted(arrivals):
         for cei in arrivals[arrival]:
@@ -444,7 +469,7 @@ def apply_patch(
     build new pools or take further patches; use the returned arena.
     """
     for pool in pools:
-        if pool._arena is None or pool._arena.cidx_of_cid is not arena.cidx_of_cid:
+        if pool._arena.cidx_of_cid is not arena.cidx_of_cid:
             raise ModelError(
                 "apply_patch pools must be live pools of the patched arena"
             )
@@ -489,8 +514,7 @@ def apply_patch(
             pool.adopt_arena(patched)
         for cid in patch.cancel:
             cidx = patched.cidx_of_cid[cid]
-            registered = pool._registered
-            if registered is not None and registered[cidx]:
+            if pool._registered[cidx]:
                 pool.cancel_cei(patched.cei_obj[cidx])
     return patched
 

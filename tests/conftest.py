@@ -253,7 +253,7 @@ def check_candidate_bag(pool, reference, now) -> None:
         cidx = pool.row_cidx[row]
         ei = pool._row_ei[row]
         assert not pool.row_captured[row], f"captured row {row} in the bag"
-        assert registered is None or registered[cidx], f"unregistered row {row}"
+        assert registered[cidx], f"unregistered row {row}"
         assert not (
             pool.cei_satisfied[cidx] or pool.cei_failed[cidx] or pool.cei_cancelled[cidx]
         ), f"row {row} of a closed CEI in the bag"

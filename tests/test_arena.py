@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
+from repro.core.profile import ProfileSet
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
+from repro.online.candidates import CandidatePool
 from repro.online.config import MonitorConfig
 from repro.online.fastpath import FastCandidatePool
 from repro.online.monitor import OnlineMonitor
@@ -168,6 +170,25 @@ class TestRejections:
         pool.register(cei, arena.cei_release[0])
         with pytest.raises(ModelError, match="registered twice"):
             pool.register(cei, arena.cei_release[0])
+
+    def test_state_of_waits_for_arrival(self):
+        """A compiled CEI has no state until it registers, as in the
+        reference pool, which only learns of it then."""
+        early, late = make_cei((0, 0, 6)), make_cei((0, 4, 9), (1, 5, 9))
+        arena = compile_arena(ProfileSet.from_ceis([early, late]))
+        pools = [FastCandidatePool(arena=arena), CandidatePool()]
+        for pool in pools:
+            pool.register(early, 0)
+            assert pool.state_of(late) is None
+            pool.register(late, 4)
+            pool.capture_resource(0, 4)
+        views = [pool.state_of(late) for pool in pools]
+        assert all(view is not None for view in views)
+        assert len({
+            (v.captured_count, v.residual, v.satisfied, v.failed, v.cancelled, v.closed)
+            for v in views
+        }) == 1
+        assert views[0].captured_count == 1
 
     def test_reference_engine_rejects_arena(self):
         arena = compile_arena(_profiles(11))

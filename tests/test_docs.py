@@ -48,6 +48,38 @@ class TestTutorial:
         for block in blocks[:2]:  # §1: model; §1b: semantics
             exec(compile(block, "<tutorial>", "exec"), context)
 
+    def test_policy_and_workload_blocks_run(self, capsys):
+        """§3 on both engines and §4 run, given the budget, epoch and
+        profiles that §1 and §2 build."""
+        from repro import BudgetVector, Epoch, ProfileSet, cei
+        from repro.online import MonitorConfig
+
+        blocks = python_blocks(TUTORIAL)
+        policy_block = next(b for b in blocks if "monitor.run(" in b)
+        workload_block = next(b for b in blocks if "generate_profiles(" in b)
+        vectorized = policy_block.replace(
+            "preemptive=True)",
+            'preemptive=True, config=MonitorConfig(engine="vectorized"))',
+        )
+        assert vectorized != policy_block
+        printed = []
+        for block in (policy_block, vectorized):
+            context = {
+                "epoch": Epoch(100),
+                "budget": BudgetVector.constant(1, 100),
+                "profiles": ProfileSet.from_ceis(
+                    [cei((0, 10, 15), (1, 12, 20)), cei((2, 12, 12)), cei((3, 12, 12))]
+                ),
+                "MonitorConfig": MonitorConfig,
+            }
+            exec(compile(block, "<tutorial-policy>", "exec"), context)
+            printed.append(capsys.readouterr().out.strip())
+        # Budget 1 cannot probe resources 2 and 3 both at chronon 12.
+        assert printed == [str(2 / 3)] * 2
+        context = {"epoch": Epoch(100)}
+        exec(compile(workload_block, "<tutorial-workloads>", "exec"), context)
+        assert context["profiles"].num_ceis > 0
+
     def test_proxy_blocks_run(self, capsys):
         """§6: the query-text proxy and the mid-run session both run."""
         blocks = python_blocks(TUTORIAL)

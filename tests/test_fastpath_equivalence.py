@@ -386,6 +386,24 @@ def topk_knobs(enabled=True, overflow=None, growth=None):
         fastpath.TOPK_ENABLED, fastpath.TOPK_OVERFLOW, fastpath.TOPK_GROWTH = saved
 
 
+@pytest.fixture
+def arena_patch_calls(monkeypatch):
+    """The calls made to ``apply_patch`` or to the mirror concatenation of
+    a new arena generation while the test runs."""
+    from repro.sim import arena as arena_module
+
+    calls = []
+    for name in ("apply_patch", "_next_generation"):
+        original = getattr(arena_module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(arena_module, name, spy)
+    return calls
+
+
 class TestTopKSelection:
     """Top-k phase selection only reorders *when* keys materialize.
 
@@ -442,8 +460,12 @@ class TestTopKSelection:
         with topk_knobs(overflow=0, growth=2):
             assert_engines_agree("MRSF", _instance(35), budget=3.0, resources=pool)
 
-    def test_mirror_reallocs_grow_logarithmically(self):
-        """Counter sanity: syncing after every register stays O(log n)."""
+    def test_mirror_reallocs_grow_logarithmically(self, arena_patch_calls):
+        """Counter sanity: syncing after every register stays O(log n).
+
+        The pool compiles each CEI into its own arena in place: the arena
+        is never replaced and no patch is applied, so registration stays
+        O(new EIs), off the per-patch mirror concatenation."""
         from repro.online.fastpath import FastCandidatePool
 
         rng = np.random.default_rng(40)
@@ -456,6 +478,7 @@ class TestTopKSelection:
             max_width=5,
         )
         pool = FastCandidatePool()
+        owned = pool._arena
         for profile in profiles:
             for cei in profile.ceis:
                 pool.register(cei, cei.release)
@@ -463,6 +486,8 @@ class TestTopKSelection:
         rows = len(pool.row_seq)
         assert rows > 100
         assert pool.mirror_reallocs <= 2 * (int(np.ceil(np.log2(rows))) + 2)
+        assert pool._arena is owned and len(owned.row_seq) == rows
+        assert arena_patch_calls == []
 
     def test_mirror_reallocs_grow_logarithmically_under_patches(self):
         """N registering arena patches cost O(log N) mirror reallocations,
