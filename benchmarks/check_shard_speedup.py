@@ -17,50 +17,37 @@ Below that the script verifies identity, prints the honest (typically
 measure a fork-parallel speedup and must not fail the build over it.
 
 Exit status 0 when ``single / sharded >= THRESHOLD`` (or the gate is
-skipped for lack of cores), 1 otherwise.  Each run appends a git-SHA-
-keyed record to ``benchmarks/SHARD_SPEEDUP.json``; ``--scaling`` writes
-a full scaling sweep (CEI counts x shard counts) to
-``benchmarks/SHARD_<date>.json`` instead.
+skipped for lack of cores), 1 otherwise.  The gate writes nothing; the
+sharded engine's per-layer cost (``shard_recv_ms``, ``merge_ms``) is
+traced by the ``giant`` workload of ``perfbench/run.py``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/check_shard_speedup.py [--shards 4]
-    PYTHONPATH=src python benchmarks/check_shard_speedup.py --scaling
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import gc
-import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_report import git_sha, load_trajectory  # noqa: E402
-
-from repro.core.intervals import (  # noqa: E402
-    ComplexExecutionInterval,
-    ExecutionInterval,
-)
-from repro.core.schedule import BudgetVector  # noqa: E402
-from repro.core.profile import Profile, ProfileSet  # noqa: E402
-from repro.core.timebase import Epoch  # noqa: E402
-from repro.online.config import MonitorConfig  # noqa: E402
-from repro.online.monitor import OnlineMonitor  # noqa: E402
-from repro.policies import make_policy  # noqa: E402
-from repro.sim.arena import compile_arena  # noqa: E402
+from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
+from repro.core.schedule import BudgetVector
+from repro.core.profile import Profile, ProfileSet
+from repro.core.timebase import Epoch
+from repro.online.config import MonitorConfig
+from repro.online.monitor import OnlineMonitor
+from repro.policies import make_policy
+from repro.sim.arena import compile_arena
 
 THRESHOLD = 2.0
 SHARDS = 4
 ROUNDS = 3
-OUT = Path(__file__).resolve().parent / "SHARD_SPEEDUP.json"
 
 NUM_RESOURCES = 64
 HORIZON = 60
@@ -89,8 +76,8 @@ def _instance(num_ceis: int, seed: int = 42) -> ProfileSet:
     return ProfileSet([Profile(pid=0, ceis=ceis)])
 
 
-def _timed_run(arena, shards) -> tuple[float, object, object]:
-    """One monitor run over the arena; returns (seconds, probes, stats)."""
+def _timed_run(arena, shards) -> tuple[float, object]:
+    """One monitor run over the arena; returns (seconds, probes)."""
     monitor = OnlineMonitor(
         policy=make_policy(POLICY),
         budget=BudgetVector.constant(BUDGET, HORIZON),
@@ -104,7 +91,7 @@ def _timed_run(arena, shards) -> tuple[float, object, object]:
     finally:
         monitor.close()
     elapsed = time.perf_counter() - started
-    return elapsed, monitor.schedule.probes, monitor.sharding_stats
+    return elapsed, monitor.schedule.probes
 
 
 def compare(num_ceis: int, shards: int, rounds: int) -> dict:
@@ -112,18 +99,15 @@ def compare(num_ceis: int, shards: int, rounds: int) -> dict:
     arena = compile_arena(_instance(num_ceis))
     single_times: list[float] = []
     sharded_times: list[float] = []
-    demote_reason = None
     for _ in range(rounds):
-        single_s, single_probes, _ = _timed_run(arena, shards=None)
-        sharded_s, sharded_probes, stats = _timed_run(arena, shards=shards)
+        single_s, single_probes = _timed_run(arena, shards=None)
+        sharded_s, sharded_probes = _timed_run(arena, shards=shards)
         if sharded_probes != single_probes:
             raise SystemExit(
                 f"sharded({shards}) schedule diverged from the single "
                 f"engine at {num_ceis} CEIs — identity is the merge's "
                 "contract; timings are void"
             )
-        if stats is not None and stats.demote_reason:
-            demote_reason = stats.demote_reason
         single_times.append(single_s)
         sharded_times.append(sharded_s)
     single = min(single_times)
@@ -135,76 +119,7 @@ def compare(num_ceis: int, shards: int, rounds: int) -> dict:
         "single_s": round(single, 6),
         "sharded_s": round(sharded, 6),
         "speedup": round(single / sharded, 4),
-        "identical": True,
-        **({"demote_reason": demote_reason} if demote_reason else {}),
     }
-
-
-def append_trajectory(cell: dict, gated: bool) -> None:
-    runs = load_trajectory(OUT)
-    runs.append(
-        {
-            "git_sha": git_sha(),
-            "date": datetime.date.today().isoformat(),
-            "cpu_count": os.cpu_count(),
-            "workload": {
-                "resources": NUM_RESOURCES,
-                "horizon": HORIZON,
-                "budget": BUDGET,
-                "policy": POLICY,
-            },
-            "threshold": THRESHOLD,
-            "gated": gated,
-            **cell,
-        }
-    )
-    OUT.write_text(
-        json.dumps({"format": "bench-trajectory-v1", "runs": runs}, indent=2)
-        + "\n"
-    )
-    print(f"appended record to {OUT} ({len(runs)} run records)")
-
-
-def run_scaling(max_ceis: int, shard_counts: list[int], rounds: int) -> int:
-    """The committed scaling record: CEI counts x shard counts sweep."""
-    sizes = [n for n in (10_000, 100_000, 1_000_000) if n <= max_ceis]
-    cells = []
-    for num_ceis in sizes:
-        for shards in shard_counts:
-            cell = compare(num_ceis, shards, rounds)
-            print(
-                f"ceis={cell['ceis']:>9} shards={cell['shards']} "
-                f"single {cell['single_s']:.3f}s sharded "
-                f"{cell['sharded_s']:.3f}s speedup {cell['speedup']:.2f}x"
-            )
-            cells.append(cell)
-    out = OUT.parent / f"SHARD_{datetime.date.today().isoformat()}.json"
-    out.write_text(
-        json.dumps(
-            {
-                "format": "shard-scaling-v1",
-                "git_sha": git_sha(),
-                "date": datetime.date.today().isoformat(),
-                "cpu_count": os.cpu_count(),
-                "workload": {
-                    "resources": NUM_RESOURCES,
-                    "horizon": HORIZON,
-                    "budget": BUDGET,
-                    "policy": POLICY,
-                },
-                "note": (
-                    "speedup needs one free core per shard plus the "
-                    "coordinator; ratios measured below that core count "
-                    "are honest but bounded by ~1x"
-                ),
-                "cells": cells,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote scaling record to {out} ({len(cells)} cells)")
-    return 0
 
 
 def main(argv=None) -> int:
@@ -212,26 +127,7 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=SHARDS)
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--ceis", type=int, default=NUM_CEIS)
-    parser.add_argument(
-        "--no-record",
-        action="store_true",
-        help="skip appending to the trajectory file (CI keeps it clean)",
-    )
-    parser.add_argument(
-        "--scaling",
-        action="store_true",
-        help="write the full scaling sweep record instead of gating",
-    )
-    parser.add_argument(
-        "--max-ceis",
-        type=int,
-        default=1_000_000,
-        help="largest sweep size for --scaling",
-    )
     args = parser.parse_args(argv)
-
-    if args.scaling:
-        return run_scaling(args.max_ceis, [1, 2, 4, 8], rounds=1)
 
     cores = os.cpu_count() or 1
     gated = cores >= args.shards
@@ -243,8 +139,6 @@ def main(argv=None) -> int:
         f"speedup {cell['speedup']:.2f}x (threshold {THRESHOLD}, "
         f"{cores} cores)"
     )
-    if not args.no_record:
-        append_trajectory(cell, gated)
     if not gated:
         print(
             f"SKIP: ratio gate needs >= {args.shards} cores for "

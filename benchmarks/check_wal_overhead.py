@@ -20,10 +20,9 @@ Grouping must not cost throughput — ``grouped / plain`` is gated at
 network volumes; on fast local disks the two converge).
 
 Exit status 0 when ``wal_on / wal_off < THRESHOLD`` **and** the group
-leg passes, 1 otherwise.  Each run also appends a git-SHA-keyed record
-to ``benchmarks/WAL_OVERHEAD.json`` (the ``bench-trajectory-v1`` format
-of ``bench_report.py``) so the overhead's history survives alongside
-the engine trajectories.
+leg passes, 1 otherwise.  The gate writes nothing; the journal's
+per-layer cost (``wal_append_ms``, ``fsync_ms``) is traced by the
+``durable`` and ``group_commit`` workloads of ``perfbench/run.py``.
 
 Usage::
 
@@ -33,36 +32,22 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import datetime
 import gc
-import json
 import random
 import sys
 import tempfile
 import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from bench_report import git_sha, load_trajectory  # noqa: E402
-
-from repro.core.intervals import (  # noqa: E402
-    ComplexExecutionInterval,
-    ExecutionInterval,
-)
-from repro.core.resource import ResourcePool  # noqa: E402
-from repro.proxy.durability import (  # noqa: E402
-    DurabilityConfig,
-    DurableStreamingProxy,
-)
-from repro.proxy.streaming import StreamingProxy  # noqa: E402
+from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
+from repro.core.resource import ResourcePool
+from repro.proxy.durability import DurabilityConfig, DurableStreamingProxy
+from repro.proxy.streaming import StreamingProxy
 
 THRESHOLD = 1.05
 GROUP_THRESHOLD = 1.05
 GROUP_WINDOW = 0.01
 ROUNDS = 15
 GROUP_ROUNDS = 5
-OUT = Path(__file__).resolve().parent / "WAL_OVERHEAD.json"
 
 NUM_RESOURCES = 32
 CHRONONS = 200
@@ -174,58 +159,10 @@ def timed_always(group_window: float) -> float:
         return elapsed
 
 
-def append_trajectory(
-    wal_off: float,
-    wal_on: float,
-    ratio: float,
-    always_plain: float,
-    always_grouped: float,
-    group_ratio: float,
-) -> None:
-    runs = load_trajectory(OUT)
-    runs.append(
-        {
-            "git_sha": git_sha(),
-            "date": datetime.date.today().isoformat(),
-            "workload": {
-                "resources": NUM_RESOURCES,
-                "chronons": CHRONONS,
-                "initial_ceis": INITIAL_CEIS,
-                "burst_every": BURST_EVERY,
-                "burst_size": BURST_SIZE,
-                "budget": BUDGET,
-            },
-            "wal_off_s": round(wal_off, 6),
-            "wal_on_s": round(wal_on, 6),
-            "ratio": round(ratio, 6),
-            "threshold": THRESHOLD,
-            "group_commit": {
-                "chronons": GROUP_CHRONONS,
-                "initial_ceis": GROUP_INITIAL_CEIS,
-                "group_window_s": GROUP_WINDOW,
-                "always_plain_s": round(always_plain, 6),
-                "always_grouped_s": round(always_grouped, 6),
-                "ratio": round(group_ratio, 6),
-                "threshold": GROUP_THRESHOLD,
-            },
-        }
-    )
-    OUT.write_text(
-        json.dumps({"format": "bench-trajectory-v1", "runs": runs}, indent=2)
-        + "\n"
-    )
-    print(f"appended record to {OUT} ({len(runs)} run records)")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=int, default=ROUNDS)
     parser.add_argument("--group-rounds", type=int, default=GROUP_ROUNDS)
-    parser.add_argument(
-        "--no-record",
-        action="store_true",
-        help="skip appending to the trajectory file (CI keeps it clean)",
-    )
     args = parser.parse_args(argv)
 
     timed_wal_off()  # warm both paths outside the scored rounds
@@ -264,10 +201,6 @@ def main(argv=None) -> int:
         f"ratio {group_ratio:.4f} (threshold {GROUP_THRESHOLD})"
     )
 
-    if not args.no_record:
-        append_trajectory(
-            wal_off, wal_on, ratio, always_plain, always_grouped, group_ratio
-        )
     failed = False
     if ratio >= THRESHOLD:
         print(

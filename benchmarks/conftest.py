@@ -1,15 +1,4 @@
-"""Shared configuration for the benchmark harness.
-
-Each ``bench_*`` module regenerates one table or figure of the paper and
-times it with pytest-benchmark.  The reproduced rows are printed (visible
-with ``-s`` or in captured output) and attached to the benchmark record
-via ``extra_info`` so they survive into ``--benchmark-json`` exports.
-
-Environment knobs:
-
-* ``REPRO_BENCH_SCALE`` — instance scale factor (default 0.15; 1.0 runs
-  paper-size instances).
-* ``REPRO_BENCH_REPS`` — repetitions per experiment point (default 2).
+"""Shared configuration for the ``bench_micro`` micro-benchmarks.
 
 Command-line knobs:
 
@@ -20,12 +9,7 @@ Command-line knobs:
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
-BENCH_REPS = int(os.environ.get("REPRO_BENCH_REPS", "2"))
 
 
 def pytest_addoption(parser):
@@ -54,23 +38,3 @@ def pytest_collection_modifyitems(config, items):
         marker = item.get_closest_marker("density")
         if marker is not None and marker.args and marker.args[0] != wanted:
             item.add_marker(skip)
-
-
-@pytest.fixture(scope="session")
-def bench_scale() -> float:
-    return BENCH_SCALE
-
-
-@pytest.fixture(scope="session")
-def bench_reps() -> int:
-    return BENCH_REPS
-
-
-def record_result(benchmark, result) -> None:
-    """Print the reproduced table and attach it to the benchmark record."""
-    text = result.to_text()
-    print()
-    print(text)
-    benchmark.extra_info["experiment"] = result.experiment
-    benchmark.extra_info["headers"] = list(result.headers)
-    benchmark.extra_info["rows"] = [[str(cell) for cell in row] for row in result.rows]

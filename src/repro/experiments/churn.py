@@ -17,9 +17,9 @@ register/cancel churn and measures, per churn rate:
 * the believed completeness the monitor reaches — churn must shift cost,
   never results (tests/test_churn_equivalence.py pins the equivalence).
 
-``repro-experiments run churn`` prints one row per churn rate; the
-benchmark gate ``benchmarks/check_churn_speedup.py`` holds the
-patch-vs-recompile ratio above a floor at 10^4-CEI scale.
+``repro-experiments run churn`` prints one row per churn rate.  Its
+heaviest rate is the ``churn`` workload of ``perfbench/run.py``, which
+times one registering and one cancelling patch per operation.
 """
 
 from __future__ import annotations

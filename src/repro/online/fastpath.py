@@ -301,6 +301,23 @@ class FastCandidatePool:
         self._extend_run_state()
         self._arena = arena
 
+    def prune_timelines(self, horizon: Chronon) -> None:
+        """Drop this pool's own arena's timeline entries below ``horizon``.
+
+        Compaction for a pool built without an arena: its timelines are
+        read, never popped, and no patch reaches an owned arena.  A
+        supplied arena is pruned by ``ArenaPatch(expire_before=...)``,
+        which every pool sharing it sees.
+        """
+        if self._compile_cei is None:
+            raise ModelError(
+                "a supplied arena is pruned by ArenaPatch(expire_before=...)"
+            )
+        # Deferred for the same import cycle as compile_arena.
+        from repro.sim.arena import expire_timelines
+
+        expire_timelines(self._arena, horizon)
+
     def _extend_run_state(self) -> None:
         """Size the per-run state to the arena's grown shared columns.
 

@@ -33,6 +33,7 @@ from repro.core.resource import ResourcePool
 from repro.core.schedule import BudgetVector, Schedule
 from repro.core.timebase import Chronon
 from repro.online.config import MonitorConfig
+from repro.online.fastpath import FastCandidatePool
 from repro.online.monitor import OnlineMonitor
 from repro.policies.base import Policy, make_policy
 from repro.sim.arena import ArenaPatch, InstanceArena, apply_patch
@@ -124,10 +125,12 @@ class StreamingMonitor:
         them again.
     compact_every:
         Sliding-window hygiene: every ``compact_every`` executed
-        chronons the arena's event timelines are pruned behind the clock
-        (``ArenaPatch(expire_before=now)``), bounding the state an
-        always-on process drags along.  0 (default) never compacts;
-        ignored without an arena.  Compaction never changes schedules.
+        chronons the event timelines are pruned behind the clock
+        (``ArenaPatch(expire_before=now)`` on a supplied arena; the
+        vectorized pool's own arena otherwise), bounding the state an
+        always-on process drags along.  0 (default) never compacts; the
+        reference engine pops its timelines as it steps and needs none.
+        Compaction never changes schedules.
     """
 
     def __init__(
@@ -320,10 +323,13 @@ class StreamingMonitor:
         return withdrawn
 
     def compact(self) -> None:
-        """Prune arena event timelines behind the clock (arena runs only)."""
+        """Prune the event timelines behind the clock (vectorized runs)."""
         self._steps_since_compact = 0
+        pool = self._monitor.pool
         if self._arena is not None:
             self._patch(ArenaPatch(expire_before=self._next))
+        elif isinstance(pool, FastCandidatePool):
+            pool.prune_timelines(self._next)
 
     def _patch(self, patch: ArenaPatch) -> None:
         """Apply one patch to the arena and mirror it into the live pool."""

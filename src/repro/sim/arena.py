@@ -435,6 +435,20 @@ def _next_generation(
     )
 
 
+def expire_timelines(arena: InstanceArena, horizon: Chronon) -> None:
+    """Prune ``arena``'s arrival and window-event timelines below ``horizon``.
+
+    The entries dropped are in the past for any monitor that already
+    stepped to ``horizon``; rows are never re-indexed.  ``apply_patch``
+    runs it for ``ArenaPatch.expire_before``, and a pool that owns its
+    arena runs it on that arena directly (no patch reaches an owned
+    arena).
+    """
+    for timeline in (arena.arrivals, arena.activate_at, arena.expire_at):
+        for chronon in [t for t in timeline if t < horizon]:
+            del timeline[chronon]
+
+
 def apply_patch(
     arena: InstanceArena,
     patch: ArenaPatch,
@@ -499,10 +513,7 @@ def apply_patch(
             pending.remove(cei)
 
     if patch.expire_before is not None:
-        horizon = patch.expire_before
-        for timeline in (arena.arrivals, arena.activate_at, arena.expire_at):
-            for chronon in [t for t in timeline if t < horizon]:
-                del timeline[chronon]
+        expire_timelines(arena, patch.expire_before)
 
     # Only registrations grow rows or CEIs; everything else was an
     # in-place edit of containers the current generation already shares.

@@ -3,7 +3,8 @@
 Every experiment in the paper's Section V is a point (or sweep) in this
 parameter space.  :class:`ExperimentConfig` carries the baseline values
 from Table I; :data:`TABLE_I` reproduces the table itself for the
-``bench_table1_config`` benchmark.
+``table1`` experiment (``tests/test_experiments.py::TestTable1`` checks
+its rows against these defaults).
 """
 
 from __future__ import annotations

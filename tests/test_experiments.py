@@ -104,6 +104,10 @@ class TestFig11:
         result = fig11_scalability.run(scale=SCALE, seed=1, repetitions=1)
         totals = result.series("MRSF total s")
         assert totals[-1] > totals[0]
+        # msec/EI stays in the same ballpark across the sweep (linear
+        # scaling).
+        per_ei = result.series("MRSF ms/EI")
+        assert max(per_ei) < 20 * min(per_ei)
 
     def test_eis_grow_with_profiles(self):
         result = fig11_scalability.run(scale=SCALE, seed=1, repetitions=1)
@@ -152,7 +156,7 @@ class TestFig14:
         result = fig14_skew.run(scale=SCALE, seed=2, repetitions=3)
         for column in ("S-EDF(NP) rel", "MRSF(P) rel", "M-EDF(P) rel"):
             series = result.series(column)
-            assert series[0] == pytest.approx(1.0)
+            assert series[0] == 1.0  # the alpha=0 baseline over itself
             assert series[-1] > 1.0
 
 
@@ -226,6 +230,7 @@ class TestExtensions:
         by_policy = {row[0]: row[1] for row in result.rows}
         assert by_policy["MRSF(P)"] >= by_policy["RANDOM(P)"]
         assert by_policy["M-EDF(P)"] >= by_policy["RANDOM(P)"]
+        assert by_policy["M-EDF(P)"] >= by_policy["FIFO(P)"] - 0.02
         # Rows come sorted by completeness, best first.
         values = [row[1] for row in result.rows]
         assert values == sorted(values, reverse=True)

@@ -184,6 +184,62 @@ class TestArenaBackedDriver:
             make_monitor(config=MonitorConfig(engine="reference"), arena=arena)
 
 
+class TestOwnedArenaCompaction:
+    """A vectorized stream without a supplied arena compiles into the
+    pool's own arena, whose timelines are read and never popped."""
+
+    CHRONONS = 600
+    LONGEST_WINDOW = 8  # latest finish, in chronons after submission
+
+    def _needs(self):
+        # Three single-EI needs per chronon, each opening within two
+        # chronons of its submission and closing within six of opening.
+        return [
+            [
+                make_cei((k % 4, t + k, t + k + 2 * k + 2))
+                for k in range(3)
+            ]
+            for t in range(self.CHRONONS)
+        ]
+
+    def _run(self, needs, compact_every):
+        monitor = make_monitor(
+            config=MonitorConfig(engine="vectorized"),
+            compact_every=compact_every,
+        )
+        timeline_sizes = []
+        for batch in needs:
+            monitor.submit(batch)
+            monitor.advance(1)
+            arena = monitor.pool._arena
+            timeline_sizes.append(
+                (len(arena.activate_at), len(arena.expire_at))
+            )
+        return monitor, timeline_sizes
+
+    def test_timelines_stay_bounded_and_schedule_unchanged(self):
+        needs = self._needs()
+        compact_every = 50
+        compacted, sizes = self._run(needs, compact_every)
+        plain, plain_sizes = self._run(needs, 0)
+        bound = self.LONGEST_WINDOW + compact_every
+        assert max(max(pair) for pair in sizes) <= bound
+        # Without compaction the same stream keeps every past chronon.
+        assert plain_sizes[-1][1] > bound
+        assert sorted(compacted.schedule.pairs()) == sorted(
+            plain.schedule.pairs()
+        )
+        assert compacted.pool.num_satisfied == plain.pool.num_satisfied
+
+    def test_supplied_arena_is_not_pruned_by_the_pool(self):
+        arena = compile_arena(
+            ProfileSet([Profile(pid=0, ceis=[make_cei((0, 0, 5))])])
+        )
+        monitor = make_monitor(config=MonitorConfig(engine="vectorized"), arena=arena)
+        with pytest.raises(ModelError, match="expire_before"):
+            monitor.pool.prune_timelines(3)
+
+
 class TestBatchEquivalence:
     def test_stepped_run_matches_batch_monitor(self):
         """Everything known up front: the streaming driver must replay
