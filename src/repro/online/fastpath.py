@@ -45,12 +45,13 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   ``O(A + k log k)`` per phase instead of ``O(A log A)``.
 * :func:`run_fast_span` — ``monitor.run``'s whole-run walker, one loop
   over the busy chronons around one priority heap.  Under a
-  shift-invariant kernel (S-EDF, MRSF) each row is scored once, when it
-  activates, and its key stays in the heap for the whole run, so a
-  chronon costs ``O((new + touched) log A)`` instead of a pass over the
-  bag.  Under M-EDF, whose keys move with the chronon at per-CEI
-  slopes, the live bag is scored once per chronon and the heap
-  re-seeded from its top-k cut, without the phase machinery.  Runs
+  shift-invariant kernel (S-EDF, MRSF, W-MRSF) the heap ranks CEIs, not
+  rows: one entry per open CEI, keyed at its best live row for the
+  whole run, so every registration, window opening and capture costs
+  ``O(log A)`` and nothing is scored in bulk.  Under M-EDF, whose keys
+  move with the chronon at per-CEI slopes, the live bag is scored once
+  per chronon and the heap re-seeded from its top-k cut, without the
+  phase machinery.  Runs
   with float keys, faults, shedding, hooks, an explicit resource pool,
   shards, no preemption or no overlap step through
   :func:`run_fast_phases` (the gates are in ``OnlineMonitor.run``).
@@ -121,8 +122,9 @@ BATCH_CUTOVER = 32
 # Intel Xeon: 1.5 us at 16 rows; NumPy is 2.5x faster at 128).
 _NUMPY_FILTER_MIN = 16
 
-# The whole-run walker packs keys with NumPy while priorities stay inside
-# +-2^20 (as the phases do), above the 42-bit static key finish*2^21+seq.
+# The re-keyed walk packs keys with NumPy while priorities stay inside
+# +-2^20 (as the phases do), above the 42-bit static key finish*2^21+seq;
+# the carried walk packs Python ints, whose priorities are unbounded.
 _PRIO_LIMIT = float(1 << 20)
 _SEQ_MASK = (1 << 21) - 1
 
@@ -1622,103 +1624,239 @@ def run_fast_span(
 ) -> None:
     """Probe a whole run from one priority heap (``monitor.run``'s fast path).
 
-    A shift-invariant kernel (S-EDF, MRSF; see
+    A shift-invariant kernel (S-EDF, MRSF, W-MRSF; see
     :attr:`repro.policies.kernels.ScoreKernel.shift_invariant`) carries
-    its keys across chronons: each row is scored once, when it
-    activates, in the frame of the epoch's first chronon, so a chronon
-    costs O((new + touched) log A), never O(A).  An integer-valued kernel
-    without that licence (M-EDF) is re-keyed instead: on each chronon
-    with budget, one ``score_rows`` call scores the live bag in the frame
-    of that chronon and the heap is seeded from its top-k cut
-    (:func:`_topk_cut`).  The smallest key left out is the bound: a pick
-    past it widens the cut first, as in :func:`_phase_walk`.  The other
-    gates are in ``OnlineMonitor.run``.
+    its keys across chronons and ranks CEIs, not rows
+    (:func:`_walk_carried`): the heap holds one entry per open CEI, so
+    every event costs O(log A), never O(A).  An integer-valued kernel
+    without that licence (M-EDF) is re-keyed instead
+    (:func:`_walk_rekeyed`): on each chronon with budget, one
+    ``score_rows`` call scores the live bag in the frame of that chronon
+    and the heap is seeded from its top-k cut (:func:`_topk_cut`).  The
+    other gates are in ``OnlineMonitor.run``.
 
     Per chronon: register and open, then walk the budget, then close.
-    A popped key is stale when its row left the bag or a sibling re-rank
-    superseded it, so the first fresh one is the step loop's pick.
-    Overlap is on, so a probe captures every live row on its resource:
-    no "already probed" check.  Re-ranks score in the current frame.
-    Carried keys are re-ranked even once the budget is spent, for later
-    chronons; a re-keyed heap is dropped when its chronon ends.
+    A popped key is stale when a later key superseded it, so the first
+    fresh one is the step loop's pick.  Overlap is on, so a probe
+    captures every live row on its resource: no "already probed" check.
 
-    Keys are packed ints, ``priority << 42 | finish << 21 | seq``
-    (:func:`repro.policies.kernels.pack_keys`), while every key pushed
-    fits.  From the first that does not, they are ``(priority, finish,
-    seq, row)`` tuples over the whole bag: for the rest of the run when
+    Keys are packed ints, ``priority << 42 | finish << 21 | seq``, while
+    every key pushed fits.  From the first that does not, they are
+    ``(priority, finish, seq, row)`` tuples: for the rest of the run when
     keys are carried, for that chronon when they are re-keyed.
+    """
+    kernel = monitor._kernel
+    assert kernel is not None and (kernel.shift_invariant or kernel.integer_valued)
+    if kernel.shift_invariant:
+        _walk_carried(monitor, epoch, arrivals)
+    else:
+        _walk_rekeyed(monitor, epoch, arrivals)
+
+
+def _walk_carried(
+    monitor: "OnlineMonitor",
+    epoch: Epoch,
+    arrivals: Mapping[Chronon, Sequence[ComplexExecutionInterval]],
+) -> None:
+    """The whole run under a shift-invariant kernel: one entry per open CEI.
+
+    Every key is scored in the frame of the epoch's first chronon and
+    stays valid for the whole run.  The kernel ranks a CEI's live rows
+    by ``(finish, seq)``, so the heap needs only each open CEI's best
+    live row: the global pick is the best of the bests.  ``best[c]`` is
+    the key of CEI ``c``'s entry (None without one) and ``entry[c]`` its
+    row; a popped key that is not its CEI's ``best`` was superseded.
+    Every event pushes at most once per CEI:
+
+    * a row that activates (at registration, or when its window opens)
+      pushes only when it beats its CEI's entry;
+    * a capture re-keys each distinct touched CEI once, under a
+      sibling-sensitive kernel (MRSF's residual falls): at its fresh
+      score while its entry row lives, at its next-best live row once
+      the probe took that row, and not at all once it is satisfied.
+      Other kernels' scores stay put, so only the probed CEI, whose
+      entry was just consumed, is re-keyed at once;
+    * an expiry pushes nothing.
+
+    Any other entry whose row left the bag still lies below every live
+    row of its CEI, and is re-keyed when it surfaces: an AND CEI whose
+    best row expired has failed, but a k-of-n CEI may live on.
     """
     pool: FastCandidatePool = monitor.pool
     kernel = monitor._kernel
     schedule = monitor.schedule
     budget = monitor.budget
-    assert kernel is not None and (kernel.shift_invariant or kernel.integer_valued)
-    carry = kernel.shift_invariant
-    sensitive = monitor._sibling_sensitive
     timeline = monitor._activation_timeline()
+    sensitive = monitor._sibling_sensitive
+    score = kernel.score_row
+    frame = epoch.first
+    row_of_seq = pool._row_of_seq
+    cidx_of_cid = pool._cidx_of_cid
+    row_resource = pool.row_resource
+    row_cidx = pool.row_cidx
+    row_finish = pool.row_finish
+    row_seq = pool.row_seq
+    begin = pool.cei_row_begin
+    end = pool.cei_row_end
+    immediate = pool._arena.immediate_rows
+    satisfied = pool.cei_satisfied  # a per-run column, sized to the CEI capacity
+    push = heapq.heappush
+    pop = heapq.heappop
+    static_bits = (1 << 42) - 1
+    heap: list = []
+    best: list = [None] * len(satisfied)
+    entry = [-1] * len(satisfied)
+    packed = kernel.integer_valued and pool._packable
+    active = pool._active
+
+    def enter(row: int, cidx: int) -> None:
+        """Make ``row`` the entry of CEI ``cidx``: key it and push it."""
+        prio = score(pool, row, cidx, frame)
+        if packed:
+            key = (int(prio) << 42) + (row_finish[row] << 21) + row_seq[row]
+        else:
+            key = (prio, row_finish[row], row_seq[row], row)
+        best[cidx] = key
+        entry[cidx] = row
+        push(heap, key)
+
+    def rescan(cidx: int) -> None:
+        """Re-key CEI ``cidx``, whose entry row left the bag, at its best live row."""
+        first = -1
+        for row in range(begin[cidx], end[cidx]):
+            if active[row] and (
+                first < 0
+                or row_finish[row] < row_finish[first]
+                or (row_finish[row] == row_finish[first] and row_seq[row] < row_seq[first])
+            ):
+                first = row
+        if first < 0:
+            best[cidx] = None  # no live row: it closed, or waits for an opening
+        else:
+            enter(first, cidx)
+
+    for t in monitor._busy_chronons(epoch, arrivals):
+        monitor._clock = t
+        new = arrivals.get(t)
+        rows = timeline.get(t, ())
+        if new:
+            n = len(row_seq)
+            pool.register_arrivals(new, t, collect=False)
+            if len(satisfied) > len(best):  # an owned arena grew the capacity
+                grown = len(satisfied) - len(best)
+                best.extend([None] * grown)
+                entry.extend([-1] * grown)
+            # An owned arena compiles rows as their CEIs register.
+            if packed and len(row_seq) > n and (max(row_finish[n:]) | max(row_seq[n:])) >> 21:
+                # The first key that will not pack: tuples from here on.
+                packed = False
+                for cidx, key in enumerate(best):
+                    if key is not None:
+                        finish, seq = (key >> 21) & _SEQ_MASK, key & _SEQ_MASK
+                        best[cidx] = (float(key >> 42), finish, seq, entry[cidx])
+                heap[:] = [key for key in best if key is not None]
+                heapq.heapify(heap)
+            rows = [row for cei in new for row in immediate[cidx_of_cid[cei.cid]]] + list(rows)
+        pool.open_windows(t, collect=False)
+        active = pool._active  # registration may have grown the mask
+        for row in rows:
+            if active[row]:
+                cidx = row_cidx[row]
+                first = entry[cidx]
+                if best[cidx] is None or (
+                    row_finish[row] < row_finish[first]
+                    or (row_finish[row] == row_finish[first] and row_seq[row] < row_seq[first])
+                ):
+                    enter(row, cidx)
+
+        budget_left = budget.at(t)
+        while 1.0 <= budget_left + _EPS and heap:
+            key = pop(heap)
+            row = row_of_seq[key & _SEQ_MASK] if packed else key[3]
+            cidx = row_cidx[row]
+            if best[cidx] != key:
+                continue  # superseded
+            if not active[row]:
+                rescan(cidx)  # a k-of-n CEI's best row expired, or the CEI closed
+                continue
+            rid = row_resource[row]
+            budget_left -= 1.0
+            monitor._probes_used += 1
+            monitor._charge(rid, t, 1.0)
+            schedule.add_probe(rid, t)
+            touched = pool.capture_resource_rows(rid)
+            if not sensitive:
+                rescan(cidx)  # the only entry the capture consumed
+                continue
+            for cidx in dict.fromkeys(touched):
+                if satisfied[cidx]:
+                    best[cidx] = None  # its entry in the heap is stale now
+                    continue
+                row = entry[cidx]
+                if not active[row]:
+                    rescan(cidx)
+                    continue
+                # Still the CEI's best row: only its score may move.
+                key = best[cidx]
+                prio = score(pool, row, cidx, frame)
+                fresh = (int(prio) << 42) + (key & static_bits) if packed else (prio, *key[1:])
+                if fresh != key:
+                    best[cidx] = fresh
+                    push(heap, fresh)
+        pool.close_windows(t, collect=False)
+
+
+def _walk_rekeyed(
+    monitor: "OnlineMonitor",
+    epoch: Epoch,
+    arrivals: Mapping[Chronon, Sequence[ComplexExecutionInterval]],
+) -> None:
+    """The whole run under M-EDF: the live bag re-keyed once per chronon.
+
+    On each chronon with budget, one ``score_rows`` call scores the live
+    bag in the frame of that chronon and the heap is seeded from its
+    top-k cut.  The smallest key left out is the bound: a pick past it
+    widens the cut first, as in :func:`_phase_walk`.  A popped key is
+    stale when its row left the bag or a sibling re-rank superseded it.
+    The heap is dropped when its chronon ends.
+    """
+    pool: FastCandidatePool = monitor.pool
+    kernel = monitor._kernel
+    schedule = monitor.schedule
+    budget = monitor.budget
+    sensitive = monitor._sibling_sensitive
     row_of_seq = pool._row_of_seq
     row_resource = pool.row_resource
     heap: list = []
     cur: dict[int, object] = {}  # row -> its freshest re-ranked key
-    rest: Optional[_KeyCut] = None  # re-keyed bag keys not yet in the heap
-    packed = kernel.integer_valued
-    frame = epoch.first
-    rows: list[int] = []  # the bag starts empty: run() refuses a stepped monitor
     for t in monitor._busy_chronons(epoch, arrivals):
         monitor._clock = t
         new = arrivals.get(t)
         if new:
             pool.register_arrivals(new, t, collect=False)
-            if carry:
-                for cei in new:
-                    c = pool._cidx_of_cid[cei.cid]
-                    rows.extend(range(pool.cei_row_begin[c], pool.cei_row_end[c]))
-        if carry:
-            rows.extend(timeline.get(t, ()))
         pool.open_windows(t, collect=False)
         active = pool._active  # registration may have grown the mask
         budget_left = budget.at(t)
-        at = None  # the rows to score and push
-        if carry:
-            rows = [row for row in rows if active[row]]
-            if rows:
-                at = np.array(rows, np.intp)
-                rows = []
-        else:
-            # Re-keyed: last chronon's keys are void in this frame.
-            frame = t
-            heap.clear()
-            cur.clear()
-            rest = None
-            packed = True  # until this chronon's keys prove too wide
-            if 1.0 <= budget_left + _EPS and pool.num_active():
-                at = pool.np_active[: len(pool.row_seq)].nonzero()[0]
-        if at is not None:
+        # Last chronon's keys are void in this frame.
+        heap.clear()
+        cur.clear()
+        rest: Optional[_KeyCut] = None  # bag keys not yet in the heap
+        packed = True  # until this chronon's keys prove too wide
+        if 1.0 <= budget_left + _EPS and pool.num_active():
+            at = pool.np_active[: len(pool.row_seq)].nonzero()[0]
             pool.sync_mirrors()
-            prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
-            if packed and not (pool._packable and abs(prio).max() < _PRIO_LIMIT):
-                # A key that will not pack: restart the heap in tuple form
-                # from the whole bag, whose live keys are its scores now.
-                packed = False
-                if carry:
-                    heap.clear()
-                    cur.clear()
-                    at = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
-                    prio = kernel.score_rows(pool, at, pool.npr_cidx[at], frame)
-            if packed and not carry:
+            prio = kernel.score_rows(pool, at, pool.npr_cidx[at], t)
+            if pool._packable and abs(prio).max() < _PRIO_LIMIT:
                 rest = _KeyCut(
                     pack_keys(prio, pool.npr_static[at]),
                     _topk_cut(budget_left, monitor._min_probe_cost, at.size),
                 ).widen(heap)
             else:
-                if packed:
-                    keys = pack_keys(prio, pool.npr_static[at]).tolist()
-                else:
-                    seen = at.tolist()
-                    finish, seq = _gather(pool.row_finish, seen), _gather(pool.row_seq, seen)
-                    keys = zip(prio.tolist(), finish, seq, seen)
-                for key in keys:
-                    heapq.heappush(heap, key)
+                packed = False
+                seen = at.tolist()
+                finish, seq = _gather(pool.row_finish, seen), _gather(pool.row_seq, seen)
+                heap.extend(zip(prio.tolist(), finish, seq, seen))
+                heapq.heapify(heap)
 
         while 1.0 <= budget_left + _EPS:
             if not heap:
@@ -1742,8 +1880,8 @@ def run_fast_span(
             monitor._charge(rid, t, 1.0)
             schedule.add_probe(rid, t)
             touched = pool.capture_resource_rows(rid)
-            if sensitive and touched and (carry or 1.0 <= budget_left + _EPS):
-                _rerank_siblings(pool, kernel, touched, frame, heap, cur, packed)
+            if sensitive and touched and 1.0 <= budget_left + _EPS:
+                _rerank_siblings(pool, kernel, touched, t, heap, cur, packed)
         pool.close_windows(t, collect=False)
 
 

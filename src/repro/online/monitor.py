@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.core.errors import ModelError
@@ -341,12 +342,13 @@ class OnlineMonitor:
         configured, the loop consults the pool's activation timeline to
         skip idle chronons (empty bag, no arrivals, no activations)
         outright.  On the vectorized engine under a shift-invariant or
-        integer-valued kernel (S-EDF, MRSF, M-EDF), with no probe,
-        activation or expiry hook, the whole run is then walked by
+        integer-valued kernel (S-EDF, MRSF, W-MRSF, M-EDF), with no
+        probe, activation or expiry hook, the whole run is then walked by
         :func:`repro.online.fastpath.run_fast_span` from one priority heap
-        instead of stepping the per-chronon phases: shift-invariant keys
-        are kept for the whole run, M-EDF's are re-keyed once per chronon.
-        Float-keyed and reliability kernels keep stepping.
+        instead of stepping the per-chronon phases: under a
+        shift-invariant kernel the heap holds one key per open CEI for
+        the whole run, M-EDF's rows are re-keyed once per chronon.
+        Other float-keyed and the reliability kernels keep stepping.
         Schedules, budgets, counters and errors are bit-identical to the
         step loop either way.
         """
@@ -395,7 +397,8 @@ class OnlineMonitor:
         belong to never-registered CEIs — treated as events anyway
         (conservative: the run just steps those chronons normally) — and
         which is never popped: entries at already-passed chronons linger,
-        harmless because the clock only advances.
+        harmless because the clock only advances.  Either way, keys are
+        only ever added at the end, which :meth:`_busy_chronons` relies on.
         """
         return self.pool.activate_at
 
@@ -411,6 +414,12 @@ class OnlineMonitor:
         last = epoch.last
         horizon = last + 1
         act = self._activation_timeline()
+        # The activation chronons read so far, sorted.  A timeline gains
+        # keys only at its end (dicts keep insertion order; registration
+        # adds future chronons, a reference pool pops past ones), so a hop
+        # reads the keys added since the last hop from the end, back to
+        # the first it knows, and bisects for the next activation.
+        act_keys: list[Chronon] = []
         # Sorted non-empty arrival chronons; `ai` only ever advances.
         arr_keys = sorted(k for k, v in arrivals.items() if v)
         ai = 0
@@ -424,7 +433,17 @@ class OnlineMonitor:
                 # happen until the next arrival or activation (expiries in
                 # the window are pure pop-skips — an expiring row that
                 # mattered would have had to be active).  Skip to it.
-                next_act = min((k for k in act if k > t), default=horizon)
+                fresh = []
+                for k in reversed(act):
+                    i = bisect_left(act_keys, k)
+                    if i < len(act_keys) and act_keys[i] == k:
+                        break
+                    fresh.append(k)
+                if fresh:
+                    act_keys.extend(fresh)
+                    act_keys.sort()
+                i = bisect_right(act_keys, t)
+                next_act = act_keys[i] if i < len(act_keys) else horizon
                 u = min(next_arr, next_act, horizon)
                 num_budgeted = len(self.budget.values)
                 if u > num_budgeted:

@@ -98,20 +98,22 @@ class ScoreKernel:
     row_dependent = False
 
     #: True when a row's score, taken once in the frame of one fixed
-    #: chronon, ranks it correctly at every later chronon of the run — the
+    #: chronon, ranks it correctly at every later chronon of the run, and
+    #: a CEI's live rows rank among themselves by ``(finish, seq)`` — the
     #: licence for :func:`repro.online.fastpath.run_fast_span` to keep
-    #: keys *across* chronons: score each row once, when it activates, and
-    #: keep its key in one heap for the whole run.  Precisely: either the
-    #: scores are chronon-free (MRSF's residual, weighted or not — so a
-    #: sibling re-ranked at a later chronon compares exactly against keys
-    #: pushed earlier), or the policy is not sibling-sensitive and a
-    #: chronon step shifts every score by the same constant (S-EDF),
-    #: preserving the order of the stored keys.  M-EDF fails both (per-CEI
-    #: slopes differ via ``n_open``), so the walker re-keys its bag every
-    #: chronon instead (it is :attr:`integer_valued`); the weighted
-    #: deadline kernels (per-CEI shift ``1/weight``) and the reliability
-    #: kernels (health state moves) fail both and are float-valued, so
-    #: their runs step the phases.
+    #: keys *across* chronons, one per open CEI: its best live row, keyed
+    #: by :meth:`score_row` in the frame of the epoch's first chronon.
+    #: Precisely: either the scores are chronon-free and per-CEI (MRSF's
+    #: residual, weighted or not — so a CEI re-keyed at a later chronon
+    #: compares exactly against keys pushed earlier), or the policy is not
+    #: sibling-sensitive and a chronon step shifts every score by the
+    #: same constant, which grows with ``finish`` (S-EDF), preserving the
+    #: order of the stored keys.  M-EDF fails both (per-CEI slopes differ
+    #: via ``n_open``), so the walker re-keys its bag every chronon
+    #: instead (it is :attr:`integer_valued`); the weighted deadline
+    #: kernels (per-CEI shift ``1/weight``) and the reliability kernels
+    #: (health state moves, rows of one CEI score apart) fail both and
+    #: are float-valued, so their runs step the phases.
     shift_invariant = False
 
     def score_rows(
@@ -142,8 +144,10 @@ class ScoreKernel:
     ) -> float:
         """Scalar priority of one candidate row.
 
-        Only consulted by the sibling-refresh step when the kernel is
-        :attr:`row_dependent`; the default delegates to the per-CEI score.
+        Consulted by the sibling-refresh step when the kernel is
+        :attr:`row_dependent`, and by the whole-run walker to key a CEI
+        at its best row when the kernel is :attr:`shift_invariant`; the
+        default delegates to the per-CEI score.
         """
         return self.score_cei(pool, cidx, chronon)
 
@@ -162,6 +166,11 @@ class SEDFKernel(ScoreKernel):
         chronon: int,
     ) -> np.ndarray:
         return sedf_scores(pool.npr_finish_f[rows], chronon)
+
+    def score_row(
+        self, pool: "FastCandidatePool", row: int, cidx: int, chronon: int
+    ) -> float:
+        return float(pool.row_finish[row] - (chronon - 1))
 
 
 class MRSFKernel(ScoreKernel):
@@ -211,6 +220,9 @@ class WeightedSEDFKernel(SEDFKernel):
 
     def score_rows(self, pool, rows, cidx, chronon):
         return super().score_rows(pool, rows, cidx, chronon) / pool.npc_weight[cidx]
+
+    def score_row(self, pool, row, cidx, chronon):
+        return super().score_row(pool, row, cidx, chronon) / pool.cei_weight[cidx]
 
 
 class WeightedMRSFKernel(MRSFKernel):

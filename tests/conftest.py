@@ -204,7 +204,9 @@ def check_paper_invariants(
     exactly the CEIs the monitor believes it captured, out of the CEIs
     it registered.  The same checks as ``perfbench/scenarios.py``'s
     ``check_run``, so a bug two engines share cannot pass on their
-    agreement alone.
+    agreement alone.  Beyond them, every EI the pool believes captured
+    has a probe of its resource inside its window (one that did not
+    drop the EI).
     """
     monitor.check_budget_feasible()
     monitor.schedule.check_feasible(
@@ -218,6 +220,11 @@ def check_paper_invariants(
         pool.num_satisfied,
         pool.num_registered,
     ), "Eq. 1 recomputed from the schedule disagrees with the monitor"
+    for ei in profiles.eis():
+        if pool.is_ei_captured(ei):
+            assert monitor.schedule.captures_ei(
+                ei, use_true_window=False, dropped=monitor.dropped_captures
+            ), f"EI {ei.seq} believed captured without a probe in its window"
 
 
 @contextlib.contextmanager

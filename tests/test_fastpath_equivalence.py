@@ -16,6 +16,9 @@ what its test asserts.
 from __future__ import annotations
 
 import contextlib
+import heapq
+from collections.abc import Mapping
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -856,6 +859,52 @@ class TestBatchedRun:
         assert processed == [0, 40]  # each window is probed as it opens
         assert monitor.probes_used == 2
 
+    @pytest.mark.parametrize(
+        "engine, with_arena",
+        [("reference", False), ("vectorized", False), ("vectorized", True)],
+        ids=["reference", "vectorized", "vectorized-arena"],
+    )
+    def test_idle_hops_read_each_activation_key_once(self, engine, with_arena):
+        """An idle hop reads only the activation keys added since the last.
+
+        Every CEI registers at chronon 0, so the timeline holds all 120
+        window openings from the start, and the run hops the 61 idle
+        stretches around them.  Reading the timeline's keys on every
+        hop, as a scan for the next one would, costs up to 120 keys a hop.
+        """
+        ceis = [
+            make_cei((i % 5, 40 * i + 10, 40 * i + 12), (i % 7, 40 * i + 11, 40 * i + 13))
+            for i in range(60)
+        ]
+        profiles = ProfileSet.from_ceis(ceis)
+        epoch = Epoch(40 * len(ceis) + 20)
+        arrivals = {0: ceis}
+
+        def monitor():
+            arena = compile_arena(profiles, arrivals=arrivals) if with_arena else None
+            return OnlineMonitor(
+                make_policy("S-EDF"), BudgetVector.constant(1, len(epoch)),
+                config=MonitorConfig(engine=engine), arena=arena,
+            )
+
+        plain = monitor()
+        plain_chronons = count_chronons(plain)
+        plain.run(epoch, arrivals)
+        counted = monitor()
+        timeline = _CountingTimeline(counted._activation_timeline())
+        counted._activation_timeline = lambda: timeline
+        processed = count_chronons(counted)
+        counted.run(epoch, arrivals)
+
+        assert processed == plain_chronons
+        assert counted.schedule.probes == plain.schedule.probes
+        assert counted.believed_completeness == 1.0
+        bounds = [epoch.first - 1, *processed, epoch.last + 1]
+        hops = sum(b - a > 1 for a, b in zip(bounds, bounds[1:]))
+        assert hops == len(ceis) + 1  # before each window pair, and after the last
+        starts = {ei.start for cei in ceis for ei in cei.eis if ei.start > 0}
+        assert timeline.keys_read <= len(starts) + hops
+
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_run_after_step_raises_like_the_step_loop(self, engine):
         # The leading chronons are idle: hopping them must not hide that
@@ -972,6 +1021,97 @@ class TestBatchedRun:
             assert walked.believed_completeness == other.believed_completeness
         check_paper_invariants(walked, profiles, budget, epoch)
 
+    @pytest.mark.parametrize("with_arena", [True, False], ids=["arena", "no-arena"])
+    @pytest.mark.parametrize("policy_name", ["S-EDF", "MRSF"])
+    def test_carried_walk_rescans_a_k_of_n_cei(self, policy_name, with_arena):
+        """A k-of-n CEI whose best row expired uncaptured is probed at its next.
+
+        ``B`` and ``C`` outrank the 2-of-3 CEI ``A`` at chronons 0 and 1,
+        so A's best row (resource 0, finishing at 1) expires uncaptured
+        while two live rows keep A satisfiable.  Its heap entry still
+        holds the expired row when it surfaces at chronon 2; the walk
+        must re-key A at its next-best row (resource 1), which it probes
+        at 3, after ``D``, and then A's last row.
+        """
+        b = make_cei((3, 0, 0))
+        c = make_cei((4, 1, 1))
+        a = ComplexExecutionInterval(
+            eis=(make_ei(0, 0, 1), make_ei(1, 0, 5), make_ei(2, 0, 6)),
+            semantics=Semantics.AT_LEAST,
+            required=2,
+        )
+        d = make_cei((5, 2, 4))
+        profiles = ProfileSet.from_ceis([b, c, a, d])
+        epoch = Epoch(8)
+        budget = BudgetVector.constant(1, len(epoch))
+        arrivals = arrivals_from_profiles(profiles)
+
+        def monitor(engine):
+            arena = compile_arena(profiles) if with_arena and engine != "reference" else None
+            return OnlineMonitor(
+                make_policy(policy_name), budget,
+                config=MonitorConfig(engine=engine), arena=arena,
+            )
+
+        walked = monitor("vectorized")
+        not_stepped = count_steps(walked)
+        walked.run(epoch, arrivals)
+        assert not_stepped == []
+        assert walked.schedule.probes == {0: {3}, 1: {4}, 2: {5}, 3: {1}, 4: {2}}
+        stepped = monitor("vectorized")
+        for chronon in epoch:
+            stepped.step(chronon, arrivals.get(chronon, ()))
+        reference = monitor("reference")
+        reference.run(epoch, arrivals)
+        for other in (stepped, reference):
+            assert walked.schedule.probes == other.schedule.probes
+            assert walked.believed_completeness == other.believed_completeness == 1.0
+        for run in (walked, stepped, reference):
+            check_paper_invariants(run, profiles, budget, epoch)
+
+    def test_carried_walk_pushes_once_per_event(self, monkeypatch):
+        """MRSF's walk keys CEIs, not rows: one push per event at most.
+
+        A row that activates (at its CEI's registration, or when its
+        window opens) and each distinct CEI a capture touches push at
+        most one heap entry.  (AND CEIs fail when their best row expires,
+        so no expiry re-keys one here.)  The row walk this replaced
+        pushed every activated row and re-pushed every live sibling of
+        each touched CEI, past this bound.
+        """
+        epoch, profiles, budget = _dense_case()
+        arrivals = arrivals_from_profiles(profiles)
+        pushes = []
+        monkeypatch.setattr(
+            fastpath,
+            "heapq",
+            SimpleNamespace(
+                heappush=lambda heap, key: pushes.append(key) or heapq.heappush(heap, key),
+                heappop=heapq.heappop,
+                heapify=heapq.heapify,
+            ),
+        )
+        monitor = OnlineMonitor(
+            make_policy("MRSF"), budget, config=MonitorConfig(engine="vectorized")
+        )
+        pool = monitor.pool
+        touched = []
+        capture = pool.capture_resource_rows
+
+        def counting(resource, *args):
+            ceis = capture(resource, *args)
+            touched.append(len(set(ceis)))
+            return ceis
+
+        pool.capture_resource_rows = counting
+        processed = count_chronons(monitor)
+        monitor.run(epoch, arrivals)
+        timeline = pool.activate_at
+        activations = sum(map(len, pool._arena.immediate_rows))
+        activations += sum(len(timeline.get(t, ())) for t in processed)
+        assert touched and len(pushes) <= activations + sum(touched)
+        check_paper_invariants(monitor, profiles, budget, epoch)
+
     @pytest.mark.parametrize(
         "policy_name, faults",
         [
@@ -1021,6 +1161,36 @@ class TestBatchedRun:
         )
         monitor.run(Epoch(12), {})
         assert seen == list(range(12))
+
+
+class _CountingTimeline(Mapping):
+    """A read-only view of an activation timeline that counts keys read."""
+
+    def __init__(self, timeline: Mapping) -> None:
+        self.timeline = timeline
+        self.keys_read = 0
+
+    def __getitem__(self, chronon):
+        return self.timeline[chronon]
+
+    def __contains__(self, chronon) -> bool:
+        return chronon in self.timeline
+
+    def get(self, chronon, default=None):
+        return self.timeline.get(chronon, default)
+
+    def __len__(self) -> int:
+        return len(self.timeline)
+
+    def __iter__(self):
+        for chronon in self.timeline:
+            self.keys_read += 1
+            yield chronon
+
+    def __reversed__(self):
+        for chronon in reversed(self.timeline):
+            self.keys_read += 1
+            yield chronon
 
 
 def _dense_case():

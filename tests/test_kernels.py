@@ -2,15 +2,22 @@
 
 ``repro.policies.kernels`` scores whole candidate bags with four NumPy
 expressions; these tests pin each against the scalar paper formula it
-batches, and the packed sort key against the three-key lexsort it
-replaces.
+batches, the packed sort key against the three-key lexsort it replaces,
+and each kernel's scalar row score against its batched one.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from repro.policies import kernels
+from repro.core.profile import ProfileSet
+from repro.core.schedule import BudgetVector
+from repro.online.arrivals import arrivals_from_profiles
+from repro.online.config import MonitorConfig
+from repro.online.monitor import OnlineMonitor
+from repro.policies import kernels, make_policy
+from tests.conftest import make_cei, random_general_instance
 
 
 def _random_columns(seed=7, n=257):
@@ -51,3 +58,44 @@ class TestNumpyFormulas:
             np.argsort(packed, kind="stable"),
             np.lexsort((static, prio)),
         )
+
+
+class TestScalarScores:
+    """``score_row`` is the batched ``score_rows`` of one row, bit for bit.
+
+    The whole-run walker keys every CEI entry with ``score_row``, the
+    phases score bags with ``score_rows``; a kernel whose two disagree
+    would schedule differently on the two paths.
+    """
+
+    @pytest.mark.parametrize(
+        "policy_name", ["S-EDF", "MRSF", "M-EDF", "W-S-EDF", "W-MRSF", "W-M-EDF"]
+    )
+    def test_score_row_matches_score_rows(self, policy_name):
+        rng = np.random.default_rng(11)
+        profiles = ProfileSet.from_ceis(
+            [
+                make_cei(
+                    *[(e.resource, e.start, e.finish) for e in cei.eis],
+                    weight=float(rng.integers(1, 5)),
+                )
+                for cei in random_general_instance(rng, num_ceis=30, max_width=6).ceis()
+            ]
+        )
+        arrivals = arrivals_from_profiles(profiles)
+        monitor = OnlineMonitor(
+            make_policy(policy_name), BudgetVector.constant(1, 20),
+            config=MonitorConfig(engine="vectorized"),
+        )
+        kernel = monitor._kernel
+        pool = monitor.pool
+        checked = 0
+        for t in range(12):
+            monitor.step(t, arrivals.get(t, ()))
+            pool.sync_mirrors()
+            rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+            batch = kernel.score_rows(pool, rows, pool.npr_cidx[rows], t)
+            for row, score in zip(rows.tolist(), batch.tolist()):
+                assert kernel.score_row(pool, row, pool.row_cidx[row], t) == score
+                checked += 1
+        assert checked and any(pool.cei_captured)
