@@ -17,19 +17,22 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   timelines and the per-resource row index belong to the arena; only
   its compile walk (``repro.sim.arena._register_cei``) appends rows.
   The pool holds the per-run state the events write (window events,
-  captures).  Mirrors are synchronized lazily at phase start: appended
-  rows/CEIs by bulk slice assignment, mutated CEIs from a dirty set.
-  The candidate bag has one record, the ``np_active`` row mask (scalar
-  paths use a byte ``memoryview`` of it, plus an exact count); the rows
-  on one resource are every row ever placed there, filtered by the mask.
+  captures).  Each CEI's fate is one entry of ``cei_state`` (unseen,
+  open, satisfied, failed, cancelled) and each row's one entry of
+  ``row_state`` (free, released by load shedding, captured).  Mirrors
+  are synchronized lazily at phase start: appended rows/CEIs by bulk
+  slice assignment, mutated CEIs from a dirty set.  The candidate bag
+  has one record, the ``np_active`` row mask (scalar paths use a byte
+  ``memoryview`` of it, plus an exact count); the rows on one resource
+  are every row ever placed there, filtered by the mask.
 * Batched bookkeeping — an event touching few rows is handled row by
   row, where NumPy's per-call cost would exceed the work.  A window
   event, arrival batch or capture of at least ``BATCH_CUTOVER`` rows
   (CEIs, for arrivals) is handled group-wide instead: one NumPy write of
   the mask, mirror patches in place (``np.add.at``) rather than
-  dirty-set entries, and one expiry verdict per CEI.  Activation hooks
-  and shed (released) rows keep the scalar loops, which leave the same
-  state.
+  dirty-set entries, and one expiry verdict per CEI.  Only activation
+  hooks (``collect``) keep the scalar loops, which leave the same state;
+  shed rows ride either path.
 * :func:`run_fast_phases` — the vectorized ``probeEIs`` loop.  Each phase
   batch-scores the whole candidate bag with one
   :class:`repro.policies.kernels.ScoreKernel` call, then *selects* rather
@@ -128,6 +131,13 @@ _NUMPY_FILTER_MIN = 16
 _PRIO_LIMIT = float(1 << 20)
 _SEQ_MASK = (1 << 21) - 1
 
+# A CEI's fate (``FastCandidatePool.cei_state``): not yet revealed, in
+# play, then closed one of three ways.
+_UNSEEN, _OPEN, _SATISFIED, _FAILED, _CANCELLED = range(5)
+# An EI's fate (``FastCandidatePool.row_state``): a candidate, withdrawn
+# by load shedding, or captured.
+_FREE, _RELEASED, _CAPTURED = range(3)
+
 
 def _gather(column: Sequence, idx: list[int]) -> tuple:
     """``tuple(column[i] for i in idx)`` in one C-level call."""
@@ -220,18 +230,21 @@ class FastCandidatePool:
         self.row_resource = arena.row_resource
         self.row_cidx = arena.row_cidx
         self._row_ei = arena.row_ei
-        self.row_captured = [False] * row_cap
+        #: Each row's fate (``_FREE``, ``_RELEASED``, ``_CAPTURED``).  A
+        #: released (shed) row is deactivated for good but still counts in
+        #: the M-EDF aggregates, as the reference sibling walk counts it
+        #: (see repro.online.shedding).
+        self.row_state = [_FREE] * row_cap
         self.np_active = np.zeros(row_cap, bool)
         self._n_active = 0
 
         self.cei_rank = arena.cei_rank
         self.cei_required = arena.cei_required
         self.cei_weight = arena.cei_weight
-        self._registered = bytearray(cei_cap)
+        #: Each CEI's fate (``_UNSEEN``, ``_OPEN``, ``_SATISFIED``,
+        #: ``_FAILED``, ``_CANCELLED``): "is it open?" is one subscript.
+        self.cei_state = [_UNSEEN] * cei_cap
         self.cei_captured = [0] * cei_cap
-        self.cei_satisfied = [False] * cei_cap
-        self.cei_failed = [False] * cei_cap
-        self.cei_cancelled = [False] * cei_cap
         self.cei_medf_s = arena.cei_medf_s0 + [0] * (cei_cap - m)
         self.cei_medf_open = arena.cei_medf_open0 + [0] * (cei_cap - m)
         #: CEIs whose per-run aggregates are set: the rest of the
@@ -270,10 +283,6 @@ class FastCandidatePool:
         self._cidx_of_cid = arena.cidx_of_cid
         self._resource_rows = arena.resource_rows
         self._resource_rows_np = arena.resource_rows_np
-        # EI seqs withdrawn by load shedding: deactivated for good but
-        # still contributing to the M-EDF aggregates (the reference
-        # sibling walk counts them too; see repro.online.shedding).
-        self._released_seqs: set[int] = set()
         self._num_registered = 0
         self._num_satisfied = 0
         self._num_failed = 0
@@ -286,8 +295,8 @@ class FastCandidatePool:
         in place (this pool references them directly, so its row/CEI
         columns have silently grown); what remains is the per-run state
         the patch cannot see (:meth:`_extend_run_state`).  All run state
-        accumulated so far (captures, active bag, counters, released
-        seqs) is untouched: adopting a patch is invisible to the schedule
+        accumulated so far (row and CEI states, active bag, counters) is
+        untouched: adopting a patch is invisible to the schedule
         until the patched CEIs' arrival chronons are stepped.
         """
         if self._compile_cei is not None:
@@ -459,7 +468,7 @@ class FastCandidatePool:
         new_active = np.zeros(cap, bool)
         new_active[: len(self._np_active)] = self._np_active
         self.np_active = new_active
-        self.row_captured += [False] * (cap - len(self.row_captured))
+        self.row_state += [_FREE] * (cap - len(self.row_state))
         self._row_cap = cap
         self.mirror_reallocs += 1
 
@@ -480,14 +489,10 @@ class FastCandidatePool:
             new[: self._synced_ceis] = old[: self._synced_ceis]
             setattr(self, name, new)
         pad = cap - len(self.cei_captured)
+        self.cei_state += [_UNSEEN] * pad
         self.cei_captured += [0] * pad
-        falses = [False] * pad
-        self.cei_satisfied += falses
-        self.cei_failed += falses
-        self.cei_cancelled += falses
         self.cei_medf_s += [0] * pad
         self.cei_medf_open += [0] * pad
-        self._registered += bytes(pad)
         self._cei_cap = cap
         self.mirror_reallocs += 1
 
@@ -540,7 +545,7 @@ class FastCandidatePool:
     def is_ei_captured(self, ei: ExecutionInterval) -> bool:
         """Has this EI been captured (proxy belief)?"""
         row = self._row_of_seq.get(ei.seq)
-        return row is not None and self.row_captured[row]
+        return row is not None and self.row_state[row] == _CAPTURED
 
     def captured_count(self, cei: ComplexExecutionInterval) -> int:
         """Captured-EI count of a candidate CEI (0 if unknown)."""
@@ -573,20 +578,23 @@ class FastCandidatePool:
         arrival chronons) it was compiled for.
         """
         arena = self._arena
-        registered = self._registered
         cidx = arena.cidx_of_cid.get(cei.cid)
         if cidx is None and self._compile_cei is not None:
             cidx = len(self.cei_rank)
             self._compile_cei(cei, now)
             self._extend_run_state()
-        elif cidx is None or registered[cidx] or now != arena.cei_release[cidx]:
+        elif (
+            cidx is None
+            or self.cei_state[cidx] != _UNSEEN
+            or now != arena.cei_release[cidx]
+        ):
             self._compiled_cidx(cei, now)  # raises the error that applies
-        registered[cidx] = 1
         self._num_registered += 1
         if arena.cei_failed0[cidx]:
-            self.cei_failed[cidx] = True
+            self.cei_state[cidx] = _FAILED
             self._num_failed += 1
             return []
+        self.cei_state[cidx] = _OPEN
         rows = arena.immediate_rows[cidx]
         if rows:
             active = self._active
@@ -633,27 +641,20 @@ class FastCandidatePool:
                 activated.extend(self.register(cei, now, collect))
             return activated
         arena = self._arena
-        registered = self._registered
+        state = self.cei_state
         cidxs = list(map(arena.cidx_of_cid.get, [cei.cid for cei in ceis]))
         if (
             None in cidxs
             or len(set(cidxs)) != len(cidxs)
             or _gather(arena.cei_release, cidxs).count(now) != len(cidxs)
+            or _gather(state, cidxs).count(_UNSEEN) != len(cidxs)
         ):
             self._check_arrivals(ceis, now)
-        at = np.array(cidxs, np.intp)
-        # Zero-copy views of the bytearray, each dropped at once: while
-        # one lives (say, in a raised error's frame) it cannot grow.
-        if np.frombuffer(registered, np.bool_)[at].any():
-            self._check_arrivals(ceis, now)
-        np.frombuffer(registered, np.bool_)[at] = True
-        self._num_registered += len(cidxs)
         failed0 = _gather(arena.cei_failed0, cidxs)
-        if any(failed0):
-            for cidx, failed in zip(cidxs, failed0):
-                if failed:
-                    self.cei_failed[cidx] = True
-                    self._num_failed += 1
+        for cidx, failed in zip(cidxs, failed0):
+            state[cidx] = _FAILED if failed else _OPEN
+        self._num_registered += len(cidxs)
+        self._num_failed += failed0.count(True)
         # Dead-on-arrival CEIs compiled no rows, so no filter is needed.
         self._activate_rows(
             list(chain.from_iterable(_gather(arena.immediate_rows, cidxs)))
@@ -689,7 +690,7 @@ class FastCandidatePool:
             raise ModelError(
                 f"CEI {cei.cid} is not part of this pool's compiled arena"
             )
-        if self._registered[cidx] or cidx in pending:
+        if self.cei_state[cidx] != _UNSEEN or cidx in pending:
             raise ModelError(f"CEI {cei.cid} registered twice")
         if now != arena.cei_release[cidx]:
             raise ModelError(
@@ -706,33 +707,26 @@ class FastCandidatePool:
         opened: list[ExecutionInterval] = []
         if rows is None:
             return opened
-        registered = self._registered
-        released = self._released_seqs
-        if len(rows) >= BATCH_CUTOVER and not collect and not released:
+        if len(rows) >= BATCH_CUTOVER and not collect:
             self._open_batch(rows, now)
             return opened
+        cei_state = self.cei_state
+        row_state = self.row_state
         for row in rows:
             cidx = self.row_cidx[row]
-            if not registered[cidx]:
-                continue  # compiled timeline row of a never-revealed CEI
-            if (
-                self.cei_satisfied[cidx]
-                or self.cei_failed[cidx]
-                or self.cei_cancelled[cidx]
-            ):
-                continue  # parent died or was satisfied while pending
-            if self.row_captured[row]:
-                continue
+            if cei_state[cidx] != _OPEN:
+                continue  # never revealed, or closed while pending
             ei = self._row_ei[row]
             # M-EDF bucket move, future -> open: the sibling's width
             # |I| becomes finish + 1 (the -T term arrives via n_open).
             self.cei_medf_s[cidx] += ei.start
             self.cei_medf_open[cidx] += 1
             self._dirty_ceis.add(cidx)
-            if released and ei.seq in released:
+            if row_state[row] == _RELEASED:
                 # Shed away while pending: moved like any uncaptured
                 # sibling (the reference sibling walk counts it too), but
-                # never activates.
+                # never activates.  (A pending row was never active, so
+                # it cannot be captured.)
                 continue
             self._activate_row(row)
             if collect:
@@ -740,22 +734,16 @@ class FastCandidatePool:
         return opened
 
     def _open_batch(self, rows: list[int], now: Chronon) -> None:
-        """Batched :meth:`open_windows` (no hook, nothing released)."""
-        registered = self._registered
-        satisfied = self.cei_satisfied
-        failed = self.cei_failed
-        cancelled = self.cei_cancelled
-        captured = self.row_captured
-        # The rows the scalar loop does not ``continue`` past.
+        """Batched :meth:`open_windows` (no hook)."""
+        # The rows of open CEIs all move; the shed ones among them never
+        # activate.
+        cei_state = self.cei_state
         ceis = list(map(self.row_cidx.__getitem__, rows))
-        live = [
-            registered[c]
-            and not (satisfied[c] or failed[c] or cancelled[c] or captured[row])
-            for row, c in zip(rows, ceis)
-        ]
+        live = [cei_state[c] == _OPEN for c in ceis]
         rows = list(compress(rows, live))
         ceis = list(compress(ceis, live))
-        self._activate_rows(rows)
+        row_state = self.row_state
+        self._activate_rows([row for row in rows if row_state[row] == _FREE])
         # Every row here opens at ``now``: its M-EDF move adds ``now``.
         medf_s = self.cei_medf_s
         medf_open = self.cei_medf_open
@@ -775,14 +763,14 @@ class FastCandidatePool:
     def _capture_row(self, row: int, cidx: int) -> bool:
         """Mark one active row captured; True if that satisfied its CEI."""
         self._deactivate_row(row)
-        self.row_captured[row] = True
+        self.row_state[row] = _CAPTURED
         captured = self.cei_captured[cidx] + 1
         self.cei_captured[cidx] = captured
         self.cei_medf_s[cidx] -= self.row_finish[row] + 1
         self.cei_medf_open[cidx] -= 1
         self._dirty_ceis.add(cidx)
-        if not self.cei_satisfied[cidx] and captured >= self.cei_required[cidx]:
-            self.cei_satisfied[cidx] = True
+        if self.cei_state[cidx] == _OPEN and captured >= self.cei_required[cidx]:
+            self.cei_state[cidx] = _SATISFIED
             self._num_satisfied += 1
             return True
         return False
@@ -824,12 +812,12 @@ class FastCandidatePool:
         self._n_active -= len(live)
         cidx = self.npr_cidx[at]
         touched = cidx.tolist()
-        row_captured = self.row_captured
+        row_state = self.row_state
         captured = self.cei_captured
         medf_s = self.cei_medf_s
         medf_open = self.cei_medf_open
         for row, c, finish in zip(live, touched, self.npr_finish[at].tolist()):
-            row_captured[row] = True
+            row_state[row] = _CAPTURED
             captured[c] += 1
             medf_s[c] -= finish + 1
             medf_open[c] -= 1
@@ -837,12 +825,12 @@ class FastCandidatePool:
         np.add.at(self.npc_captured_f, cidx, 1.0)
         np.add.at(self.npc_medf_s_f, cidx, -1.0 - self.npr_finish_f[at])
         np.add.at(self.npc_medf_open_f, cidx, -1.0)
-        satisfied = self.cei_satisfied
+        cei_state = self.cei_state
         required = self.cei_required
         done = []
         for c in touched:
-            if not satisfied[c] and captured[c] >= required[c]:
-                satisfied[c] = True
+            if cei_state[c] == _OPEN and captured[c] >= required[c]:
+                cei_state[c] = _SATISFIED
                 done.append(c)
         self._num_satisfied += len(done)
         self._drop_rows_of(done)
@@ -884,48 +872,38 @@ class FastCandidatePool:
         expired: list[ExecutionInterval] = []
         if rows is None:
             return expired
-        registered = self._registered
-        released = self._released_seqs
-        if len(rows) >= BATCH_CUTOVER and not collect and not released:
+        if len(rows) >= BATCH_CUTOVER and not collect:
             self._close_batch(rows, now)
             return expired
-        row_seq = self.row_seq
+        cei_state = self.cei_state
+        row_state = self.row_state
         for row in rows:
             cidx = self.row_cidx[row]
-            if not registered[cidx]:
-                continue  # compiled timeline row of a never-revealed CEI
-            if (
-                self.cei_satisfied[cidx]
-                or self.cei_failed[cidx]
-                or self.cei_cancelled[cidx]
-            ):
-                continue
-            if self.row_captured[row]:
-                continue
-            if released and row_seq[row] in released:
-                continue  # shed away: spectral, no expiry event
+            if cei_state[cidx] != _OPEN:
+                continue  # never revealed, or already closed
+            if row_state[row] != _FREE:
+                continue  # captured, or shed away (spectral, no expiry event)
             if self._active[row]:
                 self._deactivate_row(row)
             if collect:
                 expired.append(self._row_ei[row])
             if self._cannot_satisfy(cidx, now):
-                self.cei_failed[cidx] = True
+                cei_state[cidx] = _FAILED
                 self._num_failed += 1
                 self._drop_rows_of((cidx,))
         return expired
 
     def _close_batch(self, rows: list[int], now: Chronon) -> None:
-        """Batched :meth:`close_windows` (no hook, nothing released).
+        """Batched :meth:`close_windows` (no hook).
 
-        With no row shed, the rows the scalar loop acts on (registered,
-        open CEI, uncaptured) are exactly the active ones: such a row was
-        activated at its window's start and only capture, closing its
-        CEI or shedding deactivate it before expiry.  The scalar loop
-        judges a CEI at its first expiring row, but the verdict cannot
-        change at its later ones: siblings expiring at ``now`` never
-        count as usable, and closing changes no capture.  So one verdict
-        per CEI, after deactivating every expiring row, leaves the same
-        state.
+        The rows the scalar loop acts on (an open CEI's free rows) are
+        exactly the active ones: such a row was activated at its window's
+        start and only capture, closing its CEI or shedding deactivate it
+        before expiry.  The scalar loop judges a CEI at its first expiring
+        row, but the verdict cannot change at its later ones: siblings
+        expiring at ``now`` never count as usable, and closing changes no
+        capture.  So one verdict per CEI, after deactivating every
+        expiring row, leaves the same state.
         """
         at = np.array(rows, np.intp)
         at = at[self._np_active[at]]
@@ -942,36 +920,26 @@ class FastCandidatePool:
             for c in dict.fromkeys(ceis)
             if end[c] - begin[c] - 1 < required[c] or self._cannot_satisfy(c, now)
         ]
-        failed = self.cei_failed
+        cei_state = self.cei_state
         for c in doomed:
-            failed[c] = True
+            cei_state[c] = _FAILED
         self._num_failed += len(doomed)
         self._drop_rows_of(doomed)
 
     def _cannot_satisfy(self, cidx: int, now: Chronon) -> bool:
         """Can the CEI still reach its required capture count after ``now``?
 
-        Counts captures plus uncaptured siblings whose window is still open
-        past ``now`` — siblings expiring *this* chronon are already
-        unusable, exactly like the reference pool's scan.
+        Counts captures plus free (uncaptured, unshed) siblings whose
+        window is still open past ``now`` — siblings expiring *this*
+        chronon are already unusable, exactly like the reference pool's
+        scan.
         """
         usable = self.cei_captured[cidx]
-        row_captured = self.row_captured
+        row_state = self.row_state
         row_finish = self.row_finish
-        released = self._released_seqs
-        if released:
-            row_seq = self.row_seq
-            for row in range(self.cei_row_begin[cidx], self.cei_row_end[cidx]):
-                if (
-                    not row_captured[row]
-                    and row_finish[row] > now
-                    and row_seq[row] not in released
-                ):
-                    usable += 1
-        else:
-            for row in range(self.cei_row_begin[cidx], self.cei_row_end[cidx]):
-                if not row_captured[row] and row_finish[row] > now:
-                    usable += 1
+        for row in range(self.cei_row_begin[cidx], self.cei_row_end[cidx]):
+            if row_state[row] == _FREE and row_finish[row] > now:
+                usable += 1
         return usable < self.cei_required[cidx]
 
     # ------------------------------------------------------------------
@@ -980,7 +948,8 @@ class FastCandidatePool:
 
     def is_ei_released(self, ei: ExecutionInterval) -> bool:
         """Was this EI withdrawn by load shedding?"""
-        return ei.seq in self._released_seqs
+        row = self._row_of_seq.get(ei.seq)
+        return row is not None and self.row_state[row] == _RELEASED
 
     def release_ei(self, ei: ExecutionInterval) -> bool:
         """Withdraw one uncaptured EI from the probe-able bag for good.
@@ -995,20 +964,9 @@ class FastCandidatePool:
         row = self._row_of_seq.get(ei.seq)
         if row is None:
             return False  # expired on arrival: never materialized
-        cidx = self.row_cidx[row]
-        if not self._registered[cidx]:
+        if self.cei_state[self.row_cidx[row]] != _OPEN or self.row_state[row] != _FREE:
             return False
-        if (
-            self.cei_satisfied[cidx]
-            or self.cei_failed[cidx]
-            or self.cei_cancelled[cidx]
-        ):
-            return False
-        if self.row_captured[row]:
-            return False
-        if ei.seq in self._released_seqs:
-            return False
-        self._released_seqs.add(ei.seq)
+        self.row_state[row] = _RELEASED
         if self._active[row]:
             self._deactivate_row(row)
         return True
@@ -1016,17 +974,9 @@ class FastCandidatePool:
     def shed_cei(self, cei: ComplexExecutionInterval) -> bool:
         """Evict one whole open CEI (counted as failed; rows dropped)."""
         cidx = self._cidx_of_cid.get(cei.cid)
-        if cidx is None:
+        if cidx is None or self.cei_state[cidx] != _OPEN:
             return False
-        if not self._registered[cidx]:
-            return False
-        if (
-            self.cei_satisfied[cidx]
-            or self.cei_failed[cidx]
-            or self.cei_cancelled[cidx]
-        ):
-            return False
-        self.cei_failed[cidx] = True
+        self.cei_state[cidx] = _FAILED
         self._num_failed += 1
         self._drop_rows_of((cidx,))
         return True
@@ -1042,31 +992,20 @@ class FastCandidatePool:
         registered, or already closed.
         """
         cidx = self._cidx_of_cid.get(cei.cid)
-        if cidx is None:
+        if cidx is None or self.cei_state[cidx] != _OPEN:
             return False
-        if not self._registered[cidx]:
-            return False
-        if (
-            self.cei_satisfied[cidx]
-            or self.cei_failed[cidx]
-            or self.cei_cancelled[cidx]
-        ):
-            return False
-        self.cei_cancelled[cidx] = True
+        self.cei_state[cidx] = _CANCELLED
         self._num_cancelled += 1
         self._drop_rows_of((cidx,))
         return True
 
     def open_cei_objects(self) -> list[ComplexExecutionInterval]:
         """Open (registered, not closed) CEIs in registration order."""
-        registered = self._registered
+        cei_state = self.cei_state
         return [
             self._cei_obj[cidx]
             for cidx in range(len(self.cei_rank))
-            if registered[cidx]
-            and not self.cei_satisfied[cidx]
-            and not self.cei_failed[cidx]
-            and not self.cei_cancelled[cidx]
+            if cei_state[cidx] == _OPEN
         ]
 
     # ------------------------------------------------------------------
@@ -1111,14 +1050,15 @@ class FastCandidatePool:
     def state_of(self, cei: ComplexExecutionInterval) -> Optional[FastCEIView]:
         """Capture state of a registered CEI (None if never registered)."""
         cidx = self._cidx_of_cid.get(cei.cid)
-        if cidx is None or not self._registered[cidx]:
+        state = _UNSEEN if cidx is None else self.cei_state[cidx]
+        if state == _UNSEEN:
             return None
         return FastCEIView(
             cei=cei,
             captured_count=self.cei_captured[cidx],
-            satisfied=self.cei_satisfied[cidx],
-            failed=self.cei_failed[cidx],
-            cancelled=self.cei_cancelled[cidx],
+            satisfied=state == _SATISFIED,
+            failed=state == _FAILED,
+            cancelled=state == _CANCELLED,
         )
 
     def split_by_prior_capture(
@@ -1588,12 +1528,9 @@ def _refresh_siblings_fast(
     row_seq = pool.row_seq
     row_resource = pool.row_resource
     row_dependent = kernel.row_dependent
+    cei_state = pool.cei_state
     for cidx in touched:
-        if (
-            pool.cei_satisfied[cidx]
-            or pool.cei_failed[cidx]
-            or pool.cei_cancelled[cidx]
-        ):
+        if cei_state[cidx] != _OPEN:
             continue  # closed CEIs left the candidate bag entirely
         # Row-dependent kernels (expected-gain: sibling rows on different
         # resources score differently) re-score per row; the rest score
@@ -1699,13 +1636,13 @@ def _walk_carried(
     begin = pool.cei_row_begin
     end = pool.cei_row_end
     immediate = pool._arena.immediate_rows
-    satisfied = pool.cei_satisfied  # a per-run column, sized to the CEI capacity
+    cei_state = pool.cei_state  # a per-run column, sized to the CEI capacity
     push = heapq.heappush
     pop = heapq.heappop
     static_bits = (1 << 42) - 1
     heap: list = []
-    best: list = [None] * len(satisfied)
-    entry = [-1] * len(satisfied)
+    best: list = [None] * len(cei_state)
+    entry = [-1] * len(cei_state)
     packed = kernel.integer_valued and pool._packable
     active = pool._active
 
@@ -1742,8 +1679,8 @@ def _walk_carried(
         if new:
             n = len(row_seq)
             pool.register_arrivals(new, t, collect=False)
-            if len(satisfied) > len(best):  # an owned arena grew the capacity
-                grown = len(satisfied) - len(best)
+            if len(cei_state) > len(best):  # an owned arena grew the capacity
+                grown = len(cei_state) - len(best)
                 best.extend([None] * grown)
                 entry.extend([-1] * grown)
             # An owned arena compiles rows as their CEIs register.
@@ -1789,7 +1726,7 @@ def _walk_carried(
                 rescan(cidx)  # the only entry the capture consumed
                 continue
             for cidx in dict.fromkeys(touched):
-                if satisfied[cidx]:
+                if cei_state[cidx] != _OPEN:  # satisfied by this capture
                     best[cidx] = None  # its entry in the heap is stale now
                     continue
                 row = entry[cidx]
@@ -1926,8 +1863,9 @@ def _rerank_siblings(
     row_finish = pool.row_finish
     row_seq = pool.row_seq
     push = heapq.heappush
+    cei_state = pool.cei_state
     for cidx in touched:
-        if pool.cei_satisfied[cidx] or pool.cei_failed[cidx] or pool.cei_cancelled[cidx]:
+        if cei_state[cidx] != _OPEN:
             continue  # closed CEIs left the candidate bag entirely
         fresh = kernel.score_cei(pool, cidx, frame)
         # One loop per key form keeps the branch out of the row loop.

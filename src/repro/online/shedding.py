@@ -37,8 +37,8 @@ shared public surface (``num_active``/``is_active``/``state_of``/
 ``open_cei_objects``/``release_ei``/``shed_cei``), and its victim choice
 is a pure function of per-CEI state that both engines agree on at every
 chronon — so reference and vectorized runs stay bit-identical with
-shedding enabled, migrations included (the released-seq set migrates
-with the pool).  A *released* EI is deactivated but keeps its full
+shedding enabled, migrations included (each pool's record of released
+EIs migrates with it).  A *released* EI is deactivated but keeps its full
 M-EDF score contribution (both engines count uncaptured siblings the
 same way whether or not they are probe-able), which is what keeps the
 scoring kernels untouched.

@@ -68,7 +68,7 @@ from repro.online.config import MonitorConfig
 from repro.online.streaming import StreamingBudget, coerce_budget
 from repro.policies.base import Policy
 from repro.proxy.registry import ClientHandle
-from repro.proxy.streaming import StreamingProxy
+from repro.proxy.streaming import BackgroundClock, StreamingProxy
 
 __all__ = [
     "DurabilityConfig",
@@ -654,7 +654,7 @@ class DurabilityConfig:
 # ---------------------------------------------------------------------------
 
 
-class DurableStreamingProxy:
+class DurableStreamingProxy(BackgroundClock):
     """A :class:`StreamingProxy` whose state outlives its process.
 
     Every mutating call — :meth:`register_client`,
@@ -676,6 +676,8 @@ class DurableStreamingProxy:
     survive serialization.  Cancellations journal the resolved ordinals,
     which replay maps back onto the recovered objects.
     """
+
+    _clock_name = "durable-proxy-clock"
 
     def __init__(
         self,
@@ -726,8 +728,6 @@ class DurableStreamingProxy:
         self._snapshot_error: Optional[str] = None
         self._last_snapshot_chronon: Optional[Chronon] = None
         self._last_snapshot_seq = 0
-        self._clock_thread: Optional[threading.Thread] = None
-        self._clock_stop = threading.Event()
         self._recover()
 
     # ------------------------------------------------------------------
@@ -1073,36 +1073,6 @@ class DurableStreamingProxy:
             self.checkpoint()
             self._wal.close()
             self._store.close()
-
-    # ------------------------------------------------------------------
-    # Clock thread (journaled ticks, unlike the inner proxy's own)
-    # ------------------------------------------------------------------
-
-    def start(self, interval: float = 1.0) -> None:
-        """Drive journaled ticks from a daemon thread until :meth:`stop`."""
-        if self._clock_thread is not None and self._clock_thread.is_alive():
-            raise ModelError("durable proxy clock already running")
-        self._clock_stop.clear()
-
-        def _loop() -> None:
-            while not self._clock_stop.wait(interval):
-                self.tick()
-
-        self._clock_thread = threading.Thread(
-            target=_loop, name="durable-proxy-clock", daemon=True
-        )
-        self._clock_thread.start()
-
-    def stop(self) -> None:
-        """Stop the background clock (no-op if not running)."""
-        self._clock_stop.set()
-        if self._clock_thread is not None:
-            self._clock_thread.join(timeout=5.0)
-            self._clock_thread = None
-
-    @property
-    def running(self) -> bool:
-        return self._clock_thread is not None and self._clock_thread.is_alive()
 
     # ------------------------------------------------------------------
     # Observation and passthroughs

@@ -43,7 +43,49 @@ __all__ = ["StreamingProxy"]
 SNAPSHOT_FORMAT = "repro.streaming-proxy/1"
 
 
-class StreamingProxy:
+class BackgroundClock:
+    """``start``/``stop``/``running`` for a proxy whose ``tick()`` advances it.
+
+    One daemon thread calls ``self.tick()`` once per interval: the same
+    loop drives :class:`StreamingProxy` and the durable proxy, whose
+    ``tick`` journals each chronon first.  ``_clock_name`` names the
+    thread.
+    """
+
+    _clock_name: str
+    _clock_thread: Optional[threading.Thread] = None
+    _clock_stop: Optional[threading.Event] = None
+
+    def start(self, interval: float = 1.0) -> None:
+        """Drive the clock from a daemon thread: one tick per ``interval``
+        seconds, until :meth:`stop`.  Starting twice is an error."""
+        if self.running:
+            raise ExperimentError(f"{self._clock_name} already running")
+        stop = self._clock_stop = threading.Event()
+
+        def _loop() -> None:
+            while not stop.wait(interval):
+                self.tick()
+
+        self._clock_thread = threading.Thread(
+            target=_loop, name=self._clock_name, daemon=True
+        )
+        self._clock_thread.start()
+
+    def stop(self) -> None:
+        """Stop the background clock (no-op if not running)."""
+        if self._clock_thread is not None:
+            self._clock_stop.set()
+            self._clock_thread.join(timeout=5.0)
+            self._clock_thread = None
+
+    @property
+    def running(self) -> bool:
+        """Is a background clock thread currently driving ticks?"""
+        return self._clock_thread is not None and self._clock_thread.is_alive()
+
+
+class StreamingProxy(BackgroundClock):
     """Register clients, accept churn, and monitor forever.
 
     Parameters
@@ -57,6 +99,8 @@ class StreamingProxy:
         already in it are submitted to the monitor on construction) —
         this is how :meth:`restore` rebuilds a proxy from a snapshot.
     """
+
+    _clock_name = "streaming-proxy-clock"
 
     def __init__(
         self,
@@ -86,8 +130,6 @@ class StreamingProxy:
         self._ceis_by_cid: dict[int, ComplexExecutionInterval] = {}
         self._cancelled_cids: set[int] = set()
         self._lock = threading.RLock()
-        self._clock_thread: Optional[threading.Thread] = None
-        self._clock_stop = threading.Event()
         adopted = {name: self.registry.ceis_of(name) for name in self.registry.names}
         # Everything the registry holds goes in as one submission (one
         # arena patch on an arena-backed run).
@@ -248,34 +290,6 @@ class StreamingProxy:
         """Replace the per-chronon budget from the next tick onwards."""
         with self._lock:
             self._monitor.set_budget(budget)
-
-    def start(self, interval: float = 1.0) -> None:
-        """Drive the clock from a daemon thread: one tick per ``interval``
-        seconds, until :meth:`stop`.  Starting twice is an error."""
-        if self._clock_thread is not None and self._clock_thread.is_alive():
-            raise ExperimentError("streaming proxy clock already running")
-        self._clock_stop.clear()
-
-        def _loop() -> None:
-            while not self._clock_stop.wait(interval):
-                self.tick()
-
-        self._clock_thread = threading.Thread(
-            target=_loop, name="streaming-proxy-clock", daemon=True
-        )
-        self._clock_thread.start()
-
-    def stop(self) -> None:
-        """Stop the background clock (no-op if not running)."""
-        self._clock_stop.set()
-        if self._clock_thread is not None:
-            self._clock_thread.join(timeout=5.0)
-            self._clock_thread = None
-
-    @property
-    def running(self) -> bool:
-        """Is a background clock thread currently driving ticks?"""
-        return self._clock_thread is not None and self._clock_thread.is_alive()
 
     async def run_async(self, chronons: int, interval: float = 0.0) -> Chronon:
         """Asyncio-driven clock: tick ``chronons`` times, sleeping

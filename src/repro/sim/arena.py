@@ -524,9 +524,8 @@ def apply_patch(
         if patched is not arena:
             pool.adopt_arena(patched)
         for cid in patch.cancel:
-            cidx = patched.cidx_of_cid[cid]
-            if pool._registered[cidx]:
-                pool.cancel_cei(patched.cei_obj[cidx])
+            # A no-op for a CEI the pool never registered or already closed.
+            pool.cancel_cei(patched.cei_obj[patched.cidx_of_cid[cid]])
     return patched
 
 

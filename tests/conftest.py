@@ -246,25 +246,36 @@ def check_candidate_bag(pool, reference, now) -> None:
     """Hold a vectorized pool's candidate bag to the paper after chronon ``now``.
 
     The ``np_active`` mask is the pool's only record of the bag.  Its
-    exact count must match the mask, and every row it holds must be an
-    uncaptured EI of a registered, open CEI whose window still contains
-    the clock (the step's expiry has removed the rows ending at ``now``).
-    The per-resource questions the pool answers from the mask must get
-    the answers of ``reference``, the reference
+    exact count must match the mask, and every row it holds must be a
+    free (uncaptured, unshed) EI of an open CEI whose window still
+    contains the clock (the step's expiry has removed the rows ending at
+    ``now``).  The fate columns must agree with the counters: each
+    ``num_*`` counter tallies its ``cei_state``, and a CEI's captured
+    count tallies its ``_CAPTURED`` rows, so a shed or released EI never
+    counts as captured.  The per-resource questions the pool answers
+    from the mask must get the answers of ``reference``, the reference
     :class:`~repro.online.candidates.CandidatePool` stepped alongside it.
     """
-    mask = pool.np_active[: len(pool.row_seq)]
+    n_rows, n_ceis = len(pool.row_seq), len(pool.cei_rank)
+    mask = pool.np_active[:n_rows]
     assert pool.num_active() == np.count_nonzero(mask)
-    registered = pool._registered
+    cei_state = pool.cei_state[:n_ceis]
+    row_state = pool.row_state[:n_rows]
+    assert pool.num_registered == n_ceis - cei_state.count(fastpath._UNSEEN)
+    assert pool.num_satisfied == cei_state.count(fastpath._SATISFIED)
+    assert pool.num_failed == cei_state.count(fastpath._FAILED)
+    assert pool.num_cancelled == cei_state.count(fastpath._CANCELLED)
     for row in np.flatnonzero(mask).tolist():
         cidx = pool.row_cidx[row]
         ei = pool._row_ei[row]
-        assert not pool.row_captured[row], f"captured row {row} in the bag"
-        assert registered[cidx], f"unregistered row {row}"
-        assert not (
-            pool.cei_satisfied[cidx] or pool.cei_failed[cidx] or pool.cei_cancelled[cidx]
-        ), f"row {row} of a closed CEI in the bag"
+        assert row_state[row] == fastpath._FREE, f"captured or released row {row} in the bag"
+        assert cei_state[cidx] == fastpath._OPEN, f"row {row} of a CEI that is not open"
         assert ei.start <= now < ei.finish, f"row {row} outside its window at {now}"
+    captured = np.bincount(
+        np.asarray(pool.row_cidx, np.intp)[np.asarray(row_state) == fastpath._CAPTURED],
+        minlength=n_ceis,
+    )
+    assert captured.tolist() == pool.cei_captured[:n_ceis], "a capture without its row"
     resources = set(pool.row_resource) | {ei.resource for ei in reference.active_eis()}
     for rid in resources:
         assert pool.active_uncaptured_on(rid) == reference.active_uncaptured_on(rid)

@@ -290,7 +290,7 @@ def _arena_state(arena, pool):
         {t: list(ceis) for t, ceis in arena.arrivals.items()},
         {t: list(rows) for t, rows in arena.activate_at.items()},
         set(arena.cancelled_cids),
-        len(pool.row_captured),
+        len(pool.row_state),
         len(pool.cei_captured),
         pool.num_cancelled,
         pool._arena is arena,
@@ -358,7 +358,7 @@ class TestAtomicPatches:
         arena, pool = self._live(42)
         mirrors = pool.npr_seq
         victim = next(
-            cei for cei in arena.cei_obj if pool._registered[arena.cidx_of_cid[cei.cid]]
+            cei for cei in arena.cei_obj if pool.cei_state[arena.cidx_of_cid[cei.cid]]
         )
         assert apply_patch(arena, ArenaPatch(cancel=(victim.cid,)), pools=(pool,)) is arena
         assert apply_patch(arena, ArenaPatch(expire_before=5), pools=(pool,)) is arena

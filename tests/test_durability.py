@@ -612,6 +612,29 @@ class TestDurableRecovery:
         recovered.close()
 
 
+class TestDurableClock:
+    def test_background_clock(self, tmp_path):
+        """The durable proxy's clock thread runs like the streaming
+        proxy's (same error on a second start) and journals its ticks."""
+        proxy = make_durable(tmp_path)
+        proxy.start(interval=0.01)
+        assert proxy.running
+        with pytest.raises(ExperimentError, match="already running"):
+            proxy.start(interval=0.01)
+        for _ in range(200):
+            if proxy.now >= 2:
+                break
+            time.sleep(0.01)
+        proxy.stop()
+        assert not proxy.running
+        now = proxy.now
+        assert now >= 2
+        proxy.close()
+        recovered = make_durable(tmp_path)
+        assert recovered.now == now
+        recovered.close()
+
+
 class TestDurableModeOplog:
     """``recovery='durable'`` keeps O(needs) memory, not O(history)."""
 

@@ -1618,6 +1618,68 @@ class TestBatchedBookkeeping:
         assert ref.shedding_stats.released_eis > 0
         assert ref.shedding_stats.shed_ceis > 0
 
+    @staticmethod
+    def _waves(seed: int):
+        """240 CEIs opening in four waves, six chronons apart, on six
+        resources: every wave opens and expires dozens of rows at once.
+
+        Even-numbered CEIs are soft (2-of-3 or 1-of-2, weight 3) and may
+        hold a window opening three chronons after the others, so
+        degrading one can release a row before it opens; the rest are
+        best-effort AND CEIs.
+        """
+        rng = np.random.default_rng(seed)
+        ceis = []
+        for k in range(240):
+            wave = 6 * int(rng.integers(0, 4))
+            eis = []
+            for j in range(int(rng.integers(2, 4))):
+                start = wave + 3 * j * int(rng.integers(0, 2))
+                finish = start + int(rng.integers(2, 9))
+                eis.append(make_ei(int(rng.integers(6)), start, finish))
+            soft = k % 2 == 0
+            ceis.append(ComplexExecutionInterval(
+                eis=tuple(eis),
+                semantics=Semantics.AT_LEAST if soft else Semantics.ALL,
+                required=len(eis) - 1 if soft else len(eis),
+                weight=3.0 if soft else 1.0,
+            ))
+        return ProfileSet.from_ceis(ceis)
+
+    def test_window_events_batch_shed_rows(self, monkeypatch):
+        """At the default cut-over, window events holding shed rows go
+        group-wide: a shed row opening still moves its CEI's M-EDF
+        aggregates without activating, and one expiring is skipped."""
+        shed_rows = {"_open_batch": 0, "_close_batch": 0}
+        pool_class = fastpath.FastCandidatePool
+
+        def spy(name):
+            batch = getattr(pool_class, name)
+
+            def counting(pool, rows, now):
+                row_ei = pool._row_ei
+                shed_rows[name] += sum(pool.is_ei_released(row_ei[row]) for row in rows)
+                return batch(pool, rows, now)
+
+            monkeypatch.setattr(pool_class, name, counting)
+
+        spy("_open_batch")
+        spy("_close_batch")
+        shedding = SheddingConfig(
+            overload_on=1.2,
+            overload_off=1.0,
+            sustain=2,
+            target_ratio=1.0,
+            soft_weight=3.0,
+        )
+        ref, vec = assert_batched_agrees(
+            "MRSF", self._waves(60), budget=1.0, shedding=shedding, eq1=False
+        )
+        assert shed_rows["_open_batch"] > 0 and shed_rows["_close_batch"] > 0
+        assert vec.shedding_stats.as_dict() == ref.shedding_stats.as_dict()
+        assert ref.shedding_stats.released_eis > 0
+        assert ref.shedding_stats.shed_ceis > 0
+
     @pytest.mark.parametrize("cutover", CUTOVERS)
     def test_partial_fault_skips(self, cutover):
         with batch_cutover(cutover):
@@ -1743,8 +1805,7 @@ class TestBatchedRegistration:
     def _state(pool) -> tuple:
         """Everything registration writes."""
         return (
-            bytes(pool._registered),
-            bytes(pool.cei_failed),
+            pool.cei_state[: len(pool.cei_rank)],
             pool.num_registered,
             pool.num_failed,
             pool.num_active(),
