@@ -10,29 +10,30 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   :class:`repro.sim.arena.InstanceArena`.  Every usable execution
   interval of every compiled CEI occupies one row (rows of one CEI are
   contiguous), and per-CEI state (rank, captured count, the M-EDF
-  aggregates) lives in parallel CEI-level columns.  Each column exists
-  twice: a plain-Python list, and a NumPy mirror (``npr_*`` row
-  columns, ``npc_*`` CEI columns) that the scoring kernels and the
-  ``lexsort`` consume.  The static columns, the activation/expiry
-  timelines and the per-resource row index belong to the arena; only
-  its compile walk (``repro.sim.arena._register_cei``) appends rows.
-  The pool holds the per-run state the events write (window events,
-  captures).  Each CEI's fate is one entry of ``cei_state`` (unseen,
-  open, satisfied, failed, cancelled) and each row's one entry of
-  ``row_state`` (free, released by load shedding, captured).  Mirrors
-  are synchronized lazily at phase start: appended rows/CEIs by bulk
-  slice assignment, mutated CEIs from a dirty set.  The candidate bag
-  has one record, the ``np_active`` row mask (scalar paths use a byte
-  ``memoryview`` of it, plus an exact count); the rows on one resource
-  are every row ever placed there, filtered by the mask.
+  aggregates) lives in parallel CEI-level columns.  The static columns,
+  the activation/expiry timelines and the per-resource row index belong
+  to the arena; only its compile walk (``repro.sim.arena._register_cei``)
+  appends rows.  Each static column exists twice: the arena's Python
+  list, and a NumPy mirror (``npr_*`` row columns, ``npc_*`` CEI
+  columns) that the scoring kernels and the ``lexsort`` consume,
+  synchronized at phase start by bulk slice assignment of the rows and
+  CEIs compiled since.  The pool holds the per-run state the events
+  write, each column as one NumPy record with a ``memoryview`` of it
+  for the scalar paths (:class:`_Record`): the candidate bag
+  ``np_active`` (plus an exact count), each row's fate ``row_state``
+  (free, released by load shedding, captured), each CEI's fate
+  ``cei_state`` (unseen, open, satisfied, failed, cancelled), captured
+  count and M-EDF aggregates.  A scalar write is a write to the record,
+  so the kernels read it without a sync.  The rows on one resource are
+  every row ever placed there, filtered by the mask.
 * Batched bookkeeping — an event touching few rows is handled row by
   row, where NumPy's per-call cost would exceed the work.  A window
   event, arrival batch or capture of at least ``BATCH_CUTOVER`` rows
-  (CEIs, for arrivals) is handled group-wide instead: one NumPy write of
-  the mask, mirror patches in place (``np.add.at``) rather than
-  dirty-set entries, and one expiry verdict per CEI.  Only activation
-  hooks (``collect``) keep the scalar loops, which leave the same state;
-  shed rows ride either path.
+  (CEIs, for arrivals) is handled group-wide instead, with no per-row
+  Python: gathers and writes over the records, ``np.add.at`` patches of
+  the CEI aggregates, and one verdict per CEI.  Only activation hooks
+  (``collect``) keep the scalar loops, which leave the same state; shed
+  rows ride either path.
 * :func:`run_fast_phases` — the vectorized ``probeEIs`` loop.  Each phase
   batch-scores the whole candidate bag with one
   :class:`repro.policies.kernels.ScoreKernel` call, then *selects* rather
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from itertools import chain, compress
+from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -146,6 +147,30 @@ def _gather(column: Sequence, idx: list[int]) -> tuple:
     return itemgetter(*idx)(column)
 
 
+class _Record:
+    """A per-run pool column, held once as a NumPy array.
+
+    Reading the attribute returns the array itself (this descriptor has
+    no ``__get__``, so the instance dict answers).  Assigning an array,
+    as growth and the sharded engine's re-pointing do, also re-takes the
+    ``memoryview`` the scalar paths index, named ``scalar``, so no view
+    outlives its array.  A bool mask is viewed as bytes.
+    """
+
+    def __init__(self, scalar: str) -> None:
+        self.scalar = scalar
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __set__(self, pool: "FastCandidatePool", array: np.ndarray) -> None:
+        attrs = vars(pool)
+        attrs[self.name] = array
+        attrs[self.scalar] = memoryview(
+            array.view(np.uint8) if array.dtype == bool else array
+        )
+
+
 class FastCEIView:
     """Read-only capture state of one CEI (``state_of`` compatibility)."""
 
@@ -184,16 +209,30 @@ class FastCandidatePool:
     unchanged, while the vectorized probe loop reads the columns directly.
     """
 
+    #: The per-run records, each beside its scalar view: the candidate
+    #: bag (row ``r`` is active iff set), each row's fate (``_FREE``,
+    #: ``_RELEASED``, ``_CAPTURED``), each CEI's fate (``_UNSEEN``,
+    #: ``_OPEN``, ``_SATISFIED``, ``_FAILED``, ``_CANCELLED``), captured
+    #: count and M-EDF aggregates.  A released (shed) row is deactivated
+    #: for good but still counts in the M-EDF aggregates, as the reference
+    #: sibling walk counts it (see repro.online.shedding).
+    np_active = _Record("_active")
+    npr_state = _Record("row_state")
+    npc_state = _Record("cei_state")
+    npc_captured_f = _Record("cei_captured")
+    npc_medf_s_f = _Record("cei_medf_s")
+    npc_medf_open_f = _Record("cei_medf_open")
+
     def __init__(self, arena: Optional["InstanceArena"] = None) -> None:
         """Start a run over ``arena``, or over an empty arena of its own.
 
         The arena's columns, mirrors, indexes and timelines are *shared*
         (and, for a supplied arena, with every other pool built from it)
         and only the arena's compile walk appends to them; the per-run
-        mutable state (captured flags, the active mask, M-EDF aggregates,
-        counters) is the pool's own.  The mirrors arrive fully synced, so
-        ``sync_mirrors`` reduces to the dirty-CEI patch until rows are
-        added.
+        records (the active mask, row and CEI fates, captured counts,
+        M-EDF aggregates) and counters are the pool's own.  The mirrors
+        arrive fully synced, so ``sync_mirrors`` is a compare until rows
+        are added.
 
         A supplied arena fixes which CEIs may register, and at which
         chronon.  A pool built without one owns an empty arena and
@@ -217,10 +256,9 @@ class FastCandidatePool:
             self._compile_cei = partial(_register_cei, arena)
         self._arena = arena
         # Row and CEI capacities, floored at one so the doubling in
-        # _grow_rows/_grow_ceis always makes progress.  The per-run
-        # columns are sized to them (entries past the arena's rows and
-        # CEIs are unused), so they grow with the NumPy mirrors' doubling
-        # rather than by one extend per registered CEI.
+        # _grow_rows/_grow_ceis always makes progress.  The records are
+        # sized to them (entries past the arena's rows and CEIs are
+        # unused) and double with the NumPy mirrors.
         n = arena.n_rows
         m = arena.n_ceis
         self._row_cap = row_cap = max(n, 1)
@@ -230,23 +268,19 @@ class FastCandidatePool:
         self.row_resource = arena.row_resource
         self.row_cidx = arena.row_cidx
         self._row_ei = arena.row_ei
-        #: Each row's fate (``_FREE``, ``_RELEASED``, ``_CAPTURED``).  A
-        #: released (shed) row is deactivated for good but still counts in
-        #: the M-EDF aggregates, as the reference sibling walk counts it
-        #: (see repro.online.shedding).
-        self.row_state = [_FREE] * row_cap
+        self.npr_state = np.full(row_cap, _FREE, np.uint8)
         self.np_active = np.zeros(row_cap, bool)
         self._n_active = 0
 
         self.cei_rank = arena.cei_rank
         self.cei_required = arena.cei_required
         self.cei_weight = arena.cei_weight
-        #: Each CEI's fate (``_UNSEEN``, ``_OPEN``, ``_SATISFIED``,
-        #: ``_FAILED``, ``_CANCELLED``): "is it open?" is one subscript.
-        self.cei_state = [_UNSEEN] * cei_cap
-        self.cei_captured = [0] * cei_cap
-        self.cei_medf_s = arena.cei_medf_s0 + [0] * (cei_cap - m)
-        self.cei_medf_open = arena.cei_medf_open0 + [0] * (cei_cap - m)
+        self.npc_state = np.full(cei_cap, _UNSEEN, np.uint8)
+        self.npc_captured_f = np.zeros(cei_cap)
+        self.npc_medf_s_f = np.zeros(cei_cap)
+        self.npc_medf_open_f = np.zeros(cei_cap)
+        self.npc_medf_s_f[:m] = arena.cei_medf_s0
+        self.npc_medf_open_f[:m] = arena.cei_medf_open0
         #: CEIs whose per-run aggregates are set: the rest of the
         #: capacity waits for _extend_run_state.
         self._run_ceis = m
@@ -273,11 +307,8 @@ class FastCandidatePool:
         self._packable = arena.packable
         self.npc_rank_f = arena.npc_rank_f
         self.npc_weight = arena.npc_weight
-        self.npc_captured_f = np.zeros(m, np.float64)
-        self.npc_medf_s_f = np.asarray(arena.cei_medf_s0, np.float64)
-        self.npc_medf_open_f = np.asarray(arena.cei_medf_open0, np.float64)
+        self.npc_required = arena.npc_required
         self._synced_ceis = m
-        self._dirty_ceis: set[int] = set()
 
         self._row_of_seq = arena.row_of_seq
         self._cidx_of_cid = arena.cidx_of_cid
@@ -332,7 +363,7 @@ class FastCandidatePool:
     def _extend_run_state(self) -> None:
         """Size the per-run state to the arena's grown shared columns.
 
-        Grows the capacity of the per-run columns and the NumPy mirrors
+        Grows the capacity of the per-run records and the NumPy mirrors
         when the rows or CEIs outgrow it, and starts fresh CEIs from
         their compiled ``*0`` aggregates.  The first growth privatizes
         the mirrors: the arena's own are sized to the rows it had when
@@ -370,21 +401,6 @@ class FastCandidatePool:
     # ------------------------------------------------------------------
 
     @property
-    def np_active(self) -> np.ndarray:
-        """The candidate bag, its only record: row ``r`` is active iff set.
-
-        Scalar paths read and write it through a byte ``memoryview``.
-        """
-        return self._np_active
-
-    @np_active.setter
-    def np_active(self, mask: np.ndarray) -> None:
-        # Every reassignment (growth, the sharded engine's shared segment
-        # and its demotion) re-takes the view, so it never goes stale.
-        self._np_active = mask
-        self._active = memoryview(mask.view(np.uint8))
-
-    @property
     def activate_at(self) -> Mapping[Chronon, list[int]]:
         """Window openings, chronon -> rows: the arena's timeline, never popped."""
         return self._arena.activate_at
@@ -397,10 +413,10 @@ class FastCandidatePool:
         self._active[row] = 0
         self._n_active -= 1
 
-    def _activate_rows(self, rows: list[int]) -> None:
+    def _activate_rows(self, rows) -> None:
         """Batched :meth:`_activate_row` over distinct inactive ``rows``."""
-        if rows:
-            self._np_active[rows] = True
+        if len(rows):
+            self.np_active[rows] = True
             self._n_active += len(rows)
 
     def _drop_rows_of(self, ceis: Iterable[int]) -> None:
@@ -417,6 +433,21 @@ class FastCandidatePool:
                 dropped += live
         self._n_active -= dropped
 
+    def _drop_rows_batch(self, ceis: np.ndarray) -> None:
+        """Batched :meth:`_drop_rows_of`: one write over the CEIs' row ranges.
+
+        ``ceis`` ascend without repeats, and the row mirrors are synced.
+        """
+        # Rows are compiled CEI by CEI, so their CEI index ascends
+        # (check_candidate_bag in the tests asserts this layout).
+        cidx = self.npr_cidx[: self._synced_rows]
+        begin = cidx.searchsorted(ceis)
+        size = cidx.searchsorted(ceis, "right") - begin
+        # Row k of the concatenation lies (k - its range's offset) past its begin.
+        rows = np.arange(size.sum()) + np.repeat(begin - (np.cumsum(size) - size), size)
+        self._n_active -= int(np.count_nonzero(self.np_active[rows]))
+        self.np_active[rows] = False
+
     def _index_on(self, resource: ResourceId) -> np.ndarray:
         """Every row ever placed on ``resource``, cached until it grows."""
         rows = self._resource_rows.get(resource, ())
@@ -427,15 +458,21 @@ class FastCandidatePool:
 
     def _live_rows_on(
         self, resource: ResourceId, skip: frozenset[int] = frozenset()
-    ) -> list[int]:
-        """Active rows on ``resource``, ascending, minus EI seqs in ``skip``."""
+    ) -> Sequence[int]:
+        """Active rows on ``resource``, ascending, minus EI seqs in ``skip``.
+
+        A resource with many rows and no ``skip`` answers with an index array.
+        """
         rows = self._resource_rows.get(resource, ())
-        if len(rows) < _NUMPY_FILTER_MIN:
+        if len(rows) >= _NUMPY_FILTER_MIN:
+            at = self._index_on(resource)
+            live = at[self.np_active[at]]
+            if not skip:
+                return live
+            live = live.tolist()
+        else:
             active = self._active
             live = [row for row in rows if active[row]]
-        else:
-            at = self._index_on(resource)
-            live = at[self._np_active[at]].tolist()
         if skip:
             row_seq = self.row_seq
             live = [row for row in live if row_seq[row] not in skip]
@@ -452,56 +489,39 @@ class FastCandidatePool:
         cap = max(self._row_cap, 1)
         while cap < needed:
             cap *= 2
-        for name in (
-            "npr_seq",
-            "npr_finish",
-            "npr_finish_f",
-            "npr_resource",
-            "npr_cidx",
-            "npr_static",
-        ):
-            old = getattr(self, name)
-            new = np.zeros(cap, old.dtype)
-            new[: self._synced_rows] = old[: self._synced_rows]
-            setattr(self, name, new)
-        # np_active is written at event time, not sync time: copy it whole.
-        new_active = np.zeros(cap, bool)
-        new_active[: len(self._np_active)] = self._np_active
-        self.np_active = new_active
-        self.row_state += [_FREE] * (cap - len(self.row_state))
+        self._grow("npr_seq", "npr_finish", "npr_finish_f", "npr_resource",
+                   "npr_cidx", "npr_static", "np_active", "npr_state", cap=cap)
         self._row_cap = cap
-        self.mirror_reallocs += 1
 
     def _grow_ceis(self, needed: int) -> None:
         # Same zero-capacity guard as _grow_rows.
         cap = max(self._cei_cap, 1)
         while cap < needed:
             cap *= 2
-        for name in (
-            "npc_rank_f",
-            "npc_captured_f",
-            "npc_weight",
-            "npc_medf_s_f",
-            "npc_medf_open_f",
-        ):
+        self._grow("npc_rank_f", "npc_weight", "npc_required", "npc_captured_f",
+                   "npc_medf_s_f", "npc_medf_open_f", "npc_state", cap=cap)
+        self._cei_cap = cap
+
+    def _grow(self, *names: str, cap: int) -> None:
+        """Reallocate each named column at ``cap`` entries, copying it whole.
+
+        The records hold every entry written so far; a mirror's entries
+        past its synced prefix are zero and the next sync overwrites them.
+        """
+        for name in names:
             old = getattr(self, name)
             new = np.zeros(cap, old.dtype)
-            new[: self._synced_ceis] = old[: self._synced_ceis]
+            new[: old.size] = old
             setattr(self, name, new)
-        pad = cap - len(self.cei_captured)
-        self.cei_state += [_UNSEEN] * pad
-        self.cei_captured += [0] * pad
-        self.cei_medf_s += [0] * pad
-        self.cei_medf_open += [0] * pad
-        self._cei_cap = cap
         self.mirror_reallocs += 1
 
     def sync_mirrors(self) -> None:
-        """Bring the NumPy mirrors up to date with the Python columns.
+        """Bring the static NumPy mirrors up to date with the arena's columns.
 
-        Called by the probe loop before each batch score.  Cost is
-        amortized O(1) per row/CEI plus O(1) per CEI mutated since the
-        last sync.  Capacity already covers every row and CEI
+        Called by the probe loop before each batch score.  Only the rows
+        and CEIs compiled since the last sync are copied (amortized O(1)
+        each); the per-run records need no sync, since every write goes
+        to them.  Capacity already covers every row and CEI
         (:meth:`_extend_run_state` grows it when they are added).
         """
         if self._synced_rows < len(self.row_seq):
@@ -510,17 +530,9 @@ class FastCandidatePool:
         if self._synced_ceis < m:
             a = self._synced_ceis
             self.npc_rank_f[a:m] = self.cei_rank[a:m]
-            self.npc_captured_f[a:m] = self.cei_captured[a:m]
             self.npc_weight[a:m] = self.cei_weight[a:m]
-            self.npc_medf_s_f[a:m] = self.cei_medf_s[a:m]
-            self.npc_medf_open_f[a:m] = self.cei_medf_open[a:m]
+            self.npc_required[a:m] = self.cei_required[a:m]
             self._synced_ceis = m
-        if self._dirty_ceis:
-            for c in self._dirty_ceis:
-                self.npc_captured_f[c] = self.cei_captured[c]
-                self.npc_medf_s_f[c] = self.cei_medf_s[c]
-                self.npc_medf_open_f[c] = self.cei_medf_open[c]
-            self._dirty_ceis.clear()
 
     def _sync_rows(self) -> None:
         """The row half of :meth:`sync_mirrors` (a compare when in sync)."""
@@ -550,7 +562,7 @@ class FastCandidatePool:
     def captured_count(self, cei: ComplexExecutionInterval) -> int:
         """Captured-EI count of a candidate CEI (0 if unknown)."""
         cidx = self._cidx_of_cid.get(cei.cid)
-        return self.cei_captured[cidx] if cidx is not None else 0
+        return int(self.cei_captured[cidx]) if cidx is not None else 0
 
     def active_uncaptured_on(self, resource: ResourceId) -> int:
         """Number of active uncaptured candidate EIs on ``resource``."""
@@ -721,7 +733,6 @@ class FastCandidatePool:
             # |I| becomes finish + 1 (the -T term arrives via n_open).
             self.cei_medf_s[cidx] += ei.start
             self.cei_medf_open[cidx] += 1
-            self._dirty_ceis.add(cidx)
             if row_state[row] == _RELEASED:
                 # Shed away while pending: moved like any uncaptured
                 # sibling (the reference sibling walk counts it too), but
@@ -735,41 +746,36 @@ class FastCandidatePool:
 
     def _open_batch(self, rows: list[int], now: Chronon) -> None:
         """Batched :meth:`open_windows` (no hook)."""
+        self._sync_rows()  # an owned arena compiles rows as CEIs register
+        at = np.array(rows, np.intp)
+        ceis = self.npr_cidx[at]
         # The rows of open CEIs all move; the shed ones among them never
         # activate.
-        cei_state = self.cei_state
-        ceis = list(map(self.row_cidx.__getitem__, rows))
-        live = [cei_state[c] == _OPEN for c in ceis]
-        rows = list(compress(rows, live))
-        ceis = list(compress(ceis, live))
-        row_state = self.row_state
-        self._activate_rows([row for row in rows if row_state[row] == _FREE])
+        live = self.npc_state[ceis] == _OPEN
+        at = at[live]
+        ceis = ceis[live]
+        self._activate_rows(at[self.npr_state[at] == _FREE])
         # Every row here opens at ``now``: its M-EDF move adds ``now``.
-        medf_s = self.cei_medf_s
-        medf_open = self.cei_medf_open
-        for c in ceis:
-            medf_s[c] += now
-            medf_open[c] += 1
-        # Patch the mirrors in place rather than dirtying the CEIs: the
-        # aggregates are integers, exact in float64.
-        at = np.array(ceis, np.intp)
-        np.add.at(self.npc_medf_s_f, at, float(now))
-        np.add.at(self.npc_medf_open_f, at, 1.0)
+        np.add.at(self.npc_medf_s_f, ceis, float(now))
+        np.add.at(self.npc_medf_open_f, ceis, 1.0)
 
     # ------------------------------------------------------------------
     # Capture and expiry
     # ------------------------------------------------------------------
 
     def _capture_row(self, row: int, cidx: int) -> bool:
-        """Mark one active row captured; True if that satisfied its CEI."""
+        """Mark one active row captured; True if that satisfied its CEI.
+
+        The CEI is open, or was satisfied earlier in the same capture: its
+        count reaches ``required`` exactly once.
+        """
         self._deactivate_row(row)
         self.row_state[row] = _CAPTURED
-        captured = self.cei_captured[cidx] + 1
+        captured = self.cei_captured[cidx] + 1.0
         self.cei_captured[cidx] = captured
         self.cei_medf_s[cidx] -= self.row_finish[row] + 1
-        self.cei_medf_open[cidx] -= 1
-        self._dirty_ceis.add(cidx)
-        if self.cei_state[cidx] == _OPEN and captured >= self.cei_required[cidx]:
+        self.cei_medf_open[cidx] -= 1.0
+        if captured == self.cei_required[cidx]:
             self.cei_state[cidx] = _SATISFIED
             self._num_satisfied += 1
             return True
@@ -788,10 +794,12 @@ class FastCandidatePool:
         """
         return self._capture_rows(self._live_rows_on(resource, skip))
 
-    def _capture_rows(self, live: list[int]) -> list[int]:
+    def _capture_rows(self, live: Sequence[int]) -> list[int]:
         """Capture the active rows ``live`` (batched when there are many)."""
         if len(live) >= BATCH_CUTOVER:
-            return self._capture_batch(live)
+            return self._capture_batch(np.asarray(live, np.intp))
+        if isinstance(live, np.ndarray):
+            live = live.tolist()
         touched: list[int] = []
         done: list[int] = []
         row_cidx = self.row_cidx
@@ -804,37 +812,30 @@ class FastCandidatePool:
             self._drop_rows_of(done)
         return touched
 
-    def _capture_batch(self, live: list[int]) -> list[int]:
-        """Batched :meth:`_capture_rows` of the active rows ``live``."""
-        self._sync_rows()  # push captures can precede the phase's sync
-        at = np.array(live, np.intp)
-        self._np_active[at] = False
-        self._n_active -= len(live)
-        cidx = self.npr_cidx[at]
-        touched = cidx.tolist()
-        row_state = self.row_state
-        captured = self.cei_captured
-        medf_s = self.cei_medf_s
-        medf_open = self.cei_medf_open
-        for row, c, finish in zip(live, touched, self.npr_finish[at].tolist()):
-            row_state[row] = _CAPTURED
-            captured[c] += 1
-            medf_s[c] -= finish + 1
-            medf_open[c] -= 1
-        # Mirrors patched in place, as in _open_batch.
-        np.add.at(self.npc_captured_f, cidx, 1.0)
-        np.add.at(self.npc_medf_s_f, cidx, -1.0 - self.npr_finish_f[at])
+    def _capture_batch(self, live: np.ndarray) -> list[int]:
+        """Batched :meth:`_capture_rows` of the active rows ``live``, ascending."""
+        self.sync_mirrors()  # push captures can precede the phase's sync
+        self.np_active[live] = False
+        self._n_active -= live.size
+        self.npr_state[live] = _CAPTURED
+        cidx = self.npr_cidx[live]
+        captured = self.npc_captured_f
+        np.add.at(captured, cidx, 1.0)
+        np.add.at(self.npc_medf_s_f, cidx, -1.0 - self.npr_finish_f[live])
         np.add.at(self.npc_medf_open_f, cidx, -1.0)
-        cei_state = self.cei_state
-        required = self.cei_required
-        done = []
-        for c in touched:
-            if cei_state[c] == _OPEN and captured[c] >= required[c]:
-                cei_state[c] = _SATISFIED
-                done.append(c)
-        self._num_satisfied += len(done)
-        self._drop_rows_of(done)
-        return touched
+        # One verdict per touched CEI (open, since its rows were active),
+        # on its count after the capture.  The rows ascend, and so do
+        # their CEIs: each run of equal entries is one CEI.
+        first = np.empty(cidx.size, bool)
+        first[0] = True
+        np.not_equal(cidx[1:], cidx[:-1], out=first[1:])
+        ceis = cidx[first]
+        done = ceis[captured[ceis] >= self.npc_required[ceis]]
+        if done.size:
+            self.npc_state[done] = _SATISFIED
+            self._num_satisfied += done.size
+            self._drop_rows_batch(done)
+        return cidx.tolist()
 
     def capture_single_row(self, row: int) -> list[int]:
         """Overlap-ablation capture of exactly one row; returns touched CEIs."""
@@ -906,8 +907,8 @@ class FastCandidatePool:
         expiring row, leaves the same state.
         """
         at = np.array(rows, np.intp)
-        at = at[self._np_active[at]]
-        self._np_active[at] = False
+        at = at[self.np_active[at]]
+        self.np_active[at] = False
         self._n_active -= at.size
         ceis = map(self.row_cidx.__getitem__, at.tolist())
         begin = self.cei_row_begin
@@ -1001,12 +1002,8 @@ class FastCandidatePool:
 
     def open_cei_objects(self) -> list[ComplexExecutionInterval]:
         """Open (registered, not closed) CEIs in registration order."""
-        cei_state = self.cei_state
-        return [
-            self._cei_obj[cidx]
-            for cidx in range(len(self.cei_rank))
-            if cei_state[cidx] == _OPEN
-        ]
+        is_open = self.npc_state[: len(self.cei_rank)] == _OPEN
+        return [self._cei_obj[cidx] for cidx in np.flatnonzero(is_open).tolist()]
 
     # ------------------------------------------------------------------
     # Queries
@@ -1014,7 +1011,7 @@ class FastCandidatePool:
 
     def pushable_resources(self, resources: ResourcePool) -> list[ResourceId]:
         """Push-enabled resources currently holding active candidate EIs."""
-        active = self._np_active
+        active = self.np_active
         return [
             rid
             for rid in self._resource_rows
@@ -1035,7 +1032,7 @@ class FastCandidatePool:
     def active_eis(self) -> Iterator[ExecutionInterval]:
         """All currently active, uncaptured candidate EIs (the probe pool)."""
         row_ei = self._row_ei
-        for row in np.flatnonzero(self._np_active[: len(self.row_seq)]).tolist():
+        for row in np.flatnonzero(self.np_active[: len(self.row_seq)]).tolist():
             yield row_ei[row]
 
     def num_active(self) -> int:
@@ -1055,7 +1052,7 @@ class FastCandidatePool:
             return None
         return FastCEIView(
             cei=cei,
-            captured_count=self.cei_captured[cidx],
+            captured_count=int(self.cei_captured[cidx]),
             satisfied=state == _SATISFIED,
             failed=state == _FAILED,
             cancelled=state == _CANCELLED,
@@ -1636,13 +1633,12 @@ def _walk_carried(
     begin = pool.cei_row_begin
     end = pool.cei_row_end
     immediate = pool._arena.immediate_rows
-    cei_state = pool.cei_state  # a per-run column, sized to the CEI capacity
     push = heapq.heappush
     pop = heapq.heappop
     static_bits = (1 << 42) - 1
     heap: list = []
-    best: list = [None] * len(cei_state)
-    entry = [-1] * len(cei_state)
+    best: list = [None] * len(pool.cei_rank)
+    entry = [-1] * len(pool.cei_rank)
     packed = kernel.integer_valued and pool._packable
     active = pool._active
 
@@ -1679,8 +1675,8 @@ def _walk_carried(
         if new:
             n = len(row_seq)
             pool.register_arrivals(new, t, collect=False)
-            if len(cei_state) > len(best):  # an owned arena grew the capacity
-                grown = len(cei_state) - len(best)
+            if len(pool.cei_rank) > len(best):  # an owned arena compiled CEIs
+                grown = len(pool.cei_rank) - len(best)
                 best.extend([None] * grown)
                 entry.extend([-1] * grown)
             # An owned arena compiles rows as their CEIs register.
@@ -1695,7 +1691,8 @@ def _walk_carried(
                 heapq.heapify(heap)
             rows = [row for cei in new for row in immediate[cidx_of_cid[cei.cid]]] + list(rows)
         pool.open_windows(t, collect=False)
-        active = pool._active  # registration may have grown the mask
+        # Registration may have grown the records.
+        active, cei_state = pool._active, pool.cei_state
         for row in rows:
             if active[row]:
                 cidx = row_cidx[row]

@@ -479,7 +479,7 @@ class ShardedEngine:
     def freeze_split(self) -> None:
         """Freeze the non-preemptive plus/minus split for this chronon."""
         m = self.n_ceis
-        np.greater(self.pool.npc_captured_f, 0.0, out=self.in_plus[:m])
+        np.greater(self.pool.npc_captured_f[:m], 0.0, out=self.in_plus[:m])
 
     def open_stream(self, kind: str, chronon, budget_left: float,
                     min_probe_cost: float) -> _ShardedStream:

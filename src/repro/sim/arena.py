@@ -7,9 +7,9 @@ aggregates, the rows active at registration and the activation/expiry
 timelines, plus the arrival map the monitor consumes.  One function
 compiles a CEI into it, :func:`_register_cei`; it is the only code that
 appends rows.  A pool *shares* the arena's structures and holds only the
-per-run mutable state (captured flags, the active mask, aggregate
-columns), so registering a compiled CEI replays its compiled activation
-without walking its EIs.
+per-run records (the active mask, row and CEI fates, captured counts,
+M-EDF aggregates), so registering a compiled CEI replays its compiled
+activation without walking its EIs.
 
 There are two ways to get an arena:
 
@@ -129,6 +129,7 @@ class InstanceArena:
     cei_obj: list[ComplexExecutionInterval]
     npc_rank_f: np.ndarray
     npc_weight: np.ndarray
+    npc_required: np.ndarray
 
     #: Rows active immediately at registration, per CEI index.
     immediate_rows: list[list[int]]
@@ -351,6 +352,7 @@ def compile_arena(
         cei_obj=[],
         npc_rank_f=np.empty(0, np.float64),
         npc_weight=np.empty(0, np.float64),
+        npc_required=np.empty(0, np.int64),
         immediate_rows=[],
         activate_at=defaultdict(list),
         expire_at=defaultdict(list),
@@ -373,6 +375,7 @@ def compile_arena(
         and mirrors["max_finish"] < (1 << 21),
         npc_rank_f=np.asarray(arena.cei_rank, np.float64),
         npc_weight=np.asarray(arena.cei_weight, np.float64),
+        npc_required=np.asarray(arena.cei_required, np.int64),
         **mirrors,
     )
     return arena
@@ -430,6 +433,9 @@ def _next_generation(
         ),
         npc_weight=np.concatenate(
             [arena.npc_weight, np.asarray(arena.cei_weight[old_ceis:], np.float64)]
+        ),
+        npc_required=np.concatenate(
+            [arena.npc_required, np.asarray(arena.cei_required[old_ceis:], np.int64)]
         ),
         **mirrors,
     )

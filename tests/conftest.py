@@ -252,15 +252,27 @@ def check_candidate_bag(pool, reference, now) -> None:
     ``now``).  The fate columns must agree with the counters: each
     ``num_*`` counter tallies its ``cei_state``, and a CEI's captured
     count tallies its ``_CAPTURED`` rows, so a shed or released EI never
-    counts as captured.  The per-resource questions the pool answers
-    from the mask must get the answers of ``reference``, the reference
+    counts as captured.  Rows lie CEI by CEI, in the ranges the arena
+    records.  Each per-run column is one NumPy record, and the
+    scalar view the row-by-row paths write is a view of it, so the
+    kernels read every write without a sync.  The per-resource questions
+    the pool answers from the mask must get the answers of
+    ``reference``, the reference
     :class:`~repro.online.candidates.CandidatePool` stepped alongside it.
     """
+    for view, record in (
+        (pool.cei_state, pool.npc_state),
+        (pool.row_state, pool.npr_state),
+        (pool.cei_captured, pool.npc_captured_f),
+        (pool.cei_medf_s, pool.npc_medf_s_f),
+        (pool.cei_medf_open, pool.npc_medf_open_f),
+    ):
+        assert view.obj is record, "a scalar view of a stale or second record"
     n_rows, n_ceis = len(pool.row_seq), len(pool.cei_rank)
     mask = pool.np_active[:n_rows]
     assert pool.num_active() == np.count_nonzero(mask)
-    cei_state = pool.cei_state[:n_ceis]
-    row_state = pool.row_state[:n_rows]
+    cei_state = list(pool.cei_state[:n_ceis])
+    row_state = list(pool.row_state[:n_rows])
     assert pool.num_registered == n_ceis - cei_state.count(fastpath._UNSEEN)
     assert pool.num_satisfied == cei_state.count(fastpath._SATISFIED)
     assert pool.num_failed == cei_state.count(fastpath._FAILED)
@@ -271,11 +283,19 @@ def check_candidate_bag(pool, reference, now) -> None:
         assert row_state[row] == fastpath._FREE, f"captured or released row {row} in the bag"
         assert cei_state[cidx] == fastpath._OPEN, f"row {row} of a CEI that is not open"
         assert ei.start <= now < ei.finish, f"row {row} outside its window at {now}"
+    # Rows lie CEI by CEI, each CEI's on [cei_row_begin, cei_row_end):
+    # the batched drop finds a CEI's rows by searching the npr_cidx mirror.
+    row_cidx = np.asarray(pool.row_cidx[:n_rows], np.intp)
+    begin = np.asarray(pool.cei_row_begin[:n_ceis], np.intp)
+    end = np.asarray(pool.cei_row_end[:n_ceis], np.intp)
+    assert np.array_equal(row_cidx, np.repeat(np.arange(n_ceis), end - begin)), "rows out of CEI order"
+    synced = pool._synced_rows
+    assert np.array_equal(pool.npr_cidx[:synced], row_cidx[:synced]), "a stale npr_cidx mirror"
     captured = np.bincount(
-        np.asarray(pool.row_cidx, np.intp)[np.asarray(row_state) == fastpath._CAPTURED],
+        row_cidx[np.asarray(row_state) == fastpath._CAPTURED],
         minlength=n_ceis,
     )
-    assert captured.tolist() == pool.cei_captured[:n_ceis], "a capture without its row"
+    assert np.array_equal(captured, pool.npc_captured_f[:n_ceis]), "a capture without its row"
     resources = set(pool.row_resource) | {ei.resource for ei in reference.active_eis()}
     for rid in resources:
         assert pool.active_uncaptured_on(rid) == reference.active_uncaptured_on(rid)

@@ -1693,6 +1693,34 @@ class TestBatchedBookkeeping:
         assert ref.dropped_captures
 
     @pytest.mark.parametrize("cutover", CUTOVERS)
+    @pytest.mark.parametrize("owned", [False, True], ids=["arena", "owned"])
+    def test_counts_are_ints(self, cutover, owned):
+        """The captured counts live in a float64 record; the pool's API
+        still answers with ints equal to the reference pool's (load
+        shedding slices EI lists by ``state_of(cei).residual``)."""
+        profiles = _crowded(53)
+        arrivals = arrivals_from_profiles(profiles)
+        with batch_cutover(cutover):
+            ref = _run("reference", make_policy("MRSF"), arrivals, budget=1.0)
+            if owned:
+                vec = _run("vectorized", make_policy("MRSF"), arrivals, budget=1.0)
+            else:
+                vec = _run_arena("MRSF", profiles, budget=1.0)
+        assert (vec.pool._compile_cei is not None) == owned
+        captured = 0
+        for cei in profiles.ceis():
+            count = vec.pool.captured_count(cei)
+            assert type(count) is int and count == ref.pool.captured_count(cei)
+            captured += count
+            state, expected = vec.pool.state_of(cei), ref.pool.state_of(cei)
+            assert (state is None) == (expected is None)
+            if state is not None:
+                assert type(state.captured_count) is int and type(state.residual) is int
+                assert state.captured_count == expected.captured_count
+                assert state.residual == expected.residual
+        assert captured > 0
+
+    @pytest.mark.parametrize("cutover", CUTOVERS)
     def test_sharded(self, cutover):
         with batch_cutover(cutover):
             _, cut = assert_batched_agrees("MRSF", _crowded(56), shards=2)
@@ -1805,7 +1833,7 @@ class TestBatchedRegistration:
     def _state(pool) -> tuple:
         """Everything registration writes."""
         return (
-            pool.cei_state[: len(pool.cei_rank)],
+            bytes(pool.cei_state[: len(pool.cei_rank)]),
             pool.num_registered,
             pool.num_failed,
             pool.num_active(),

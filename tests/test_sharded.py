@@ -35,7 +35,7 @@ from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
 from repro.online import MonitorConfig
 from repro.online.monitor import OnlineMonitor
-from repro.online.sharded import ShardingStats, shardable_reason
+from repro.online.sharded import ShardingStats, _demote, shardable_reason
 from repro.online.streaming import StreamingMonitor
 from repro.policies import make_policy
 from repro.sim.arena import SHM_PREFIX, SharedArenaView, compile_arena
@@ -191,6 +191,39 @@ class TestEngineLifecycle:
             monitor.step(t, arrivals.get(t, ()))
         baseline = _run(_monitor(_profiles(3)))
         assert monitor.schedule.probes == baseline.schedule.probes
+
+    def test_records_follow_the_segment(self):
+        """Re-pointing a per-run record re-takes its scalar view: a
+        coordinator write through ``pool.cei_captured`` lands in the
+        segment the workers read, and after demotion in the pool's
+        private copy."""
+        monitor = _monitor(_profiles(5), shards=2)
+        pool = monitor.pool
+        view = monitor._sharded.view
+        records = {
+            "np_active": pool._active.obj.base,
+            "npc_captured_f": pool.cei_captured.obj,
+            "npc_medf_s_f": pool.cei_medf_s.obj,
+            "npc_medf_open_f": pool.cei_medf_open.obj,
+        }
+        try:
+            for name, record in records.items():
+                assert record is view[name] and getattr(pool, name) is record
+            segment = view["npc_captured_f"]
+            pool.cei_captured[3] = 7.0
+            assert segment[3] == 7.0
+            _demote(monitor, "test")
+            private = pool.npc_captured_f
+            assert private is not segment and pool.cei_captured.obj is private
+            assert private[3] == 7.0
+            pool.cei_captured[3] = 0.0
+            assert private[3] == 0.0
+            assert pool._active.obj.base is pool.np_active
+            assert pool.cei_medf_s.obj is pool.npc_medf_s_f
+            assert pool.cei_medf_open.obj is pool.npc_medf_open_f
+        finally:
+            monitor.close()
+        assert shm_entries() == []
 
     def test_killed_worker_demotes_and_leaves_no_segments(self):
         """The leak regression: SIGKILL mid-run must not orphan the
