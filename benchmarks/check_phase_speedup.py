@@ -7,9 +7,10 @@ once forced back to the legacy full-bag lexsort — and compares
 best-of-N wall-clock times.  The policy is MRSF with a no-op
 ``on_chronon_start`` (``SteppedMRSF``, as in
 ``check_shedding_overhead.py``): a plain MRSF ``run()`` takes the
-whole-run heap walker (``fastpath.run_fast_span``), which never
-selects, so both sides would time the same code; the hook makes
-``run()`` step every chronon through the per-chronon phases.  The two
+carried walk (``fastpath.run_fast_span``), which keeps one heap entry
+per open CEI and never cuts a bag, so both sides would time the same
+code; the hook makes ``run()`` step every chronon through the phase
+walk, whose top-k cut this gate times.  The two
 runs are interleaved and the best round is taken per side, which
 suppresses most scheduler noise on shared CI runners.  Both sides must
 probe identically: top-k is a pure reordering of when sort keys are

@@ -34,31 +34,30 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   the CEI aggregates, and one verdict per CEI.  Only activation hooks
   (``collect``) keep the scalar loops, which leave the same state; shed
   rows ride either path.
-* :func:`run_fast_phases` — the vectorized ``probeEIs`` loop.  Each phase
-  batch-scores the whole candidate bag with one
-  :class:`repro.policies.kernels.ScoreKernel` call, then *selects* rather
-  than sorts: a budget-aware ``np.argpartition`` extracts the ``~C_j +
-  overflow`` smallest keys and only that slice is exact-sorted into the
-  probe stream.  The partition boundary key is remembered as a strict
-  lower bound on every unmaterialized candidate; whenever the walk would
-  pick an overlay-heap re-rank at or past that bound — or drains the
-  slice with budget left — the cut widens geometrically and the next
-  slice materializes.  The probe walk consumes the stream re-ranking
-  siblings of captured EIs through an overlay heap with stale-entry
-  invalidation — the same invariant the reference heap maintains, at
-  ``O(A + k log k)`` per phase instead of ``O(A log A)``.
-* :func:`run_fast_span` — ``monitor.run``'s whole-run walker, one loop
-  over the busy chronons around one priority heap.  Under a
-  shift-invariant kernel (S-EDF, MRSF, W-MRSF) the heap ranks CEIs, not
-  rows: one entry per open CEI, keyed at its best live row for the
-  whole run, so every registration, window opening and capture costs
+* :func:`run_fast_phases` — the vectorized ``probeEIs`` loop, one
+  phase per candidate partition (the whole bag, or ``cands+`` then
+  ``cands-``).  A phase batch-scores its rows with one
+  :class:`repro.policies.kernels.ScoreKernel` call, then *selects*
+  rather than sorts: a budget-aware ``np.partition`` extracts the ``~C_j
+  + overflow`` smallest keys and only that slice is pushed onto the
+  phase's one heap (:class:`_LocalStream`).  The smallest key held back
+  is a lower bound on every key not yet in the heap; a pick at or past
+  it, or a heap drained with budget left, widens the cut geometrically.
+  The walk (:func:`_phase_walk`) skips stale keys as the reference heap
+  does: a sibling re-rank pushes a fresh key and records it in ``cur``,
+  a failed probe that may retry re-pushes its key.  One phase costs
+  ``O(A + k log k)`` instead of ``O(A log A)``.
+* :func:`run_fast_span` — ``monitor.run``'s whole-run walk.  Under a
+  shift-invariant kernel (S-EDF, MRSF, W-MRSF) one heap ranks CEIs, not
+  rows, for the whole run: one entry per open CEI, keyed at its best
+  live row, so every registration, window opening and capture costs
   ``O(log A)`` and nothing is scored in bulk.  Under M-EDF, whose keys
-  move with the chronon at per-CEI slopes, the live bag is scored once
-  per chronon and the heap re-seeded from its top-k cut, without the
-  phase machinery.  Runs
-  with float keys, faults, shedding, hooks, an explicit resource pool,
-  shards, no preemption or no overlap step through
-  :func:`run_fast_phases` (the gates are in ``OnlineMonitor.run``).
+  move with the chronon at per-CEI slopes, each busy chronon with
+  budget is one :func:`_phase_walk` over the re-keyed bag, as in
+  ``step()``, without the per-chronon hooks.  Runs with float keys,
+  faults, shedding, hooks, an explicit resource pool, shards, no
+  preemption or no overlap step through :func:`run_fast_phases` (the
+  gates are in ``OnlineMonitor.run``).
 
 A pool built from a pre-compiled arena (``FastCandidatePool(arena=...)``)
 shares its columns and mirrors with every other policy run of that
@@ -126,9 +125,9 @@ BATCH_CUTOVER = 32
 # Intel Xeon: 1.5 us at 16 rows; NumPy is 2.5x faster at 128).
 _NUMPY_FILTER_MIN = 16
 
-# The re-keyed walk packs keys with NumPy while priorities stay inside
-# +-2^20 (as the phases do), above the 42-bit static key finish*2^21+seq;
-# the carried walk packs Python ints, whose priorities are unbounded.
+# A phase packs its keys with NumPy while priorities stay inside +-2^20,
+# above the 42-bit static key finish*2^21+seq; the carried walk and the
+# sibling re-ranks pack Python ints, whose priorities are unbounded.
 _PRIO_LIMIT = float(1 << 20)
 _SEQ_MASK = (1 << 21) - 1
 
@@ -1126,21 +1125,19 @@ def run_fast_phases(
     if not pool.num_active():
         return budget_left
     pool.sync_mirrors()
-    rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+    rows = pool.np_active[: len(pool.row_seq)].nonzero()[0]
     if monitor.preemptive:
-        # One phase over the whole bag: sibling refreshes never need a
-        # phase-membership check (any active sibling is in the phase).
-        return _fast_phase(monitor, rows, chronon, budget_left, probed, whole_bag=True)
-    in_plus = pool.npc_captured_f[pool.npr_cidx[rows]] > 0
-    plus = rows[in_plus]
-    if plus.size:
-        budget_left = _fast_phase(monitor, plus, chronon, budget_left, probed)
+        return _fast_phase(monitor, rows, chronon, budget_left, probed)
+    # The split is per CEI and fixed at chronon start: a CEI that captures
+    # during the plus phase still belongs to the minus phase.
+    plus_ceis = pool.npc_captured_f[: len(pool.cei_rank)] > 0
+    in_plus = plus_ceis[pool.npr_cidx[rows]]
+    budget_left = _fast_phase(monitor, rows[in_plus], chronon, budget_left, probed, plus_ceis)
     if budget_left > _EPS:
         minus = rows[~in_plus]
         # Plus-phase overlap captures may have consumed minus rows.
         minus = minus[pool.np_active[minus]]
-        if minus.size:
-            budget_left = _fast_phase(monitor, minus, chronon, budget_left, probed)
+        budget_left = _fast_phase(monitor, minus, chronon, budget_left, probed, ~plus_ceis)
     return budget_left
 
 
@@ -1158,159 +1155,119 @@ def _topk_cut(budget_left: float, min_probe_cost: float, n: int) -> int:
     return n if 2 * cut >= n else cut
 
 
-class _LocalStream:
-    """Lazily-materialized sorted key stream over one phase partition.
-
-    The stream plays the role of the reference heap's initial contents:
-    ``sp``/``sr`` hold the materialized ``(priority, row)`` prefix in
-    exact ``(priority, finish, seq)`` order, ``bound`` is a lower bound
-    on every unmaterialized key (materialized keys lie strictly below
-    it), and :meth:`widen` materializes the next geometric slice.  The
-    concatenated slices are element-for-element the full lexsorted
-    stream — keys never tie across a cut: packed keys are unique, float
-    cuts absorb all boundary-priority ties — so the probe walk is
-    oblivious to how much of it exists.
-
-    :func:`_phase_walk` consumes this interface; the sharded engine
-    (:mod:`repro.online.sharded`) supplies a merge-across-workers
-    implementation of the same ``sp``/``sr``/``bound``/``exhausted``/
-    ``widen`` surface.
-    """
-
-    __slots__ = (
-        "sp",
-        "sr",
-        "bound",
-        "_pool",
-        "_rows",
-        "_prio",
-        "_packed_keys",
-        "_static",
-        "_remaining",
-        "_next_cut",
-    )
-
-    def __init__(
-        self,
-        pool: FastCandidatePool,
-        kernel,
-        rows: np.ndarray,
-        chronon: Chronon,
-        budget_left: float,
-        min_probe_cost: float,
-    ) -> None:
-        self._pool = pool
-        self._rows = rows
-        cidx = pool.npr_cidx[rows]
-        prio = kernel.score_rows(pool, rows, cidx, chronon)
-        self._prio = prio
-        packed_keys = None
-        static = None
-        if pool._packable:
-            static = pool.npr_static[rows]
-            if kernel.integer_valued and float(np.abs(prio).max()) < float(1 << 20):
-                # Integer priorities small enough to share an int64 with
-                # the static key: keys are then unique (seq is), so any
-                # slice is ordered by one plain argsort.
-                packed_keys = pack_keys(prio, static)
-        self._packed_keys = packed_keys
-        self._static = static
-
-        n = int(rows.size)
-        self.sp: list[float] = []  # materialized priorities, sorted
-        self.sr: list[int] = []  # materialized rows, sorted
-        self._remaining: Optional[np.ndarray] = np.arange(n)
-        self.bound: Optional[tuple] = None
-        cut = _topk_cut(budget_left, min_probe_cost, n)
-        self._materialize(cut)
-        self._next_cut = max(cut, 1) * TOPK_GROWTH
-
-    @property
-    def exhausted(self) -> bool:
-        """Is every key of the partition materialized into ``sp``/``sr``?"""
-        return self._remaining is None
-
-    def widen(self) -> None:
-        """Materialize the next geometric slice of the stream."""
-        self._materialize(self._next_cut)
-        self._next_cut *= TOPK_GROWTH
-
-    def _slice_order(self, sel: np.ndarray) -> np.ndarray:
-        """Exact (priority, finish, seq) order of one selected slice."""
-        if self._packed_keys is not None:
-            return sel[np.argsort(self._packed_keys[sel])]
-        prio = self._prio
-        if self._static is not None:
-            return sel[np.lexsort((self._static[sel], prio[sel]))]
-        pool = self._pool
-        sub = self._rows[sel]
-        return sel[np.lexsort((pool.npr_seq[sub], pool.npr_finish[sub], prio[sel]))]
-
-    def _materialize(self, count: int) -> None:
-        """Append the ``count`` smallest unmaterialized keys to the stream."""
-        rem = self._remaining
-        assert rem is not None
-        prio = self._prio
-        rows = self._rows
-        if count >= rem.size:
-            chosen = self._slice_order(rem)
-            self._remaining = None
-            self.bound = None
-        elif self._packed_keys is not None:
-            part = np.argpartition(self._packed_keys[rem], count)
-            chosen = self._slice_order(rem[part[:count]])
-            # Unique keys: the boundary element is the exact minimum of
-            # the remainder, and every selected key is strictly below it.
-            b = int(rem[part[count]])
-            brow = int(rows[b])
-            pool = self._pool
-            self.bound = (float(prio[b]), pool.row_finish[brow], pool.row_seq[brow])
-            self._remaining = rem[part[count:]]
-        else:
-            # Float keys may tie on priority: absorb every row tied with
-            # the boundary value into the slice so the priority-only
-            # bound stays a *strict* lower bound on the remainder.
-            rem_prio = prio[rem]
-            part = np.argpartition(rem_prio, count)
-            cut_value = rem_prio[part[count]]
-            mask = rem_prio <= cut_value
-            chosen = self._slice_order(rem[mask])
-            rest = rem[~mask]
-            if rest.size:
-                self.bound = (float(prio[rest].min()),)
-                self._remaining = rest
-            else:
-                self.bound = None
-                self._remaining = None
-        self.sp.extend(prio[chosen].tolist())
-        self.sr.extend(rows[chosen].tolist())
-
-
 def _fast_phase(
     monitor: "OnlineMonitor",
     rows: np.ndarray,
     chronon: Chronon,
     budget_left: float,
     probed: set[ResourceId],
-    whole_bag: bool = False,
+    in_phase: Optional[np.ndarray] = None,
 ) -> float:
-    """One candidate partition: batch-score, top-k select, walk, refresh."""
+    """One candidate partition: key its rows, cut the keys, walk the cut.
+
+    ``in_phase`` marks the CEIs of a plus or minus partition (one bool
+    per CEI); None when the partition is the whole bag.
+    """
     if rows.size == 0:
         return budget_left
-    pool: FastCandidatePool = monitor.pool
-    kernel = monitor._kernel
-    assert kernel is not None
-    pool.sync_mirrors()
     stream = _LocalStream(
-        pool, kernel, rows, chronon, budget_left, monitor._min_probe_cost
+        monitor.pool, monitor._kernel, rows, chronon,
+        _topk_cut(budget_left, monitor._min_probe_cost, rows.size),
     )
-    # Phase membership covers the *whole* partition, not just the
-    # materialized slice — an unmaterialized row's fresh key must reach
-    # the overlay like any other sibling's.  Built lazily by the walk
-    # (only if a sibling refresh actually fires); None when the phase
-    # spans the whole bag, where active implies in-phase.
-    membership = None if whole_bag else (lambda: set(rows.tolist()))
-    return _phase_walk(monitor, chronon, budget_left, probed, stream, membership)
+    return _phase_walk(monitor, chronon, budget_left, probed, stream, in_phase)
+
+
+class _LocalStream:
+    """One phase's keys, fed to the walk's heap a top-k slice at a time.
+
+    One ``score_rows`` call keys the phase's rows in the frame of its
+    chronon.  The keys are packed ints, ``priority << 42 | finish << 21 |
+    seq``, when the kernel is integer-valued and scores per CEI, the pool
+    packable and every priority inside ``+-_PRIO_LIMIT``; ``(priority,
+    finish, seq, row)`` tuples otherwise.  :meth:`_materialize` pushes
+    the ``count`` smallest keys still held back onto ``heap``, sorted, so
+    that with selection off the whole bag is sorted once.  ``bound`` is
+    the smallest key held back, strictly above every key pushed (None
+    once none is): packed keys are unique, and a float cut takes every
+    row tied at its boundary priority and keeps the 1-tuple
+    ``(priority,)``.  :meth:`widen` pushes the next slice,
+    ``TOPK_GROWTH`` times larger.  A slice that finds the heap empty
+    becomes the heap, so a walk re-reads ``heap`` after each widening.
+
+    The sharded engine's merge (:mod:`repro.online.sharded`) feeds
+    :func:`_phase_walk` through the same ``heap``/``packed``/``bound``/
+    ``widen`` surface.
+    """
+
+    __slots__ = ("heap", "packed", "bound", "_pool", "_keys", "_rows", "_cut")
+
+    def __init__(
+        self, pool: FastCandidatePool, kernel, rows: np.ndarray, chronon: Chronon, count: int
+    ) -> None:
+        prio = kernel.score_rows(pool, rows, pool.npr_cidx[rows], chronon)
+        # np.maximum.reduce, not .max(): no Python-level wrapper per phase.
+        self.packed = packed = (
+            pool._packable
+            and kernel.integer_valued
+            and not kernel.row_dependent
+            and float(np.maximum.reduce(abs(prio))) < _PRIO_LIMIT
+        )
+        if packed:  # a packed key names its row
+            self._keys = pack_keys(prio, pool.npr_static[rows])
+        else:
+            self._keys, self._rows, self._pool = prio, rows, pool
+        self._cut = count
+        self.heap = ()  # the first slice becomes the heap
+        self._materialize(count)
+
+    def widen(self) -> None:
+        """Push the next geometric slice of the keys held back."""
+        self._cut = max(self._cut, 1) * TOPK_GROWTH
+        self._materialize(self._cut)
+
+    def _materialize(self, count: int) -> None:
+        """Push the ``count`` smallest keys held back onto the heap."""
+        keys = self._keys
+        if self.packed:
+            # In place: the keys are this cut's own array.
+            if count < keys.size:
+                keys.partition(count)  # distinct keys: keys[count] is the bound
+                keys, self._keys, self.bound = keys[:count], keys[count:], int(keys[count])
+            else:
+                self._keys = self.bound = None
+            keys.sort()
+            taken = keys.tolist()
+        else:
+            rows = self._rows
+            if count < keys.size:
+                # Float keys may tie on priority: take every row tied with
+                # the boundary so the priority-only bound stays strict.
+                take = keys <= keys[np.argpartition(keys, count)[count]]
+                rest = ~take
+                if rest.any():
+                    self.bound = (float(keys[rest].min()),)
+                    self._keys, self._rows = keys[rest], rows[rest]
+                else:
+                    self._keys = self._rows = self.bound = None
+                keys, rows = keys[take], rows[take]
+            else:
+                self._keys = self._rows = self.bound = None
+            pool = self._pool
+            if pool._packable:
+                order = np.lexsort((pool.npr_static[rows], keys))
+            else:
+                order = np.lexsort((pool.npr_seq[rows], pool.npr_finish[rows], keys))
+            rows = rows[order]
+            taken = list(zip(
+                keys[order].tolist(), pool.npr_finish[rows].tolist(),
+                pool.npr_seq[rows].tolist(), rows.tolist(),
+            ))
+        heap = self.heap
+        if heap:
+            heap.extend(taken)
+            heapq.heapify(heap)
+        else:
+            self.heap = taken  # a sorted list is a heap already
 
 
 def _phase_walk(
@@ -1319,236 +1276,157 @@ def _phase_walk(
     budget_left: float,
     probed: set[ResourceId],
     stream,
-    membership_factory,
+    in_phase: Optional[np.ndarray],
 ) -> float:
-    """The budget walk over one phase's sorted candidate stream.
+    """The budget walk over one phase: one heap of keys, stale ones skipped.
 
-    ``stream`` supplies the materialized sorted prefix (``sp``/``sr``),
-    the lower ``bound`` on unmaterialized keys, and ``widen()`` —
-    either a :class:`_LocalStream` or the sharded merge stream.
-    Sibling refreshes push fresh keys onto a small overlay heap and
-    invalidate the row's stream entry (the ``dirty`` set), so at every
-    pick the chosen EI minimizes the *current* ``(priority, finish,
-    seq)`` key over eligible candidates — the same invariant the
-    reference heap maintains with stale-entry skipping.  The widening
-    invariant: a pick is only trusted when its key is provably below
-    ``bound``; stream keys always are, overlay keys at or past the
-    bound force the cut to widen geometrically until the comparison is
-    decisive.
+    ``stream`` holds the heap, seeded with the phase's top-k cut, and
+    the ``bound`` below which the heap holds every key of the phase (a
+    :class:`_LocalStream` or the sharded merge).  A popped key is stale
+    when its row left the bag or a sibling re-rank superseded it
+    (``cur`` holds each re-ranked row's freshest key), so the first
+    fresh, eligible key is the reference heap's pick, unless it lies at
+    or past ``bound``: then a key not yet in the heap may rank first, so
+    the cut widens before the pick is trusted.  A failed probe that may
+    retry re-pushes its key, and a partial capture that may retry
+    re-arms it unless a re-rank moved it, as the reference heap does.
 
-    ``membership_factory`` builds the phase-membership container for
-    sibling refreshes on first use (any object supporting ``in``); None
-    means the phase spans the whole bag and needs no check.
+    ``in_phase`` marks the CEIs of the partition whose siblings are
+    re-ranked (see :func:`_fast_phase`); None for the whole bag.
     """
     pool: FastCandidatePool = monitor.pool
-    policy = monitor.policy
-    kernel = monitor._kernel
-    resources = monitor.resources
-    schedule = monitor.schedule
-
     faults = monitor._faults
-    retry_partials = monitor._retry_partials
-    reprobe = monitor._partial_retry_ok
-    row_finish = pool.row_finish
-    row_seq = pool.row_seq
-    sp = stream.sp  # aliases: widen() extends these lists in place
-    sr = stream.sr
-
-    active = pool._active
-    row_resource = pool.row_resource
-    uniform = resources is None
+    guarded = monitor._guarded_picks  # costs, faults, a probe hook or no overlap
     sensitive = monitor._sibling_sensitive
-    probe_hook = monitor._wants_probe_hook
-    exploit_overlap = monitor.exploit_overlap
-    si = 0
-    overlay: list[tuple] = []  # (priority, finish, seq, row, resource)
-    cur: dict[int, tuple] = {}  # row -> freshest key among refreshed rows
-    dirty: set[int] = set()  # rows whose stream entry was superseded
-    in_phase = None  # any object supporting ``row in in_phase``
+    schedule = monitor.schedule
+    heap = stream.heap
+    packed = stream.packed
+    bound = stream.bound
+    row_of_seq = pool._row_of_seq
+    row_resource = pool.row_resource
+    active = pool._active
+    pop = heapq.heappop
+    cost = 1.0
+    cur: dict[int, object] = {}
 
     while budget_left > _EPS:
-        # Advance past permanently-invalid stream entries (captured or
-        # expired rows, resources already probed or fault-ineligible,
-        # refreshed rows whose fresh key lives in the overlay), widening
-        # the cut whenever the materialized slice drains with rows left.
-        row = -1
-        rid = -1
-        stream_ready = False
-        while True:
-            while si < len(sr):
-                row = sr[si]
-                if row in dirty or not active[row]:
-                    si += 1
-                    continue
-                rid = row_resource[row]
-                if rid in probed and rid not in reprobe:
-                    si += 1
-                    continue
-                if faults is not None and not faults.available(rid, chronon):
-                    si += 1
-                    continue
-                stream_ready = True
-                break
-            if stream_ready or stream.exhausted:
-                break
+        if not heap:
+            if bound is None:
+                break  # phase exhausted
             stream.widen()
-        # Drop stale / ineligible overlay entries.
-        while overlay:
-            entry = overlay[0]
-            orow = entry[3]
-            if (
-                cur.get(orow) != (entry[0], entry[1], entry[2])
-                or not active[orow]
-                or (entry[4] in probed and entry[4] not in reprobe)
-                or (faults is not None and not faults.available(entry[4], chronon))
-            ):
-                heapq.heappop(overlay)
-                continue
-            break
-        key = None
-        if stream_ready and (
-            not overlay
-            or (sp[si], row_finish[row], row_seq[row]) <= overlay[0][:3]
-        ):
-            # Stream picks are always safe: materialized keys lie
-            # strictly below `bound`, hence below every key not yet seen.
-            from_stream = True
-            if faults is not None:
-                key = (sp[si], row_finish[row], row_seq[row])
-        elif overlay:
-            entry = overlay[0]
-            bound = stream.bound
-            if bound is not None and not (entry[:3] < bound):
-                # A not-yet-materialized candidate may beat this
-                # re-ranked key: widen until the comparison is decisive.
-                stream.widen()
-                continue
-            row, rid = entry[3], entry[4]
-            key = entry[:3]
-            from_stream = False
-        else:
-            break  # phase exhausted
-
-        cost = 1.0 if uniform else resources.probe_cost(rid)
+            heap, bound = stream.heap, stream.bound
+            continue
+        key = pop(heap)
+        row = row_of_seq[key & _SEQ_MASK] if packed else key[3]
+        if not active[row] or (cur and cur.get(row, key) != key):
+            continue  # left the bag, or superseded by a re-rank
+        rid = row_resource[row]
+        if guarded:
+            if rid in probed and rid not in monitor._partial_retry_ok:
+                continue  # captured by this chronon's probe of rid
+            if faults is not None and not faults.available(rid, chronon):
+                continue  # backed off, or out of attempts
+            if monitor.resources is not None:
+                cost = monitor.resources.probe_cost(rid)
+                if cost > budget_left + _EPS:
+                    continue  # can never fit: the budget only shrinks
         if cost > budget_left + _EPS:
-            if uniform:
-                # Unit costs: the budget is spent for this phase.
-                break
-            # Heterogeneous costs: cheaper candidates may still fit; this
-            # entry can never fit later (budget only shrinks), drop it.
-            if from_stream:
-                si += 1
-            else:
-                heapq.heappop(overlay)
+            break  # unit costs: the budget is spent
+        if bound is not None and key > bound:
+            heapq.heappush(heap, key)
+            stream.widen()
+            heap, bound = stream.heap, stream.bound
             continue
 
-        if from_stream:
-            si += 1
-        else:
-            heapq.heappop(overlay)
         budget_left -= cost
         monitor._probes_used += 1
         monitor._charge(rid, chronon, cost)
-        if faults is not None and not faults.attempt(rid, chronon):
+        if guarded and faults is not None and not faults.attempt(rid, chronon):
             # Failed probe: budget spent, nothing captured, no schedule
-            # entry.  A permitted retry re-enters via the overlay with its
-            # unchanged key — the same re-ranked-retry the reference heap
-            # performs.
+            # entry.  A permitted retry competes again with its key.
             if faults.can_retry(rid):
-                cur[row] = key
-                dirty.add(row)
-                heapq.heappush(overlay, key + (row, rid))
+                heapq.heappush(heap, key)
             continue
         schedule.add_probe(rid, chronon)
         probed.add(rid)
-        if probe_hook:
-            policy.on_probe(rid, chronon)
-        skip = monitor._partial_drops(rid, chronon)
-        if exploit_overlap:
-            touched = pool.capture_resource_rows(rid, skip)
-        elif row_seq[row] in skip:
-            # Per-EI verdict dropped exactly the selected EI.
-            touched = []
+        if not guarded:
+            touched = pool.capture_resource_rows(rid)
         else:
-            touched = pool.capture_single_row(row)
-        retry_partial = (
-            retry_partials and skip and faults is not None and faults.can_retry(rid)
-        )
-        if retry_partial:
-            reprobe.add(rid)
-        else:
-            reprobe.discard(rid)
-        pre = cur.get(row)
+            if monitor._wants_probe_hook:
+                monitor.policy.on_probe(rid, chronon)
+            skip = monitor._partial_drops(rid, chronon)
+            if monitor.exploit_overlap:
+                touched = pool.capture_resource_rows(rid, skip)
+            elif pool.row_seq[row] in skip:
+                touched = []  # the per-EI verdict dropped exactly this EI
+            else:
+                touched = pool.capture_single_row(row)
+            retry_partial = bool(skip) and monitor._retry_partials and faults.can_retry(rid)
+            if retry_partial:
+                monitor._partial_retry_ok.add(rid)
+            else:
+                monitor._partial_retry_ok.discard(rid)
+            pre = cur.get(row)
         if sensitive and touched and budget_left > _EPS:
-            # (Skipped once the budget is spent: the refresh only feeds
-            # later picks of this same phase, so it cannot change the
-            # schedule — the reference loop does the work and discards it.)
-            if in_phase is None and membership_factory is not None:
-                in_phase = membership_factory()
+            # (Skipped once the budget is spent: a re-rank only feeds
+            # later picks of this phase.)
             _refresh_siblings_fast(
-                pool, kernel, touched, chronon, in_phase, probed, overlay, cur,
-                dirty, reprobe,
+                pool, monitor._kernel, touched, chronon, in_phase, heap, cur, packed
             )
-        if retry_partial and active[row]:
-            post = cur.get(row)
-            if post is None or post == pre:
-                # The chosen row itself was dropped and the sibling
-                # refresh left its key unchanged: re-arm the consumed
-                # entry via the overlay so it competes for a re-probe —
-                # mirroring the reference heap's re-push.
-                cur[row] = key
-                dirty.add(row)
-                heapq.heappush(overlay, key + (row, rid))
+        if guarded and retry_partial and active[row] and cur.get(row) == pre:
+            # The probe dropped the chosen EI itself and no re-rank moved
+            # its key: re-arm it for a re-probe.
+            heapq.heappush(heap, key)
     return budget_left
 
 
 def _refresh_siblings_fast(
     pool: FastCandidatePool,
     kernel,
-    touched: list[int],
+    touched: Iterable[int],
     chronon: Chronon,
-    in_phase,
-    probed: set[ResourceId],
-    overlay: list[tuple],
-    cur: dict[int, tuple],
-    dirty: set[int],
-    reprobe: set[ResourceId] = frozenset(),
+    in_phase: Optional[np.ndarray],
+    heap: list,
+    cur: dict[int, object],
+    packed: bool,
 ) -> None:
-    """Re-rank still-active siblings of CEIs whose state just changed.
+    """Push fresh keys for the live siblings of each CEI in ``touched``.
 
-    ``in_phase`` is None when the phase spans the whole bag (preemptive
-    mode): there, membership needs no check because active implies
-    in-phase.
+    A CEI outside the phase (``in_phase`` false) keeps its keys; None
+    means the phase spans the whole bag.  Packed keys are Python ints
+    here, so no score is too large to pack, and their kernel scores per
+    CEI (:class:`_LocalStream` packs no row-dependent kernel).
     """
     active = pool._active
     row_finish = pool.row_finish
     row_seq = pool.row_seq
-    row_resource = pool.row_resource
-    row_dependent = kernel.row_dependent
     cei_state = pool.cei_state
+    row_dependent = kernel.row_dependent
+    push = heapq.heappush
     for cidx in touched:
-        if cei_state[cidx] != _OPEN:
-            continue  # closed CEIs left the candidate bag entirely
-        # Row-dependent kernels (expected-gain: sibling rows on different
-        # resources score differently) re-score per row; the rest score
-        # once per CEI.
+        if cei_state[cidx] != _OPEN or (in_phase is not None and not in_phase[cidx]):
+            continue  # closed, or not in this phase
+        rows = range(pool.cei_row_begin[cidx], pool.cei_row_end[cidx])
+        # One loop per key form keeps the branches out of the row loop.
+        if packed:
+            high = int(kernel.score_cei(pool, cidx, chronon)) << 42
+            for row in rows:
+                if active[row]:
+                    key = high + (row_finish[row] << 21) + row_seq[row]
+                    if cur.get(row) != key:
+                        cur[row] = key
+                        push(heap, key)
+            continue
+        # Row-dependent kernels (expected gain: siblings on different
+        # resources score differently) score per row, the rest per CEI.
         fresh = None if row_dependent else kernel.score_cei(pool, cidx, chronon)
-        for row in range(pool.cei_row_begin[cidx], pool.cei_row_end[cidx]):
-            if not active[row]:
-                continue
-            if in_phase is not None and row not in in_phase:
-                continue
-            rid = row_resource[row]
-            if rid in probed and rid not in reprobe:
-                continue
-            score = (
-                kernel.score_row(pool, row, cidx, chronon) if row_dependent else fresh
-            )
-            key = (score, row_finish[row], row_seq[row])
-            if cur.get(row) != key:
-                cur[row] = key
-                dirty.add(row)
-                heapq.heappush(overlay, key + (row, rid))
+        for row in rows:
+            if active[row]:
+                score = kernel.score_row(pool, row, cidx, chronon) if row_dependent else fresh
+                key = (score, row_finish[row], row_seq[row], row)
+                if cur.get(row) != key:
+                    cur[row] = key
+                    push(heap, key)
 
 
 def run_fast_span(
@@ -1564,10 +1442,10 @@ def run_fast_span(
     (:func:`_walk_carried`): the heap holds one entry per open CEI, so
     every event costs O(log A), never O(A).  An integer-valued kernel
     without that licence (M-EDF) is re-keyed instead
-    (:func:`_walk_rekeyed`): on each chronon with budget, one
-    ``score_rows`` call scores the live bag in the frame of that chronon
-    and the heap is seeded from its top-k cut (:func:`_topk_cut`).  The
-    other gates are in ``OnlineMonitor.run``.
+    (:func:`_walk_rekeyed`): each chronon with budget is one
+    :func:`_phase_walk` over the live bag, scored in the frame of that
+    chronon and cut to its top-k (:class:`_LocalStream`).  The other
+    gates are in ``OnlineMonitor.run``.
 
     Per chronon: register and open, then walk the budget, then close.
     A popped key is stale when a later key superseded it, so the first
@@ -1745,140 +1623,30 @@ def _walk_rekeyed(
     epoch: Epoch,
     arrivals: Mapping[Chronon, Sequence[ComplexExecutionInterval]],
 ) -> None:
-    """The whole run under M-EDF: the live bag re-keyed once per chronon.
+    """The whole run under M-EDF: one phase walk per busy chronon.
 
-    On each chronon with budget, one ``score_rows`` call scores the live
-    bag in the frame of that chronon and the heap is seeded from its
-    top-k cut.  The smallest key left out is the bound: a pick past it
-    widens the cut first, as in :func:`_phase_walk`.  A popped key is
-    stale when its row left the bag or a sibling re-rank superseded it.
-    The heap is dropped when its chronon ends.
+    M-EDF's keys move with the chronon at per-CEI slopes, so each chronon
+    with budget re-keys the live bag in its own frame (a
+    :class:`_LocalStream`) and spends the budget with :func:`_phase_walk`,
+    as ``step()`` would; the heap is dropped when the chronon ends.
     """
     pool: FastCandidatePool = monitor.pool
     kernel = monitor._kernel
-    schedule = monitor.schedule
     budget = monitor.budget
-    sensitive = monitor._sibling_sensitive
-    row_of_seq = pool._row_of_seq
-    row_resource = pool.row_resource
-    heap: list = []
-    cur: dict[int, object] = {}  # row -> its freshest re-ranked key
+    # One probed set for the whole run: an unguarded walk only adds to it.
+    probed: set[ResourceId] = set()
     for t in monitor._busy_chronons(epoch, arrivals):
         monitor._clock = t
         new = arrivals.get(t)
         if new:
             pool.register_arrivals(new, t, collect=False)
+            pool.sync_mirrors()  # an owned arena compiles rows as CEIs register
         pool.open_windows(t, collect=False)
-        active = pool._active  # registration may have grown the mask
         budget_left = budget.at(t)
-        # Last chronon's keys are void in this frame.
-        heap.clear()
-        cur.clear()
-        rest: Optional[_KeyCut] = None  # bag keys not yet in the heap
-        packed = True  # until this chronon's keys prove too wide
-        if 1.0 <= budget_left + _EPS and pool.num_active():
-            at = pool.np_active[: len(pool.row_seq)].nonzero()[0]
-            pool.sync_mirrors()
-            prio = kernel.score_rows(pool, at, pool.npr_cidx[at], t)
-            if pool._packable and abs(prio).max() < _PRIO_LIMIT:
-                rest = _KeyCut(
-                    pack_keys(prio, pool.npr_static[at]),
-                    _topk_cut(budget_left, monitor._min_probe_cost, at.size),
-                ).widen(heap)
-            else:
-                packed = False
-                seen = at.tolist()
-                finish, seq = _gather(pool.row_finish, seen), _gather(pool.row_seq, seen)
-                heap.extend(zip(prio.tolist(), finish, seq, seen))
-                heapq.heapify(heap)
-
-        while 1.0 <= budget_left + _EPS:
-            if not heap:
-                if rest is None:
-                    break
-                rest = rest.widen(heap)
-                continue
-            key = heapq.heappop(heap)
-            row = row_of_seq[key & _SEQ_MASK] if packed else key[3]
-            if not active[row] or cur.get(row, key) != key:
-                continue  # left the bag, or superseded by a re-rank
-            if rest is not None and key > rest.bound:
-                # A key not yet in the heap may rank first: widen the cut
-                # before trusting this pick.
-                heapq.heappush(heap, key)
-                rest = rest.widen(heap)
-                continue
-            rid = row_resource[row]
-            budget_left -= 1.0
-            monitor._probes_used += 1
-            monitor._charge(rid, t, 1.0)
-            schedule.add_probe(rid, t)
-            touched = pool.capture_resource_rows(rid)
-            if sensitive and touched and 1.0 <= budget_left + _EPS:
-                _rerank_siblings(pool, kernel, touched, t, heap, cur, packed)
+        if 1.0 <= budget_left + _EPS and pool._n_active:
+            rows = pool.np_active[: len(pool.row_seq)].nonzero()[0]
+            stream = _LocalStream(
+                pool, kernel, rows, t, _topk_cut(budget_left, 1.0, rows.size)
+            )
+            _phase_walk(monitor, t, budget_left, probed, stream, None)
         pool.close_windows(t, collect=False)
-
-
-class _KeyCut:
-    """The packed keys of one re-keyed bag that the run heap lacks.
-
-    :meth:`widen` pushes the ``count`` smallest onto the heap, then grows
-    ``count`` by ``TOPK_GROWTH``; ``bound``, the smallest key left, lies
-    above every key pushed.
-    """
-
-    __slots__ = ("keys", "count", "bound")
-
-    def __init__(self, keys: np.ndarray, count: int) -> None:
-        self.keys = keys
-        self.count = count
-
-    def widen(self, heap: list) -> Optional["_KeyCut"]:
-        """Push the next slice onto ``heap``; None once no key is left."""
-        keys, count = self.keys, self.count
-        if count >= keys.size:
-            taken, self.keys = keys, None
-        else:
-            part = np.partition(keys, count)  # distinct keys: part[count] is the bound
-            taken, self.keys = part[:count], part[count:]
-            self.bound = int(part[count])
-            self.count *= TOPK_GROWTH
-        heap.extend(taken.tolist())
-        heapq.heapify(heap)
-        return None if self.keys is None else self
-
-
-def _rerank_siblings(
-    pool: FastCandidatePool, kernel, touched: list[int], frame: Chronon,
-    heap: list, cur: dict[int, object], packed: bool,
-) -> None:
-    """Push fresh keys for the live siblings of each CEI in ``touched``.
-
-    Packed keys are Python ints here, so no score is too large to pack.
-    """
-    active = pool._active
-    row_finish = pool.row_finish
-    row_seq = pool.row_seq
-    push = heapq.heappush
-    cei_state = pool.cei_state
-    for cidx in touched:
-        if cei_state[cidx] != _OPEN:
-            continue  # closed CEIs left the candidate bag entirely
-        fresh = kernel.score_cei(pool, cidx, frame)
-        # One loop per key form keeps the branch out of the row loop.
-        rows = range(pool.cei_row_begin[cidx], pool.cei_row_end[cidx])
-        if packed:
-            high = int(fresh) << 42
-            for row in rows:
-                if active[row]:
-                    key = high + (row_finish[row] << 21) + row_seq[row]
-                    if cur.get(row) != key:
-                        cur[row] = key
-                        push(heap, key)
-        else:
-            for row in rows:
-                if active[row]:
-                    key = (fresh, row_finish[row], row_seq[row], row)
-                    if cur.get(row) != key:
-                        cur[row] = key
-                        push(heap, key)

@@ -193,6 +193,15 @@ class OnlineMonitor:
         self._wants_expiry_hook = cls.on_ei_expired is not Policy.on_ei_expired
         self._wants_probe_hook = cls.on_probe is not Policy.on_probe
         self._sibling_sensitive = policy.sibling_sensitive()
+        # Without costs, faults, a probe hook or the overlap ablation, a
+        # probe captures every live row on its resource, so the vectorized
+        # walk checks nothing else on a pick (fastpath._phase_walk).
+        self._guarded_picks = (
+            self._faults is not None
+            or resources is not None
+            or self._wants_probe_hook
+            or not exploit_overlap
+        )
         # Cheapest possible probe: bounds how many picks one chronon's
         # budget can make (the fast path's top-k cut is sized from it).
         if resources is None:

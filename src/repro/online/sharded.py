@@ -18,14 +18,13 @@ shedding, and the budget walk itself (:func:`~repro.online.fastpath.
 _phase_walk`).  Workers only compute ``kernel.score_rows`` over their
 row partition, ``argpartition`` the budget-sized prefix, exact-sort the
 slice, and ship ``(priority, row)`` pairs plus a strict lower *bound*
-on their unmaterialized remainder.  The coordinator merges shard slices
-into one global sorted stream (:class:`_ShardedStream`): an entry is
-*released* into the walk only when its full ``(priority, finish, seq)``
-key lies strictly below the minimum bound over all non-exhausted
-shards, so every released prefix is exactly the prefix the single-core
-lexsorted stream would produce — which, combined with the walk's
-pick-only-below-bound invariant, makes the sharded schedule
-bit-identical to ``engine="vectorized"`` for every shard count
+on their unmaterialized remainder.  The coordinator pushes every shard
+slice straight into the phase walk's one heap (:class:`_ShardedStream`)
+and keeps the minimum bound over all non-exhausted shards as the
+phase's bound.  Every key no shard has shipped lies at or above it, and
+the walk trusts no pick at or past the bound without widening first, so
+the sharded schedule is bit-identical to ``engine="vectorized"`` for
+every shard count
 (``tests/test_fastpath_equivalence.py::TestShardedEquivalence``).
 
 Shared state
@@ -68,7 +67,7 @@ import numpy as np
 
 from repro.core.errors import ModelError
 from repro.online import fastpath
-from repro.online.fastpath import _EPS, _fast_phase, _phase_walk
+from repro.online.fastpath import _EPS, _PRIO_LIMIT, _fast_phase, _phase_walk, _topk_cut
 from repro.policies.kernels import pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -88,7 +87,7 @@ class ShardingStats:
     shards: int
     #: Phases opened across shard workers.
     phases: int = 0
-    #: Widening round-trips (stream drained or overlay forced a widen).
+    #: Widening round-trips (the heap drained, or a pick lay past the bound).
     widenings: int = 0
     #: Times the run fell back to the single-engine path.
     demotions: int = 0
@@ -147,9 +146,9 @@ class _ShardSlicer:
     """One phase's lazily-sliced sorted key stream inside a worker.
 
     The worker-side half of :class:`~repro.online.fastpath._LocalStream`:
-    identical argpartition / exact-sort / strict-bound mechanics over the
+    the same partition / exact-sort / strict-bound mechanics over the
     shard's partition, but slices are *returned* (to cross the pipe)
-    rather than appended to the walk's stream.
+    rather than pushed onto the walk's heap.
     """
 
     __slots__ = ("cols", "rows", "prio", "packed", "remaining")
@@ -169,7 +168,7 @@ class _ShardSlicer:
             cols._packable
             and n
             and kernel.integer_valued
-            and float(np.abs(prio).max()) < float(1 << 20)
+            and float(np.abs(prio).max()) < _PRIO_LIMIT
         ):
             # Per-shard decision: the coordinator compares full-key
             # *tuples* across shards, so shards may disagree on packing
@@ -292,63 +291,46 @@ def _cleanup_engine(procs, pipes, view) -> None:
 
 
 class _ShardedStream:
-    """Global sorted stream merged from per-shard slices.
+    """One phase's shard slices, merged straight into the walk's heap.
 
-    Presents the same ``sp`` / ``sr`` / ``bound`` / ``exhausted`` /
-    ``widen()`` surface :func:`~repro.online.fastpath._phase_walk`
-    consumes.  Per-shard slices arrive in exact local key order; entries
-    park in a pending heap keyed by the full ``(priority, finish, seq)``
-    tuple and are released into ``sp``/``sr`` only while strictly below
-    ``bound`` — the minimum bound over all non-exhausted shards.  Every
-    unreleased or unmaterialized key is ≥ that bound, so each release
-    batch extends the exact global sorted prefix (releases are monotone:
-    a later batch's keys are ≥ the bound that gated the earlier one).
+    Presents the ``heap`` / ``packed`` / ``bound`` / ``widen()`` surface
+    :func:`~repro.online.fastpath._phase_walk` walks.  Shards decide
+    packing each for itself, so the heap holds ``(priority, finish, seq,
+    row)`` tuples.  ``bound`` is the smallest bound of the shards not yet
+    exhausted: every key no shard has shipped lies at or above it, so the
+    walk's own rule, that a pick at or past the bound widens first, merges
+    the shards in exact global order.
     """
 
-    __slots__ = ("sp", "sr", "bound", "_engine", "_pending", "_shard_bounds", "_next_cut")
+    __slots__ = ("heap", "bound", "_engine", "_shard_bounds", "_next_cut")
+    packed = False
 
-    def __init__(self, engine: "ShardedEngine", kind: str, chronon, budget_left: float,
-                 min_probe_cost: float) -> None:
+    def __init__(self, engine: "ShardedEngine", kind: str, chronon, count: int) -> None:
         self._engine = engine
-        self.sp: list[float] = []
-        self.sr: list[int] = []
-        self._pending: list[tuple] = []
-        if fastpath.TOPK_ENABLED:
-            cut = int(budget_left / min_probe_cost) + 1 + fastpath.TOPK_OVERFLOW
-        else:
-            cut = max(engine.n_rows, 1)
-        engine.broadcast(("phase", chronon, kind, cut))
+        self.heap: list[tuple] = []
+        engine.broadcast(("phase", chronon, kind, count))
         self._shard_bounds: list = [None] * engine.shards
         self._collect(range(engine.shards))
-        self._next_cut = max(cut, 1) * fastpath.TOPK_GROWTH
+        self._next_cut = max(count, 1) * fastpath.TOPK_GROWTH
         stats = engine.stats
         if stats is not None:
             stats.phases += 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.bound is None and not self._pending
 
     def _collect(self, shard_ids) -> None:
         engine = self._engine
         pool = engine.pool
         row_finish = pool.row_finish
         row_seq = pool.row_seq
-        pending = self._pending
+        heap = self.heap
         for sid in shard_ids:
             prios, rows, bound, exhausted = engine.recv(sid)
             self._shard_bounds[sid] = None if exhausted else bound
-            for p, row in zip(prios, rows):
-                heapq.heappush(pending, (p, row_finish[row], row_seq[row], row))
+            heap.extend(
+                (p, row_finish[row], row_seq[row], row) for p, row in zip(prios, rows)
+            )
+        heapq.heapify(heap)
         live = [b for b in self._shard_bounds if b is not None]
         self.bound = min(live) if live else None
-        bound = self.bound
-        sp = self.sp
-        sr = self.sr
-        while pending and (bound is None or pending[0][:3] < bound):
-            entry = heapq.heappop(pending)
-            sp.append(entry[0])
-            sr.append(entry[3])
 
     def widen(self) -> None:
         engine = self._engine
@@ -361,26 +343,6 @@ class _ShardedStream:
         stats = engine.stats
         if stats is not None:
             stats.widenings += 1
-
-
-class _PlusMembership:
-    """Duck-typed phase-membership container for sibling refreshes.
-
-    ``row in membership`` iff the row's CEI sat on the requested side of
-    the frozen chronon-start plus/minus split — equivalent to the local
-    engine's ``set(rows.tolist())`` because activations only happen at
-    chronon start and the refresh loop filters inactive rows first.
-    """
-
-    __slots__ = ("_cidx", "_in_plus", "_want")
-
-    def __init__(self, cidx: np.ndarray, in_plus: np.ndarray, want: bool) -> None:
-        self._cidx = cidx
-        self._in_plus = in_plus
-        self._want = want
-
-    def __contains__(self, row: int) -> bool:
-        return bool(self._in_plus[self._cidx[row]]) == self._want
 
 
 class ShardedEngine:
@@ -483,10 +445,8 @@ class ShardedEngine:
 
     def open_stream(self, kind: str, chronon, budget_left: float,
                     min_probe_cost: float) -> _ShardedStream:
-        return _ShardedStream(self, kind, chronon, budget_left, min_probe_cost)
-
-    def membership(self, want_plus: bool) -> _PlusMembership:
-        return _PlusMembership(self.pool.npr_cidx, self.in_plus, want_plus)
+        count = _topk_cut(budget_left, min_probe_cost, self.pool.num_active())
+        return _ShardedStream(self, kind, chronon, count)
 
     # -- teardown ------------------------------------------------------
 
@@ -547,17 +507,15 @@ def run_sharded_phases(
         except ShardWorkerDied:
             _demote(monitor, "shard worker died mid-run")
             rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
-            return _fast_phase(monitor, rows, chronon, budget_left, probed,
-                               whole_bag=True)
+            return _fast_phase(monitor, rows, chronon, budget_left, probed)
 
     engine.freeze_split()
     frozen: Optional[np.ndarray] = None  # private split copy once demoted
     try:
         stream = engine.open_stream("plus", chronon, budget_left,
                                     monitor._min_probe_cost)
-        membership = engine.membership(want_plus=True)
         budget_left = _phase_walk(
-            monitor, chronon, budget_left, probed, stream, lambda: membership
+            monitor, chronon, budget_left, probed, stream, engine.in_plus
         )
     except ShardWorkerDied:
         frozen = _demote(monitor, "shard worker died mid-run")
@@ -566,16 +524,10 @@ def run_sharded_phases(
     if budget_left > _EPS:
         if frozen is None:
             try:
-                # Plus-phase captures must reach the scoring columns the
-                # workers read, exactly as the local engine syncs at each
-                # phase start.
-                pool.sync_mirrors()
                 stream = engine.open_stream("minus", chronon, budget_left,
                                             monitor._min_probe_cost)
-                membership = engine.membership(want_plus=False)
                 budget_left = _phase_walk(
-                    monitor, chronon, budget_left, probed, stream,
-                    lambda: membership,
+                    monitor, chronon, budget_left, probed, stream, ~engine.in_plus
                 )
             except ShardWorkerDied:
                 frozen = _demote(monitor, "shard worker died mid-run")
@@ -592,11 +544,9 @@ def _local_split_phase(monitor, chronon, budget_left, probed,
     """One plus/minus phase on the local path with a pre-frozen split."""
     pool = monitor.pool
     rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
-    side = frozen[pool.npr_cidx[rows]]
-    rows = rows[side] if plus else rows[~side]
-    if not rows.size:
-        return budget_left
-    return _fast_phase(monitor, rows, chronon, budget_left, probed)
+    side = frozen if plus else ~frozen
+    return _fast_phase(monitor, rows[side[pool.npr_cidx[rows]]], chronon,
+                       budget_left, probed, side)
 
 
 def _demote(monitor: "OnlineMonitor", reason: str) -> np.ndarray:

@@ -374,6 +374,16 @@ class TestReliabilityEquivalence:
         )
 
 
+def _mode_cases(policies):
+    """``(policy, preemptive)`` cases, each policy in both execution modes.
+
+    A preemptive case's id is the policy's name alone.
+    """
+    return [pytest.param(name, True, id=name) for name in policies] + [
+        pytest.param(name, False, id=f"{name}-nonpreemptive") for name in policies
+    ]
+
+
 @contextlib.contextmanager
 def topk_knobs(enabled=True, overflow=None, growth=None):
     """Temporarily override the top-k module knobs, restoring on exit."""
@@ -413,8 +423,8 @@ class TestTopKSelection:
     The phase walk must see the identical candidate sequence whether the
     bag is fully lexsorted up front or materialized in argpartition
     slices.  Shrinking ``TOPK_OVERFLOW`` to zero and growth to 2 forces
-    the widening path — bound violations from the overlay heap, stream
-    exhaustion mid-phase, tie absorption at the cut — on instances small
+    the widening path — re-ranked keys at or past the bound, a heap
+    drained mid-phase, tie absorption at the cut — on instances small
     enough that the default knobs would never widen.
     """
 
@@ -440,9 +450,17 @@ class TestTopKSelection:
         assert topk.schedule.probes == full.schedule.probes
         assert topk.believed_completeness == full.believed_completeness
 
-    @pytest.mark.parametrize("policy_name", ["MRSF", "EG-MRSF", "LEG-MRSF"])
-    def test_tiny_cuts_under_faults(self, policy_name):
-        """Widening interleaved with fault skips and overlay re-ranks."""
+    @pytest.mark.parametrize(
+        "policy_name, preemptive",
+        _mode_cases(PAPER_POLICIES + ["EG-MRSF", "LEG-MRSF"]),
+    )
+    def test_tiny_cuts_under_faults(self, policy_name, preemptive):
+        """Widening interleaved with fault skips, retries and re-ranks.
+
+        A failed probe that may retry re-pushes its key, and a partial
+        capture that may retry re-arms it; both must compete with the
+        keys a widening pushes later, in either execution mode.
+        """
         health = HealthConfig() if policy_name.startswith("LEG") else None
         with topk_knobs(overflow=0, growth=2):
             ref, vec = assert_engines_agree(
@@ -452,6 +470,7 @@ class TestTopKSelection:
                 faults=FailureModel(rate=0.4, seed=21, partial_rate=0.3),
                 retry=RetryPolicy(max_retries=2),
                 health=health,
+                preemptive=preemptive,
             )
         assert ref.probes_failed > 0
 
@@ -987,17 +1006,14 @@ class TestBatchedRun:
         epoch, profiles = paper_instance(*DENSE_PAPER)
         budget = BudgetVector.constant(3, len(epoch))
         arrivals = arrivals_from_profiles(profiles)
-        seeded = set()  # each chronon's cut, once its seed slice is pushed
-        widened = []
-        widen = fastpath._KeyCut.widen
+        widened = []  # the cut each widening grows
+        widen = fastpath._LocalStream.widen
 
-        def counting(self, heap):
-            if self in seeded:
-                widened.append(self.count)
-            seeded.add(self)
-            return widen(self, heap)
+        def counting(self):
+            widened.append(self._cut)
+            return widen(self)
 
-        monkeypatch.setattr(fastpath._KeyCut, "widen", counting)
+        monkeypatch.setattr(fastpath._LocalStream, "widen", counting)
 
         def monitor(engine):
             return OnlineMonitor(
@@ -1008,13 +1024,14 @@ class TestBatchedRun:
             walked = monitor("vectorized")
             not_stepped = count_steps(walked)
             walked.run(epoch, arrivals)
+            walker_widened = list(widened)
             stepped = monitor("vectorized")
             for chronon in epoch:
                 stepped.step(chronon, arrivals.get(chronon, ()))
         reference = monitor("reference")
         reference.run(epoch, arrivals)
         assert not_stepped == []
-        assert widened  # the widening path ran
+        assert walker_widened  # the walker's widening path ran
         for other in (stepped, reference):
             assert walked.schedule.probes == other.schedule.probes
             assert walked.probes_used == other.probes_used
@@ -1368,11 +1385,12 @@ def assert_sharded_agrees(
 class TestShardedEquivalence:
     """The shared-memory sharded engine must be bit-identical.
 
-    Per-shard budget-aware top-k streams merge in the coordinator; the
-    merge-release rule (release a pending key only once it is below
-    every live shard bound) must reproduce the single-engine selection
-    order exactly — across policies, execution modes, M-EDF aggregate
-    updates, faults, shedding, heterogeneous costs and forced widening.
+    Per-shard budget-aware top-k slices merge in the coordinator's one
+    phase heap; the walk's bound rule (no pick at or past the smallest
+    live shard bound without widening) must reproduce the single-engine
+    selection order exactly — across policies, execution modes, M-EDF
+    aggregate updates, faults, shedding, heterogeneous costs and forced
+    widening.
     Shard count 1 pins the degenerate partition; 7 does not divide the
     resource count, so shards see unequal loads.
     """
@@ -1419,19 +1437,24 @@ class TestShardedEquivalence:
             "S-EDF", _profiles(44), shards, budget=3.0, resources=pool
         )
 
-    def test_tiny_cuts_force_widening(self):
-        """A capture-heavy bag drains the merged stream mid-phase.
+    @pytest.mark.parametrize("policy_name, preemptive", _mode_cases(["MRSF", "M-EDF"]))
+    def test_tiny_cuts_force_widening(self, policy_name, preemptive):
+        """A capture-heavy bag drains the merged heap mid-phase.
 
-        Higher shard counts need fewer widenings (each shard's cut
-        covers more of its smaller bag), so the exercised-path assertion
-        is on the total across shard counts, not per count.
+        Five probes over six resources capture most of the bag, so the
+        walk empties its heap, or meets a pick past the bound, with
+        keys still held back in the shards.  Higher shard counts need
+        fewer widenings (each shard's cut covers more of its smaller
+        bag), so the exercised-path assertion is on the total across
+        shard counts, not per count.
         """
         profiles = _profiles(45, num_ceis=200, num_resources=6, max_width=6)
         widenings = 0
         with topk_knobs(overflow=0, growth=2):
             for shards in (2, 4):
                 _, cut = assert_sharded_agrees(
-                    "MRSF", profiles, shards, budget=4.0
+                    policy_name, profiles, shards, budget=5.0,
+                    preemptive=preemptive,
                 )
                 widenings += cut.sharding_stats.widenings
         assert widenings > 0
