@@ -13,13 +13,14 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   aggregates) lives in parallel CEI-level columns.  The static columns,
   the activation/expiry timelines and the per-resource row index belong
   to the arena; only its compile walk (``repro.sim.arena._register_cei``)
-  appends rows.  Each static column exists twice: the arena's Python
-  list, and a NumPy mirror (``npr_*`` row columns, ``npc_*`` CEI
-  columns) that the scoring kernels and the ``lexsort`` consume,
-  synchronized at phase start by bulk slice assignment of the rows and
-  CEIs compiled since.  The pool holds the per-run state the events
-  write, each column as one NumPy record with a ``memoryview`` of it
-  for the scalar paths (:class:`_Record`): the candidate bag
+  appends rows.  The arena also owns the static columns' NumPy mirrors
+  (``npr_*`` row columns, ``npc_*`` CEI columns) that the scoring
+  kernels and the ``lexsort`` consume, and brings them up to date at
+  the end of every call that compiles rows; the pool reads them under
+  the same names, re-pointed when the arena reallocates them.  The
+  pool holds the per-run state the events write, each column as one
+  NumPy record with a ``memoryview`` of it for the scalar paths
+  (:class:`_Record`): the candidate bag
   ``np_active`` (plus an exact count), each row's fate ``row_state``
   (free, released by load shedding, captured), each CEI's fate
   ``cei_state`` (unseen, open, satisfied, failed, cancelled), captured
@@ -229,20 +230,17 @@ class FastCandidatePool:
         (and, for a supplied arena, with every other pool built from it)
         and only the arena's compile walk appends to them; the per-run
         records (the active mask, row and CEI fates, captured counts,
-        M-EDF aggregates) and counters are the pool's own.  The mirrors
-        arrive fully synced, so ``sync_mirrors`` is a compare until rows
-        are added.
+        M-EDF aggregates) and counters are the pool's own, sized to the
+        arena's mirror capacity.
 
         A supplied arena fixes which CEIs may register, and at which
         chronon.  A pool built without one owns an empty arena and
         compiles each CEI into it as it registers (:meth:`register`), so
         it accepts any arrival; an owned arena is never patched.
         """
-        #: Mirror-capacity reallocations performed so far.  Growth is
-        #: geometric (capacity doubling), so this stays O(log rows) for
-        #: any registration stream — bench_micro's mirror-growth bench
-        #: and tests/test_fastpath_equivalence.py guard the bound.
-        self.mirror_reallocs = 0
+        #: Reallocations of the per-run records so far: at most one per
+        #: reallocation of the arena's mirrors, so O(log rows).
+        self.record_reallocs = 0
         #: The compile walk into the pool's own arena; None when the arena
         #: was supplied.
         self._compile_cei: Optional[Callable[..., None]] = None
@@ -252,16 +250,14 @@ class FastCandidatePool:
             from repro.sim.arena import _register_cei, compile_arena
 
             arena = compile_arena(ProfileSet(), arrivals={})
+            arena.owned = True
             self._compile_cei = partial(_register_cei, arena)
         self._arena = arena
-        # Row and CEI capacities, floored at one so the doubling in
-        # _grow_rows/_grow_ceis always makes progress.  The records are
-        # sized to them (entries past the arena's rows and CEIs are
-        # unused) and double with the NumPy mirrors.
-        n = arena.n_rows
+        # The records have the arena's mirror capacity (entries past its
+        # rows and CEIs are unused) and grow with its mirrors.
         m = arena.n_ceis
-        self._row_cap = row_cap = max(n, 1)
-        self._cei_cap = cei_cap = max(m, 1)
+        row_cap = arena.npr_seq.size
+        cei_cap = arena.npc_rank_f.size
         self.row_seq = arena.row_seq
         self.row_finish = arena.row_finish
         self.row_resource = arena.row_resource
@@ -286,28 +282,7 @@ class FastCandidatePool:
         self.cei_row_begin = arena.cei_row_begin
         self.cei_row_end = arena.cei_row_end
         self._cei_obj = arena.cei_obj
-
-        # NumPy mirrors consumed by the kernels and the lexsort, shared
-        # with the arena until rows or CEIs are added (the first growth
-        # privatizes them).  The static per-row tie-break key
-        # npr_static = finish * 2^21 + seq orders rows exactly like the
-        # lexicographic (finish, seq) pair as long as both components
-        # stay below 2^21 (_packable tracks this); one int64 column then
-        # replaces two lexsort key levels per phase.
-        self.npr_seq = arena.npr_seq
-        self.npr_finish = arena.npr_finish
-        self.npr_finish_f = arena.npr_finish_f
-        self.npr_resource = arena.npr_resource
-        self.npr_cidx = arena.npr_cidx
-        self.npr_static = arena.npr_static
-        self._synced_rows = n
-        self._max_seq = arena.max_seq
-        self._max_finish = arena.max_finish
-        self._packable = arena.packable
-        self.npc_rank_f = arena.npc_rank_f
-        self.npc_weight = arena.npc_weight
-        self.npc_required = arena.npc_required
-        self._synced_ceis = m
+        self._follow_mirrors()
 
         self._row_of_seq = arena.row_of_seq
         self._cidx_of_cid = arena.cidx_of_cid
@@ -319,12 +294,12 @@ class FastCandidatePool:
         self._num_cancelled = 0
 
     def adopt_arena(self, arena: "InstanceArena") -> None:
-        """Absorb a patched generation of this pool's supplied arena mid-run.
+        """Absorb a patch of this pool's supplied arena mid-run.
 
-        ``apply_patch`` has already extended the shared Python containers
-        in place (this pool references them directly, so its row/CEI
-        columns have silently grown); what remains is the per-run state
-        the patch cannot see (:meth:`_extend_run_state`).  All run state
+        ``apply_patch`` has already compiled the patch into the arena in
+        place (this pool reads its columns and mirrors, so they have
+        silently grown); what remains is the per-run state the patch
+        cannot see (:meth:`_extend_run_state`).  All run state
         accumulated so far (row and CEI states, active bag, counters) is
         untouched: adopting a patch is invisible to the schedule
         until the patched CEIs' arrival chronons are stepped.
@@ -334,13 +309,9 @@ class FastCandidatePool:
                 "only pools built on a supplied arena (arena-backed pools) "
                 "can adopt a patched arena"
             )
-        if arena.cidx_of_cid is not self._arena.cidx_of_cid:
-            raise ModelError(
-                "adopt_arena requires a patched generation of this pool's own "
-                "arena (shared containers must be identical)"
-            )
+        if arena is not self._arena:
+            raise ModelError("adopt_arena requires this pool's own arena")
         self._extend_run_state()
-        self._arena = arena
 
     def prune_timelines(self, horizon: Chronon) -> None:
         """Drop this pool's own arena's timeline entries below ``horizon``.
@@ -360,33 +331,19 @@ class FastCandidatePool:
         expire_timelines(self._arena, horizon)
 
     def _extend_run_state(self) -> None:
-        """Size the per-run state to the arena's grown shared columns.
+        """Size the per-run state to the arena's grown columns.
 
-        Grows the capacity of the per-run records and the NumPy mirrors
-        when the rows or CEIs outgrow it, and starts fresh CEIs from
-        their compiled ``*0`` aggregates.  The first growth privatizes
-        the mirrors: the arena's own are sized to the rows it had when
-        this pool adopted it, so the next ``sync_mirrors`` would
-        otherwise write out of their bounds (or into sibling pools'
-        shared view).
+        After the arena reallocated its mirrors, re-points this pool at
+        them and grows the per-run records to their capacity: one
+        reallocation of the records per reallocation of the mirrors.
+        Fresh CEIs start from their compiled ``*0`` aggregates.
         """
-        # Grow when capacity is short, not only when the mirrors are still
-        # the arena's shared arrays: after the first growth the mirrors
-        # are private (identity no longer says anything) and later rows
-        # may outgrow their doubled capacity.  The identity test covers
-        # the one case capacity misses: shared mirrors of an empty arena,
-        # whose capacity is rounded up to 1 row/CEI.
         arena = self._arena
-        n = len(self.row_seq)
-        if n > self._row_cap or (
-            n > self._synced_rows and self.npr_seq is arena.npr_seq
-        ):
-            self._grow_rows(n)
+        # The arena reallocates every mirror at once.
+        if self.npr_seq is not arena.npr_seq:
+            self._follow_mirrors()
+            self._grow_records()
         m = len(self.cei_rank)
-        if m > self._cei_cap or (
-            m > self._synced_ceis and self.npc_rank_f is arena.npc_rank_f
-        ):
-            self._grow_ceis(m)
         medf_s = self.cei_medf_s
         medf_open = self.cei_medf_open
         # A loop, not slice copies: registration adds one CEI at a time.
@@ -435,11 +392,11 @@ class FastCandidatePool:
     def _drop_rows_batch(self, ceis: np.ndarray) -> None:
         """Batched :meth:`_drop_rows_of`: one write over the CEIs' row ranges.
 
-        ``ceis`` ascend without repeats, and the row mirrors are synced.
+        ``ceis`` ascend without repeats.
         """
         # Rows are compiled CEI by CEI, so their CEI index ascends
         # (check_candidate_bag in the tests asserts this layout).
-        cidx = self.npr_cidx[: self._synced_rows]
+        cidx = self.npr_cidx[: len(self.row_seq)]
         begin = cidx.searchsorted(ceis)
         size = cidx.searchsorted(ceis, "right") - begin
         # Row k of the concatenation lies (k - its range's offset) past its begin.
@@ -478,76 +435,52 @@ class FastCandidatePool:
         return live
 
     # ------------------------------------------------------------------
-    # Mirror synchronization
+    # The arena's mirrors
     # ------------------------------------------------------------------
 
-    def _grow_rows(self, needed: int) -> None:
-        # Guard the doubling loop against a zero starting capacity (an
-        # empty arena, or a pool whose caps were sized to a tiny
-        # instance): 0 * 2 never reaches `needed`.
-        cap = max(self._row_cap, 1)
-        while cap < needed:
-            cap *= 2
-        self._grow("npr_seq", "npr_finish", "npr_finish_f", "npr_resource",
-                   "npr_cidx", "npr_static", "np_active", "npr_state", cap=cap)
-        self._row_cap = cap
+    def _follow_mirrors(self) -> None:
+        """Point this pool's mirror names at the arena's current mirrors."""
+        arena = self._arena
+        self.npr_seq = arena.npr_seq
+        self.npr_finish = arena.npr_finish
+        self.npr_finish_f = arena.npr_finish_f
+        self.npr_resource = arena.npr_resource
+        self.npr_cidx = arena.npr_cidx
+        self.npr_static = arena.npr_static
+        self.npc_rank_f = arena.npc_rank_f
+        self.npc_weight = arena.npc_weight
+        self.npc_required = arena.npc_required
 
-    def _grow_ceis(self, needed: int) -> None:
-        # Same zero-capacity guard as _grow_rows.
-        cap = max(self._cei_cap, 1)
-        while cap < needed:
-            cap *= 2
-        self._grow("npc_rank_f", "npc_weight", "npc_required", "npc_captured_f",
-                   "npc_medf_s_f", "npc_medf_open_f", "npc_state", cap=cap)
-        self._cei_cap = cap
+    def _grow_records(self) -> None:
+        """Grow the per-run records to the capacity of the arena's mirrors.
 
-    def _grow(self, *names: str, cap: int) -> None:
-        """Reallocate each named column at ``cap`` entries, copying it whole.
-
-        The records hold every entry written so far; a mirror's entries
-        past its synced prefix are zero and the next sync overwrites them.
+        Entries past the compiled rows and CEIs are zero (``_FREE``,
+        ``_UNSEEN``) and unused.
         """
-        for name in names:
-            old = getattr(self, name)
-            new = np.zeros(cap, old.dtype)
-            new[: old.size] = old
-            setattr(self, name, new)
-        self.mirror_reallocs += 1
+        for names, cap in (
+            (("np_active", "npr_state"), self.npr_seq.size),
+            (("npc_state", "npc_captured_f", "npc_medf_s_f", "npc_medf_open_f"),
+             self.npc_rank_f.size),
+        ):
+            for name in names:
+                old = getattr(self, name)
+                if old.size < cap:
+                    new = np.zeros(cap, old.dtype)
+                    new[: old.size] = old
+                    setattr(self, name, new)
+        self.record_reallocs += 1
 
     def sync_mirrors(self) -> None:
-        """Bring the static NumPy mirrors up to date with the arena's columns.
+        """Bring the arena's mirrors up to date, then follow them.
 
-        Called by the probe loop before each batch score.  Only the rows
-        and CEIs compiled since the last sync are copied (amortized O(1)
-        each); the per-run records need no sync, since every write goes
-        to them.  Capacity already covers every row and CEI
-        (:meth:`_extend_run_state` grows it when they are added).
+        Called at the end of each registration that compiles CEIs into
+        this pool's own arena (a supplied arena is synced by
+        ``compile_arena`` and ``apply_patch``, and its pools adopt it):
+        copies the new rows and CEIs into the mirrors, then re-points
+        this pool and sizes its per-run state (:meth:`_extend_run_state`).
         """
-        if self._synced_rows < len(self.row_seq):
-            self._sync_rows()
-        m = len(self.cei_rank)
-        if self._synced_ceis < m:
-            a = self._synced_ceis
-            self.npc_rank_f[a:m] = self.cei_rank[a:m]
-            self.npc_weight[a:m] = self.cei_weight[a:m]
-            self.npc_required[a:m] = self.cei_required[a:m]
-            self._synced_ceis = m
-
-    def _sync_rows(self) -> None:
-        """The row half of :meth:`sync_mirrors` (a compare when in sync)."""
-        n = len(self.row_seq)
-        if self._synced_rows < n:
-            a = self._synced_rows
-            self.npr_seq[a:n] = self.row_seq[a:n]
-            self.npr_finish[a:n] = self.row_finish[a:n]
-            self.npr_finish_f[a:n] = self.npr_finish[a:n]
-            self.npr_resource[a:n] = self.row_resource[a:n]
-            self.npr_cidx[a:n] = self.row_cidx[a:n]
-            self.npr_static[a:n] = self.npr_finish[a:n] * (1 << 21) + self.npr_seq[a:n]
-            self._max_seq = max(self._max_seq, int(self.npr_seq[a:n].max()))
-            self._max_finish = max(self._max_finish, int(self.npr_finish[a:n].max()))
-            self._packable = self._max_seq < (1 << 21) and self._max_finish < (1 << 21)
-            self._synced_rows = n
+        self._arena.sync_mirrors()
+        self._extend_run_state()
 
     # ------------------------------------------------------------------
     # MonitorView protocol
@@ -593,7 +526,7 @@ class FastCandidatePool:
         if cidx is None and self._compile_cei is not None:
             cidx = len(self.cei_rank)
             self._compile_cei(cei, now)
-            self._extend_run_state()
+            self.sync_mirrors()
         elif (
             cidx is None
             or self.cei_state[cidx] != _UNSEEN
@@ -626,26 +559,29 @@ class FastCandidatePool:
         """Register one chronon's arrivals; returns the EIs active at once.
 
         Equivalent to calling :meth:`register` on each CEI in order.  A
-        batch of at least ``BATCH_CUTOVER`` CEIs with ``collect=False``
-        replays the compiled registrations as column operations instead
-        (a pool that owns its arena compiles the whole batch first).  On
-        a supplied arena it is atomic: an unknown or repeated cid, or a
-        wrong arrival chronon, raises the same :class:`ModelError` the
-        one-by-one loop would raise first and registers nothing.  On an
-        owned arena a batch repeating a cid goes one by one, so it
+        pool that owns its arena compiles the whole batch first, with one
+        mirror sync.  A batch of at least ``BATCH_CUTOVER`` CEIs with
+        ``collect=False`` replays the compiled registrations as column
+        operations instead.  On a supplied arena it is atomic: an
+        unknown or repeated cid, or a wrong arrival chronon, raises the
+        same :class:`ModelError` the one-by-one loop would raise first
+        and registers nothing.  On an owned arena a batch repeating a
+        cid, or naming one already compiled, goes one by one, so it
         raises where that loop does.
         """
         if not isinstance(ceis, (list, tuple)):
             ceis = list(ceis)
         batch = not collect and len(ceis) >= BATCH_CUTOVER
         compile_cei = self._compile_cei
-        if batch and compile_cei is not None:
+        if compile_cei is not None:
             cids = {cei.cid for cei in ceis}
-            batch = len(cids) == len(ceis) and cids.isdisjoint(self._cidx_of_cid)
-            if batch:
+            # Over the batch's cids, not over every compiled one.
+            if len(cids) == len(ceis) and self._cidx_of_cid.keys().isdisjoint(cids):
                 for cei in ceis:
                     compile_cei(cei, now)
-                self._extend_run_state()
+                self.sync_mirrors()
+            else:
+                batch = False
         if not batch:
             activated: list[ExecutionInterval] = []
             for cei in ceis:
@@ -745,7 +681,6 @@ class FastCandidatePool:
 
     def _open_batch(self, rows: list[int], now: Chronon) -> None:
         """Batched :meth:`open_windows` (no hook)."""
-        self._sync_rows()  # an owned arena compiles rows as CEIs register
         at = np.array(rows, np.intp)
         ceis = self.npr_cidx[at]
         # The rows of open CEIs all move; the shed ones among them never
@@ -813,7 +748,6 @@ class FastCandidatePool:
 
     def _capture_batch(self, live: np.ndarray) -> list[int]:
         """Batched :meth:`_capture_rows` of the active rows ``live``, ascending."""
-        self.sync_mirrors()  # push captures can precede the phase's sync
         self.np_active[live] = False
         self._n_active -= live.size
         self.npr_state[live] = _CAPTURED
@@ -1124,7 +1058,6 @@ def run_fast_phases(
     pool: FastCandidatePool = monitor.pool
     if not pool.num_active():
         return budget_left
-    pool.sync_mirrors()
     rows = pool.np_active[: len(pool.row_seq)].nonzero()[0]
     if monitor.preemptive:
         return _fast_phase(monitor, rows, chronon, budget_left, probed)
@@ -1207,7 +1140,7 @@ class _LocalStream:
         prio = kernel.score_rows(pool, rows, pool.npr_cidx[rows], chronon)
         # np.maximum.reduce, not .max(): no Python-level wrapper per phase.
         self.packed = packed = (
-            pool._packable
+            pool._arena.packable
             and kernel.integer_valued
             and not kernel.row_dependent
             and float(np.maximum.reduce(abs(prio))) < _PRIO_LIMIT
@@ -1253,7 +1186,7 @@ class _LocalStream:
             else:
                 self._keys = self._rows = self.bound = None
             pool = self._pool
-            if pool._packable:
+            if pool._arena.packable:
                 order = np.lexsort((pool.npr_static[rows], keys))
             else:
                 order = np.lexsort((pool.npr_seq[rows], pool.npr_finish[rows], keys))
@@ -1517,7 +1450,7 @@ def _walk_carried(
     heap: list = []
     best: list = [None] * len(pool.cei_rank)
     entry = [-1] * len(pool.cei_rank)
-    packed = kernel.integer_valued and pool._packable
+    packed = kernel.integer_valued and pool._arena.packable
     active = pool._active
 
     def enter(row: int, cidx: int) -> None:
@@ -1640,7 +1573,6 @@ def _walk_rekeyed(
         new = arrivals.get(t)
         if new:
             pool.register_arrivals(new, t, collect=False)
-            pool.sync_mirrors()  # an owned arena compiles rows as CEIs register
         pool.open_windows(t, collect=False)
         budget_left = budget.at(t)
         if 1.0 <= budget_left + _EPS and pool._n_active:

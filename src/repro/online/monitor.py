@@ -103,10 +103,11 @@ class OnlineMonitor:
     arena:
         Optional pre-compiled :class:`repro.sim.arena.InstanceArena` of
         the problem instance this run will monitor.  The vectorized pool
-        then shares the arena's immutable columns and mirrors instead of
-        rebuilding them per run — bit-identical results, with the per-EI
-        registration walk amortized across every policy run of the same
-        instance.  Requires ``Engine.VECTORIZED``.
+        then shares the arena's columns and mirrors, which only the
+        arena's compile walk extends, instead of rebuilding them per
+        run — bit-identical results, with the per-EI registration walk
+        amortized across every policy run of the same instance.
+        Requires ``Engine.VECTORIZED``.
     """
 
     def __init__(
@@ -257,11 +258,10 @@ class OnlineMonitor:
         """
         self._check_increasing(chronon)
         if self._sharded is not None and not self._sharded.attached(self.pool):
-            # Growth churn reallocated the pool's mirrors away from the
-            # shared segment (adopt_arena after a registering patch):
-            # demote cleanly and finish the run single-engine.  Cancel-
-            # only churn mutates the shared columns in place and stays
-            # sharded.
+            # Growth churn added rows the shared segment does not hold
+            # (a registering patch): demote cleanly and finish the run
+            # single-engine.  Cancel-only churn mutates the shared
+            # columns in place and stays sharded.
             self._sharded.demote(self.pool)
             self._sharded = None
             if self._sharding_stats is not None:

@@ -43,8 +43,8 @@ partition, exactly like the local engine's precomputed mask).
 Demotion
 --------
 Arena churn that grows the instance (:func:`repro.sim.arena.apply_patch`
-with registrations) reallocates mirror columns and detaches them from
-the segment; the engine detects this at step start and *demotes*: pool
+with registrations) adds rows the segment does not hold; the engine
+detects this at step start and *demotes*: pool
 state is privatized (copied out of shared memory), workers stop, the
 segment is unlinked, and the run continues bit-identically on the local
 vectorized path.  Cancel-only patches mutate in place and stay sharded.
@@ -386,7 +386,7 @@ class ShardedEngine:
                 proc = ctx.Process(
                     target=_shard_worker,
                     args=(child, self.view.manifest, sid, shards, kernel,
-                          pool._packable),
+                          pool._arena.packable),
                     daemon=True,
                     name=f"repro-shard-{sid}",
                 )
@@ -428,9 +428,9 @@ class ShardedEngine:
     def attached(self, pool: "FastCandidatePool") -> bool:
         """Does ``pool`` still share this engine's segment?
 
-        Growth churn (``adopt_arena`` after a registering patch)
-        reallocates mirrors and detaches them; cancel-only churn mutates
-        in place and stays attached.
+        Growth churn (a registering patch) adds rows and CEIs the
+        segment does not hold, and may reallocate the records;
+        cancel-only churn mutates in place and stays attached.
         """
         if len(pool.row_seq) != self.n_rows or len(pool.cei_rank) != self.n_ceis:
             return False
@@ -497,7 +497,6 @@ def run_sharded_phases(
     engine: ShardedEngine = monitor._sharded
     if not pool.num_active():
         return budget_left
-    pool.sync_mirrors()
 
     if monitor.preemptive:
         try:

@@ -334,7 +334,7 @@ class StreamingMonitor:
     def _patch(self, patch: ArenaPatch) -> None:
         """Apply one patch to the arena and mirror it into the live pool."""
         assert self._arena is not None
-        self._arena = apply_patch(self._arena, patch, pools=(self._monitor.pool,))
+        apply_patch(self._arena, patch, pools=(self._monitor.pool,))
 
     # ------------------------------------------------------------------
     # Observation
@@ -342,7 +342,7 @@ class StreamingMonitor:
 
     @property
     def arena(self) -> Optional[InstanceArena]:
-        """The current patched arena (None on incremental runs)."""
+        """The run's arena, patched in place (None on incremental runs)."""
         return self._arena
 
     @property

@@ -2,7 +2,7 @@
 
 Every :class:`repro.online.fastpath.FastCandidatePool` runs over an
 :class:`InstanceArena`: a structure-of-arrays record of the CEIs it can
-register, holding the per-row columns, NumPy mirrors, the initial M-EDF
+register, holding the per-row and per-CEI columns, the initial M-EDF
 aggregates, the rows active at registration and the activation/expiry
 timelines, plus the arrival map the monitor consumes.  One function
 compiles a CEI into it, :func:`_register_cei`; it is the only code that
@@ -10,6 +10,15 @@ appends rows.  A pool *shares* the arena's structures and holds only the
 per-run records (the active mask, row and CEI fates, captured counts,
 M-EDF aggregates), so registering a compiled CEI replays its compiled
 activation without walking its EIs.
+
+Each static column exists twice: as a Python list, which the compile
+walk appends to and the scalar paths index, and as a NumPy mirror
+(``npr_*`` row columns, ``npc_*`` CEI columns), which the scoring
+kernels and the ``lexsort`` read.  The arena owns both, and every call
+that compiles rows ends with :meth:`InstanceArena.sync_mirrors`, which
+copies the new rows and CEIs into the mirrors and doubles their
+capacity when they run out.  So the mirrors are current wherever rows
+are read, and a stream of compiles reallocates them O(log rows) times.
 
 There are two ways to get an arena:
 
@@ -34,28 +43,27 @@ reference engine).
 **Delta layer.**  A long-lived proxy cannot afford a full recompile per
 churn event.  :class:`ArenaPatch` describes one churn batch (CEIs to
 register at given arrival chronons, cids to cancel, a horizon to expire)
-and :func:`apply_patch` applies it *incrementally*: the shared Python
-columns are extended in place through the same per-CEI compile walk, the NumPy mirrors are extended by one
-concatenate each, and live arena-backed pools adopt the result without
-losing any run state (``FastCandidatePool.adopt_arena``).  The mirror
-copies are a fixed cost per registering patch, so a whole batch should
-go in one patch; a patch that registers nothing keeps the generation.
-A patch is validated in full before anything is touched, so a refused
-one leaves the arena as it was.  Because the
-probe loop's selection keys are ``(priority, finish, seq)`` — and seqs
-are process-unique — appended rows rank exactly as they would in a
+and :func:`apply_patch` applies it to the arena *in place*: the columns
+are extended through the same per-CEI compile walk, the mirrors take
+the new rows, and live pools size their per-run records to the grown
+arena without losing any run state
+(``FastCandidatePool.adopt_arena``).  A patch is validated in full
+before anything is touched, so a refused one leaves the arena as it
+was; an arena a pool owns takes no patch.  Because the probe loop's
+selection keys are ``(priority, finish, seq)`` — and seqs are
+process-unique — appended rows rank exactly as they would in a
 from-scratch compile, so a patched run stays bit-identical to one whose
 profiles were known in advance (``tests/test_churn_equivalence.py``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import secrets
 import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
@@ -71,89 +79,155 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.online.fastpath import FastCandidatePool
 
 
-@dataclass(frozen=True, slots=True)
+def _column(dtype):
+    """An empty NumPy mirror: a dataclass field default."""
+    return field(default_factory=partial(np.zeros, 0, dtype))
+
+
+@dataclass(eq=False, slots=True)
 class InstanceArena:
-    """Frozen structure-of-arrays snapshot of one problem instance.
+    """Structure-of-arrays record of one problem instance, grown in place.
 
-    The scalar fields and NumPy mirrors are immutable for the lifetime of
-    *this arena object*; pools built from it share the Python containers
-    and never write to them.  Rows appear in registration order (CEIs
-    sorted by arrival, EIs in CEI order), exactly the order a pool
-    compiling the CEIs as they register would build.  A pool's own arena
-    (``FastCandidatePool()``) keeps the scalars and mirrors of its empty
-    compile while its containers grow: the pool holds the mirrors.
-
-    :func:`apply_patch` extends the shared containers in place; a patch
-    that registers CEIs returns a *new* ``InstanceArena`` with fresh
-    scalars and mirrors, and the patched-out object must not be used to
-    build new pools afterwards (its scalar fields undercount the shared
-    containers).  Live pools
-    migrate via :meth:`repro.online.fastpath.FastCandidatePool.adopt_arena`.
+    One object per instance: :func:`apply_patch`, or the pool that owns
+    the arena, compiles new CEIs into it, and every pool built from it
+    reads its columns and never writes them.  Rows appear in
+    registration order (CEIs sorted by arrival, EIs in CEI order),
+    exactly the order a pool compiling the CEIs as they register would
+    build.  The NumPy mirrors hold capacity past the compiled rows and
+    CEIs; :meth:`sync_mirrors` keeps them current and replaces them
+    when it grows them, so a reader re-reads them from the arena.
     """
 
     profiles: ProfileSet
     #: The arrival map ``simulate`` consumes (arrival chronon -> CEIs).
     arrivals: dict[Chronon, list[ComplexExecutionInterval]]
 
-    n_rows: int
-    n_ceis: int
-
     # Row-level columns (one row per usable EI).
-    row_seq: list[int]
-    row_finish: list[int]
-    row_resource: list[int]
-    row_cidx: list[int]
-    row_ei: list[ExecutionInterval]
+    row_seq: list[int] = field(default_factory=list)
+    row_finish: list[int] = field(default_factory=list)
+    row_resource: list[int] = field(default_factory=list)
+    row_cidx: list[int] = field(default_factory=list)
+    row_ei: list[ExecutionInterval] = field(default_factory=list)
 
-    # Pre-synced NumPy mirrors (see FastCandidatePool.sync_mirrors).
-    npr_seq: np.ndarray
-    npr_finish: np.ndarray
-    npr_finish_f: np.ndarray
-    npr_resource: np.ndarray
-    npr_cidx: np.ndarray
-    npr_static: np.ndarray
-    max_seq: int
-    max_finish: int
-    packable: bool
+    # Their NumPy mirrors.  The static per-row tie-break key
+    # npr_static = finish * 2^21 + seq orders rows exactly like the
+    # lexicographic (finish, seq) pair while both components stay below
+    # 2^21 (``packable``); one int64 column then replaces two lexsort key
+    # levels per phase.
+    npr_seq: np.ndarray = _column(np.int64)
+    npr_finish: np.ndarray = _column(np.int64)
+    npr_finish_f: np.ndarray = _column(np.float64)
+    npr_resource: np.ndarray = _column(np.int64)
+    npr_cidx: np.ndarray = _column(np.int64)
+    npr_static: np.ndarray = _column(np.int64)
+    packable: bool = True
 
     # CEI-level columns.
-    cei_rank: list[int]
-    cei_required: list[int]
-    cei_weight: list[float]
-    cei_failed0: list[bool]
-    cei_medf_s0: list[int]
-    cei_medf_open0: list[int]
-    cei_row_begin: list[int]
-    cei_row_end: list[int]
-    cei_release: list[Chronon]
-    cei_obj: list[ComplexExecutionInterval]
-    npc_rank_f: np.ndarray
-    npc_weight: np.ndarray
-    npc_required: np.ndarray
+    cei_rank: list[int] = field(default_factory=list)
+    cei_required: list[int] = field(default_factory=list)
+    cei_weight: list[float] = field(default_factory=list)
+    cei_failed0: list[bool] = field(default_factory=list)
+    cei_medf_s0: list[int] = field(default_factory=list)
+    cei_medf_open0: list[int] = field(default_factory=list)
+    cei_row_begin: list[int] = field(default_factory=list)
+    cei_row_end: list[int] = field(default_factory=list)
+    cei_release: list[Chronon] = field(default_factory=list)
+    cei_obj: list[ComplexExecutionInterval] = field(default_factory=list)
+    npc_rank_f: np.ndarray = _column(np.float64)
+    npc_weight: np.ndarray = _column(np.float64)
+    npc_required: np.ndarray = _column(np.int64)
 
     #: Rows active immediately at registration, per CEI index.
-    immediate_rows: list[list[int]]
+    immediate_rows: list[list[int]] = field(default_factory=list)
     #: Window-event timelines: chronon -> rows opening / expiring there.
     #: Like ``resource_rows``, a ``defaultdict(list)`` that only
     #: :func:`_register_cei` subscripts; readers use ``get``.
-    activate_at: defaultdict[Chronon, list[int]]
-    expire_at: defaultdict[Chronon, list[int]]
+    activate_at: defaultdict[Chronon, list[int]] = field(
+        default_factory=partial(defaultdict, list)
+    )
+    expire_at: defaultdict[Chronon, list[int]] = field(
+        default_factory=partial(defaultdict, list)
+    )
 
-    row_of_seq: dict[int, int]
-    cidx_of_cid: dict[int, int]
+    row_of_seq: dict[int, int] = field(default_factory=dict)
+    cidx_of_cid: dict[int, int] = field(default_factory=dict)
     #: Every row ever placed on each resource, in row order.  Pools find
     #: the live rows on a resource by filtering this with their active
     #: mask; :func:`apply_patch` extends it in place.
-    resource_rows: defaultdict[int, list[int]]
+    resource_rows: defaultdict[int, list[int]] = field(
+        default_factory=partial(defaultdict, list)
+    )
     #: NumPy copies of ``resource_rows``' lists, shared by every pool of
     #: the arena; a copy shorter than its list is stale and rebuilt.
     resource_rows_np: dict[int, np.ndarray] = field(default_factory=dict)
 
-    #: cids withdrawn by :func:`apply_patch` cancellations (shared across
-    #: patch generations).  Informational: registration replay of a
-    #: cancelled cid still works — the streaming layer consults this to
-    #: keep cancelled CEIs out of future registrations.
+    #: cids withdrawn by :func:`apply_patch` cancellations.
+    #: Informational: registration replay of a cancelled cid still
+    #: works — the streaming layer consults this to keep cancelled CEIs
+    #: out of future registrations.
     cancelled_cids: set[int] = field(default_factory=set)
+
+    #: True for the arena a ``FastCandidatePool()`` compiles its CEIs
+    #: into as they register; :func:`apply_patch` refuses it.
+    owned: bool = False
+    #: Rows and CEIs already copied into the mirrors.
+    mirrored_rows: int = 0
+    mirrored_ceis: int = 0
+    #: Mirror reallocations so far: O(log rows) for any compile stream
+    #: (tests/test_fastpath_equivalence.py and bench_micro's
+    #: mirror-growth bench guard the bound).
+    mirror_reallocs: int = 0
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_seq)
+
+    @property
+    def n_ceis(self) -> int:
+        return len(self.cei_rank)
+
+    def sync_mirrors(self) -> None:
+        """Copy the rows and CEIs compiled since the last sync into the mirrors.
+
+        When they outgrow the mirrors' capacity, every mirror is
+        replaced by one of ``max(needed, 2 * capacity)`` entries: a
+        from-scratch compile gets exact-size mirrors, and any stream of
+        compiles O(log rows) reallocations.  Entries past the compiled
+        rows and CEIs are zero.
+        """
+        a, n = self.mirrored_rows, len(self.row_seq)
+        b, m = self.mirrored_ceis, len(self.cei_rank)
+        if n > self.npr_seq.size or m > self.npc_rank_f.size:
+            rows = max(n, 2 * self.npr_seq.size)
+            ceis = max(m, 2 * self.npc_rank_f.size)
+            for names, cap in (
+                (("npr_seq", "npr_finish", "npr_finish_f", "npr_resource",
+                  "npr_cidx", "npr_static"), rows),
+                (("npc_rank_f", "npc_weight", "npc_required"), ceis),
+            ):
+                for name in names:
+                    old = getattr(self, name)
+                    new = np.zeros(cap, old.dtype)
+                    new[: old.size] = old
+                    setattr(self, name, new)
+            self.mirror_reallocs += 1
+        if a < n:
+            seq = self.npr_seq[a:n]
+            finish = self.npr_finish[a:n]
+            seq[:] = self.row_seq[a:n]
+            finish[:] = self.row_finish[a:n]
+            self.npr_finish_f[a:n] = finish
+            self.npr_resource[a:n] = self.row_resource[a:n]
+            self.npr_cidx[a:n] = self.row_cidx[a:n]
+            self.npr_static[a:n] = finish * (1 << 21) + seq
+            if self.packable and max(seq.max(), finish.max()) >= 1 << 21:
+                self.packable = False
+            self.mirrored_rows = n
+        if b < m:
+            self.npc_rank_f[b:m] = self.cei_rank[b:m]
+            self.npc_weight[b:m] = self.cei_weight[b:m]
+            self.npc_required[b:m] = self.cei_required[b:m]
+            self.mirrored_ceis = m
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,7 +282,8 @@ def _register_cei(
 
     Appends to ``arena``'s containers: the arena being compiled or
     patched, or the arena a ``FastCandidatePool`` owns, when the CEI
-    registers there.  This is the only code that appends rows.  It follows
+    registers there.  This is the only code that appends rows; its
+    caller syncs the mirrors once the batch is compiled.  It follows
     ``CandidatePool.register``: EIs already expired at arrival contribute
     the open M-EDF form ``(finish + 1, 1)`` without materializing a row,
     and a CEI whose surviving EIs cannot reach ``required`` is dead on
@@ -276,29 +351,6 @@ def _register_cei(
     arena.immediate_rows.append(immediate)
 
 
-def _row_mirrors(
-    row_seq: Sequence[int],
-    row_finish: Sequence[int],
-    row_resource: Sequence[int],
-    row_cidx: Sequence[int],
-) -> dict:
-    """NumPy row mirrors plus the packed-key scalars for a row slice."""
-    npr_seq = np.asarray(row_seq, np.int64)
-    npr_finish = np.asarray(row_finish, np.int64)
-    # Same packed tie-break key the pool's own mirror sync computes: valid
-    # while both components fit in 21 bits (FastCandidatePool._packable).
-    return dict(
-        npr_seq=npr_seq,
-        npr_finish=npr_finish,
-        npr_finish_f=npr_finish.astype(np.float64),
-        npr_resource=np.asarray(row_resource, np.int64),
-        npr_cidx=np.asarray(row_cidx, np.int64),
-        npr_static=npr_finish * (1 << 21) + npr_seq,
-        max_seq=int(npr_seq.max()) if len(row_seq) else 0,
-        max_finish=int(npr_finish.max()) if len(row_seq) else 0,
-    )
-
-
 def compile_arena(
     profiles: ProfileSet,
     *,
@@ -320,64 +372,11 @@ def compile_arena(
     """
     if arrivals is None:
         arrivals = arrivals_from_profiles(profiles)
-
-    arena = InstanceArena(
-        profiles=profiles,
-        arrivals=arrivals,
-        n_rows=0,
-        n_ceis=0,
-        row_seq=[],
-        row_finish=[],
-        row_resource=[],
-        row_cidx=[],
-        row_ei=[],
-        npr_seq=np.empty(0, np.int64),
-        npr_finish=np.empty(0, np.int64),
-        npr_finish_f=np.empty(0, np.float64),
-        npr_resource=np.empty(0, np.int64),
-        npr_cidx=np.empty(0, np.int64),
-        npr_static=np.empty(0, np.int64),
-        max_seq=0,
-        max_finish=0,
-        packable=True,
-        cei_rank=[],
-        cei_required=[],
-        cei_weight=[],
-        cei_failed0=[],
-        cei_medf_s0=[],
-        cei_medf_open0=[],
-        cei_row_begin=[],
-        cei_row_end=[],
-        cei_release=[],
-        cei_obj=[],
-        npc_rank_f=np.empty(0, np.float64),
-        npc_weight=np.empty(0, np.float64),
-        npc_required=np.empty(0, np.int64),
-        immediate_rows=[],
-        activate_at=defaultdict(list),
-        expire_at=defaultdict(list),
-        row_of_seq={},
-        cidx_of_cid={},
-        resource_rows=defaultdict(list),
-    )
+    arena = InstanceArena(profiles=profiles, arrivals=arrivals)
     for arrival in sorted(arrivals):
         for cei in arrivals[arrival]:
             _register_cei(arena, cei, arrival)
-
-    mirrors = _row_mirrors(
-        arena.row_seq, arena.row_finish, arena.row_resource, arena.row_cidx
-    )
-    arena = dataclasses.replace(
-        arena,
-        n_rows=len(arena.row_seq),
-        n_ceis=len(arena.cei_rank),
-        packable=mirrors["max_seq"] < (1 << 21)
-        and mirrors["max_finish"] < (1 << 21),
-        npc_rank_f=np.asarray(arena.cei_rank, np.float64),
-        npc_weight=np.asarray(arena.cei_weight, np.float64),
-        npc_required=np.asarray(arena.cei_required, np.int64),
-        **mirrors,
-    )
+    arena.sync_mirrors()
     return arena
 
 
@@ -401,46 +400,6 @@ def _check_patch(arena: InstanceArena, patch: ArenaPatch) -> None:
             raise ModelError(f"cannot cancel CEI {cid}: not in this arena")
 
 
-def _next_generation(
-    arena: InstanceArena, old_rows: int, old_ceis: int
-) -> InstanceArena:
-    """The arena view covering rows/CEIs appended since ``old_rows``/``old_ceis``.
-
-    Extends every mirror by one concatenate (exact-size, fully synced,
-    never written afterwards — same contract as a fresh compile).
-    """
-    new = _row_mirrors(
-        arena.row_seq[old_rows:],
-        arena.row_finish[old_rows:],
-        arena.row_resource[old_rows:],
-        arena.row_cidx[old_rows:],
-    )
-    max_seq = max(arena.max_seq, new.pop("max_seq"))
-    max_finish = max(arena.max_finish, new.pop("max_finish"))
-    mirrors = {
-        name: np.concatenate([getattr(arena, name), fresh])
-        for name, fresh in new.items()
-    }
-    return dataclasses.replace(
-        arena,
-        n_rows=len(arena.row_seq),
-        n_ceis=len(arena.cei_rank),
-        max_seq=max_seq,
-        max_finish=max_finish,
-        packable=max_seq < (1 << 21) and max_finish < (1 << 21),
-        npc_rank_f=np.concatenate(
-            [arena.npc_rank_f, np.asarray(arena.cei_rank[old_ceis:], np.float64)]
-        ),
-        npc_weight=np.concatenate(
-            [arena.npc_weight, np.asarray(arena.cei_weight[old_ceis:], np.float64)]
-        ),
-        npc_required=np.concatenate(
-            [arena.npc_required, np.asarray(arena.cei_required[old_ceis:], np.int64)]
-        ),
-        **mirrors,
-    )
-
-
 def expire_timelines(arena: InstanceArena, horizon: Chronon) -> None:
     """Prune ``arena``'s arrival and window-event timelines below ``horizon``.
 
@@ -460,52 +419,42 @@ def apply_patch(
     patch: ArenaPatch,
     pools: "Sequence[FastCandidatePool]" = (),
 ) -> InstanceArena:
-    """Apply one churn batch incrementally; returns the patched arena.
+    """Apply one churn batch to ``arena`` in place; returns ``arena``.
 
-    The whole patch is validated first (cids already compiled or repeated
-    within the batch, negative arrivals, unknown cancel targets, a stale
-    generation, foreign pools): a refused patch raises
+    The whole patch is validated first (an arena a pool owns, cids
+    already compiled or repeated within the batch, negative arrivals,
+    unknown cancel targets, foreign pools): a refused patch raises
     :class:`ModelError` and changes nothing.
 
-    The shared Python containers are extended **in place** (so every
-    structure a live pool already shares keeps working).  A patch that
-    registers CEIs returns a new ``InstanceArena`` carrying extended
-    NumPy mirrors and corrected scalars: O(new EIs) Python work plus one
-    O(total rows) NumPy concatenate per mirror — no recompile, but a
-    fixed cost per call, so callers should batch.  A patch that registers
-    nothing (cancellations, ``expire_before`` compaction) leaves rows,
-    mirrors and scalars as they were and returns ``arena`` itself.
+    Registrations run the compile walk, O(new EIs) Python work, and
+    their rows are copied into the mirrors, which double when they run
+    out of capacity: no recompile, and no copy of the rows already
+    compiled, except at an O(log rows) number of reallocations.
 
-    ``pools`` lists the live arena-backed pools sharing ``arena``; each
-    one adopts the patched arena (per-run columns extended, mirrors
-    privatized) and has the patch's cancellations applied to its open
-    CEIs.  **Every** live pool of the arena must be listed — a pool left
-    out would observe the grown shared columns without the matching
-    per-run state.  Registered CEIs are *not* revealed here: they enter
-    each pool when the monitor steps their arrival chronon, exactly like
-    a compiled-in arrival.
-
-    After a registering patch the passed-in ``arena`` object must not
-    build new pools or take further patches; use the returned arena.
+    ``pools`` lists the live pools built on ``arena``; each one sizes
+    its per-run records to the grown arena (``adopt_arena``) and has the
+    patch's cancellations applied to its open CEIs.  **Every** live
+    pool of the arena must be listed — a pool left out would observe the
+    grown columns without the matching per-run state.  Registered CEIs
+    are *not* revealed here: they enter each pool when the monitor steps
+    their arrival chronon, exactly like a compiled-in arrival.
     """
+    if arena.owned:
+        raise ModelError(
+            "this arena is owned by a pool, which compiles CEIs into it as "
+            "they register; patch an arena from compile_arena instead"
+        )
     for pool in pools:
-        if pool._arena.cidx_of_cid is not arena.cidx_of_cid:
+        if pool._arena is not arena:
             raise ModelError(
                 "apply_patch pools must be live pools of the patched arena"
             )
-
-    old_rows = len(arena.row_seq)
-    old_ceis = len(arena.cei_rank)
-    if old_rows != arena.n_rows or old_ceis != arena.n_ceis:
-        raise ModelError(
-            "apply_patch must run against the arena's newest generation "
-            f"(arena records {arena.n_ceis} CEIs, containers hold {old_ceis})"
-        )
     _check_patch(arena, patch)
 
     for cei, at in patch.register:
         _register_cei(arena, cei, at)
         arena.arrivals.setdefault(at, []).append(cei)
+    arena.sync_mirrors()
 
     for cid in patch.cancel:
         if cid in arena.cancelled_cids:
@@ -521,18 +470,12 @@ def apply_patch(
     if patch.expire_before is not None:
         expire_timelines(arena, patch.expire_before)
 
-    # Only registrations grow rows or CEIs; everything else was an
-    # in-place edit of containers the current generation already shares.
-    patched = (
-        _next_generation(arena, old_rows, old_ceis) if patch.register else arena
-    )
     for pool in pools:
-        if patched is not arena:
-            pool.adopt_arena(patched)
+        pool.adopt_arena(arena)
         for cid in patch.cancel:
             # A no-op for a CEI the pool never registered or already closed.
-            pool.cancel_cei(patched.cei_obj[patched.cidx_of_cid[cid]])
-    return patched
+            pool.cancel_cei(arena.cei_obj[arena.cidx_of_cid[cid]])
+    return arena
 
 
 # ----------------------------------------------------------------------

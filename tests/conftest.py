@@ -253,11 +253,12 @@ def check_candidate_bag(pool, reference, now) -> None:
     ``num_*`` counter tallies its ``cei_state``, and a CEI's captured
     count tallies its ``_CAPTURED`` rows, so a shed or released EI never
     counts as captured.  Rows lie CEI by CEI, in the ranges the arena
-    records.  Each per-run column is one NumPy record, and the
-    scalar view the row-by-row paths write is a view of it, so the
-    kernels read every write without a sync.  The per-resource questions
-    the pool answers from the mask must get the answers of
-    ``reference``, the reference
+    records, and every NumPy mirror the pool reads is the arena's, equal
+    to its Python column over every compiled row and CEI.  Each per-run
+    column is one NumPy record, and the scalar view the row-by-row paths
+    write is a view of it, so the kernels read every write without a
+    sync.  The per-resource questions the pool answers from the mask
+    must get the answers of ``reference``, the reference
     :class:`~repro.online.candidates.CandidatePool` stepped alongside it.
     """
     for view, record in (
@@ -289,8 +290,24 @@ def check_candidate_bag(pool, reference, now) -> None:
     begin = np.asarray(pool.cei_row_begin[:n_ceis], np.intp)
     end = np.asarray(pool.cei_row_end[:n_ceis], np.intp)
     assert np.array_equal(row_cidx, np.repeat(np.arange(n_ceis), end - begin)), "rows out of CEI order"
-    synced = pool._synced_rows
-    assert np.array_equal(pool.npr_cidx[:synced], row_cidx[:synced]), "a stale npr_cidx mirror"
+    # Every mirror is current over every compiled row and CEI, and the
+    # pool reads the arena's own.
+    arena = pool._arena
+    for name, column in (
+        ("npr_seq", pool.row_seq),
+        ("npr_finish", pool.row_finish),
+        ("npr_finish_f", pool.row_finish),
+        ("npr_resource", pool.row_resource),
+        ("npr_cidx", pool.row_cidx),
+        ("npc_rank_f", pool.cei_rank),
+        ("npc_weight", pool.cei_weight),
+        ("npc_required", pool.cei_required),
+    ):
+        mirror = getattr(pool, name)
+        assert mirror is getattr(arena, name), f"a stale {name} mirror"
+        assert np.array_equal(mirror[: len(column)], column), f"a stale {name} mirror"
+    static = np.asarray(pool.row_finish, np.int64) * (1 << 21) + np.asarray(pool.row_seq, np.int64)
+    assert np.array_equal(pool.npr_static[:n_rows], static), "a stale npr_static mirror"
     captured = np.bincount(
         row_cidx[np.asarray(row_state) == fastpath._CAPTURED],
         minlength=n_ceis,

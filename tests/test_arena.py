@@ -85,7 +85,7 @@ class TestCompile:
         n = len(pool.row_seq)
         np.testing.assert_array_equal(pool.npr_seq[:n], arena.npr_seq)
         np.testing.assert_array_equal(pool.npr_static[:n], arena.npr_static)
-        assert arena.packable == pool._packable
+        assert arena.packable == pool._arena.packable
 
     def test_immediate_vs_deferred_split(self):
         profiles = _profiles(3)
@@ -234,17 +234,38 @@ class TestPatchDeltas:
         with pytest.raises(ModelError, match="not in this arena"):
             apply_patch(arena, ArenaPatch(cancel=(10**9,)))
 
-    def test_stale_generation_rejected(self):
+    def test_patched_arena_takes_further_patches(self):
         from repro.sim.arena import ArenaPatch, apply_patch
 
         arena = compile_arena(_profiles(23, num_ceis=6))
-        apply_patch(arena, ArenaPatch.registrations([make_cei((0, 2, 8))], at=0))
-        # The original object now records fewer CEIs than the shared
-        # containers hold: patching it again must be refused.
-        with pytest.raises(ModelError, match="newest generation"):
-            apply_patch(
-                arena, ArenaPatch.registrations([make_cei((1, 2, 8))], at=0)
-            )
+        old_ceis = arena.n_ceis
+        first = apply_patch(arena, ArenaPatch.registrations([make_cei((0, 2, 8))], at=0))
+        # A patch edits the arena in place: there is one arena object,
+        # and it takes the next patch.
+        assert first is arena
+        assert apply_patch(
+            arena, ArenaPatch.registrations([make_cei((1, 2, 8))], at=0)
+        ) is arena
+        assert arena.n_ceis == old_ceis + 2
+        n = arena.n_rows
+        np.testing.assert_array_equal(arena.npr_seq[:n], arena.row_seq)
+        np.testing.assert_array_equal(arena.npc_rank_f[: arena.n_ceis], arena.cei_rank)
+
+    @pytest.mark.parametrize("with_pool", [False, True])
+    def test_owned_arena_refused(self, with_pool):
+        from repro.sim.arena import ArenaPatch, apply_patch
+
+        pool = FastCandidatePool()
+        pool.register(make_cei((0, 0, 6), (1, 2, 8)), 0)
+        owned = pool._arena
+        before = (list(owned.row_seq), list(owned.cei_obj), dict(owned.arrivals))
+        patch = ArenaPatch(
+            register=((make_cei((2, 3, 9)), 3),), cancel=(owned.cei_obj[0].cid,)
+        )
+        with pytest.raises(ModelError, match="owned by a pool"):
+            apply_patch(owned, patch, [pool] if with_pool else ())
+        assert (list(owned.row_seq), list(owned.cei_obj), dict(owned.arrivals)) == before
+        assert pool.num_open == 1 and pool.num_cancelled == 0
 
     def test_foreign_pool_rejected(self):
         from repro.sim.arena import ArenaPatch, apply_patch
@@ -334,12 +355,13 @@ class TestAtomicPatches:
             apply_patch(arena, patch, pools=(pool,))
         assert _arena_state(arena, pool) == before
 
-        # The arena is still the newest generation and takes the batch.
+        # The arena still takes the batch.
+        old_ceis = arena.n_ceis
         patched = apply_patch(
             arena, ArenaPatch.registrations([new], at=3), pools=(pool,)
         )
-        assert patched.n_ceis == arena.n_ceis + 1
-        assert pool._arena is patched
+        assert patched is arena and arena.n_ceis == old_ceis + 1
+        assert pool._arena is arena
 
     def test_cancel_of_a_cei_registered_by_the_same_patch(self):
         from repro.sim.arena import ArenaPatch, apply_patch
@@ -364,6 +386,53 @@ class TestAtomicPatches:
         assert apply_patch(arena, ArenaPatch(expire_before=5), pools=(pool,)) is arena
         assert pool.state_of(victim).cancelled
         assert pool._arena is arena and pool.npr_seq is mirrors
+
+
+class TestPoolsBuiltAfterPatches:
+    """A pool built on an arena that took registering patches sees the
+    mirrors a from-scratch compile of the same arrivals builds, and runs
+    like the reference engine."""
+
+    @pytest.mark.parametrize("policy_name", POLICIES)
+    def test_fresh_pool_matches_scratch_compile_and_reference(self, policy_name):
+        from repro.sim.arena import ArenaPatch, apply_patch
+
+        profiles = _profiles(50)
+        scratch = compile_arena(profiles)
+        chronons = sorted(scratch.arrivals)
+        head = chronons[: len(chronons) // 4]
+        arena = compile_arena(
+            profiles, arrivals={t: list(scratch.arrivals[t]) for t in head}
+        )
+        patches = 0
+        for t in chronons[len(head):]:
+            # One registering patch per arrival chronon, in arrival order,
+            # so rows land in the from-scratch compile's order.
+            apply_patch(arena, ArenaPatch(register=tuple(
+                (cei, t) for cei in scratch.arrivals[t]
+            )))
+            patches += 1
+        assert patches >= 8 and arena.mirror_reallocs > 1
+
+        pool = FastCandidatePool(arena=arena)
+        n, m = scratch.n_rows, scratch.n_ceis
+        assert (arena.n_rows, arena.n_ceis) == (n, m)
+        assert arena.packable == scratch.packable
+        for name in ("npr_seq", "npr_finish", "npr_finish_f", "npr_resource",
+                     "npr_cidx", "npr_static"):
+            assert getattr(pool, name) is getattr(arena, name)
+            np.testing.assert_array_equal(getattr(arena, name)[:n], getattr(scratch, name))
+        for name in ("npc_rank_f", "npc_weight", "npc_required"):
+            assert getattr(pool, name) is getattr(arena, name)
+            np.testing.assert_array_equal(getattr(arena, name)[:m], getattr(scratch, name))
+
+        backed = _run(policy_name, arena.arrivals, arena=arena)
+        ref = _run(policy_name, arena.arrivals, engine="reference")
+        assert backed.schedule.probes == ref.schedule.probes
+        assert backed.probes_used == ref.probes_used
+        assert backed.pool.num_satisfied == ref.pool.num_satisfied
+        assert backed.pool.num_failed == ref.pool.num_failed
+        assert backed.believed_completeness == ref.believed_completeness
 
 
 class TestArrivalEpochValidation:

@@ -39,6 +39,8 @@ from repro.online.health import HealthConfig
 from repro.online.monitor import OnlineMonitor
 from repro.online.shedding import SheddingConfig
 from repro.policies import MRSF, make_policy
+from repro.policies.base import Policy
+from repro.policies.kernels import ScoreKernel
 from repro.sim.arena import ArenaPatch, apply_patch, compile_arena
 from repro.sim.engine import simulate
 from tests.conftest import (
@@ -401,19 +403,17 @@ def topk_knobs(enabled=True, overflow=None, growth=None):
 
 @pytest.fixture
 def arena_patch_calls(monkeypatch):
-    """The calls made to ``apply_patch`` or to the mirror concatenation of
-    a new arena generation while the test runs."""
+    """The calls made to ``apply_patch`` while the test runs."""
     from repro.sim import arena as arena_module
 
     calls = []
-    for name in ("apply_patch", "_next_generation"):
-        original = getattr(arena_module, name)
+    original = arena_module.apply_patch
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append("apply_patch")
+        return original(*args, **kwargs)
 
-        monkeypatch.setattr(arena_module, name, spy)
+    monkeypatch.setattr(arena_module, "apply_patch", spy)
     return calls
 
 
@@ -485,9 +485,10 @@ class TestTopKSelection:
     def test_mirror_reallocs_grow_logarithmically(self, arena_patch_calls):
         """Counter sanity: syncing after every register stays O(log n).
 
-        The pool compiles each CEI into its own arena in place: the arena
-        is never replaced and no patch is applied, so registration stays
-        O(new EIs), off the per-patch mirror concatenation."""
+        The pool compiles each CEI into its own arena in place and no
+        patch is applied, so registration stays O(new EIs).  The bound
+        covers every reallocation: the arena's mirrors and the pool's
+        records."""
         from repro.online.fastpath import FastCandidatePool
 
         rng = np.random.default_rng(40)
@@ -507,13 +508,15 @@ class TestTopKSelection:
                 pool.sync_mirrors()
         rows = len(pool.row_seq)
         assert rows > 100
-        assert pool.mirror_reallocs <= 2 * (int(np.ceil(np.log2(rows))) + 2)
+        reallocs = owned.mirror_reallocs + pool.record_reallocs
+        assert reallocs <= 2 * (int(np.ceil(np.log2(rows))) + 2)
         assert pool._arena is owned and len(owned.row_seq) == rows
         assert arena_patch_calls == []
 
     def test_mirror_reallocs_grow_logarithmically_under_patches(self):
-        """N registering arena patches cost O(log N) mirror reallocations,
-        each arrival batch registered as it comes due."""
+        """N registering arena patches cost O(log N) reallocations of the
+        arena's mirrors and the pool's records, each arrival batch
+        registered as it comes due."""
         from repro.online.fastpath import FastCandidatePool
 
         arena = compile_arena(_profiles(40, num_ceis=4))
@@ -525,11 +528,77 @@ class TestTopKSelection:
                 now = k // 8
                 cei = make_cei((int(rng.integers(8)), now, now + 3))
                 patch = ArenaPatch.registrations([cei], at=now)
-                arena = apply_patch(arena, patch, [pool])
+                apply_patch(arena, patch, [pool])
                 pool.register_arrivals([cei], now, collect=False)
                 pool.sync_mirrors()
         assert pool.num_registered == patches
-        assert pool.mirror_reallocs <= 2 * (int(np.ceil(np.log2(patches))) + 2)
+        reallocs = arena.mirror_reallocs + pool.record_reallocs
+        assert reallocs <= 2 * (int(np.ceil(np.log2(patches))) + 2)
+
+
+class _LargestResidualKernel(ScoreKernel):
+    """Largest residual first: a capture *raises* its siblings' keys.
+
+    Every built-in kernel's sibling re-rank only lowers a key, so a
+    superseded key surfaces only after its row was probed; under this
+    one the superseded (lower) key surfaces first, while its row is
+    still live, and only the walk's stale-key test keeps it from being
+    picked.
+    """
+
+    integer_valued = True
+
+    def __init__(self, shift_invariant: bool) -> None:
+        self.shift_invariant = shift_invariant
+
+    def score_rows(self, pool, rows, cidx, chronon):
+        return pool.npc_captured_f[cidx] - pool.npc_rank_f[cidx]
+
+    def score_cei(self, pool, cidx, chronon):
+        return float(pool.cei_captured[cidx] - pool.cei_rank[cidx])
+
+
+class _LargestResidualFirst(Policy):
+    """Reference-path twin of :class:`_LargestResidualKernel`."""
+
+    name = "LARGEST-RESIDUAL"
+
+    def __init__(self, shift_invariant: bool) -> None:
+        self._shift_invariant = shift_invariant
+
+    def priority(self, ei, chronon, view):
+        cei = ei.parent
+        return float(view.captured_count(cei) - cei.rank)
+
+    def sibling_sensitive(self) -> bool:
+        return True
+
+    def make_kernel(self):
+        return _LargestResidualKernel(self._shift_invariant)
+
+
+class TestRaisedSiblingKeys:
+    """A kernel whose capture re-rank raises sibling keys, against the
+    reference ``_probe_phase``.  Without ``shift_invariant`` a preemptive
+    ``run()`` re-keys each chronon through ``_phase_walk``, and a
+    non-preemptive one steps it per phase; with it, the preemptive run
+    carries its keys (``_walk_carried``)."""
+
+    @pytest.mark.parametrize("shift_invariant", [False, True])
+    @pytest.mark.parametrize("preemptive", [True, False])
+    def test_engines_agree(self, preemptive, shift_invariant):
+        for seed in (1, 2, 3):
+            arrivals = _instance(seed)
+            runs = [
+                _run(engine, _LargestResidualFirst(shift_invariant), arrivals,
+                     preemptive=preemptive)
+                for engine in ("reference", "vectorized")
+            ]
+            ref, vec = runs
+            assert vec.schedule.probes == ref.schedule.probes
+            assert vec.pool.num_satisfied == ref.pool.num_satisfied
+            assert vec.pool.num_failed == ref.pool.num_failed
+            assert vec.believed_completeness == ref.believed_completeness
 
 
 @settings(max_examples=25, deadline=None)

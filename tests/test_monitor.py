@@ -1,6 +1,5 @@
 """Unit and behavioural tests for the online monitor (Algorithm 1)."""
 
-import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
@@ -222,35 +221,32 @@ class TestResourceLevelPolicies:
 
 class TestBoundaries:
     def test_grow_rows_from_zero_capacity_terminates(self):
-        # A consistent zero-capacity state (what an arena of zero rows
-        # would produce without the max(n, 1) floor): the doubling loop
-        # must not stall at zero.
+        # An owned arena starts with zero-capacity mirrors and the pool
+        # with zero-capacity records: growth must still cover the rows.
         pool = FastCandidatePool()
-        pool._row_cap = 0
-        for name in ("npr_seq", "npr_finish", "npr_finish_f",
-                     "npr_resource", "npr_cidx", "npr_static"):
-            setattr(pool, name, np.zeros(0, getattr(pool, name).dtype))
-        pool.np_active = np.zeros(0, bool)
-        pool._grow_rows(5)
-        assert pool._row_cap >= 5
-        assert pool.npr_seq.size >= 5
+        assert pool.npr_seq.size == pool.np_active.size == 0
+        pool.register(make_cei(*((r, 0, 4) for r in range(5))), 0)
+        assert pool._arena.npr_seq.size >= 5
+        assert pool.npr_seq is pool._arena.npr_seq
+        assert pool.np_active.size >= 5 and pool.npr_state.size >= 5
 
     def test_grow_ceis_from_zero_capacity_terminates(self):
         pool = FastCandidatePool()
-        pool._cei_cap = 0
-        for name in ("npc_rank_f", "npc_captured_f", "npc_weight",
-                     "npc_medf_s_f", "npc_medf_open_f"):
-            setattr(pool, name, np.zeros(0, np.float64))
-        pool._grow_ceis(3)
-        assert pool._cei_cap >= 3
-        assert pool.npc_rank_f.size >= 3
+        assert pool.npc_rank_f.size == pool.npc_captured_f.size == 0
+        for r in range(3):
+            pool.register(make_cei((r, 0, 4)), 0)
+        assert pool._arena.npc_rank_f.size >= 3
+        assert pool.npc_rank_f is pool._arena.npc_rank_f
+        for name in ("npc_state", "npc_captured_f", "npc_medf_s_f", "npc_medf_open_f"):
+            assert getattr(pool, name).size >= 3
 
-    def test_empty_arena_pool_has_unit_caps(self):
-        # The constructor floors arena-sized caps at one, so the doubling
-        # loop in _grow_rows always makes progress.
+    def test_empty_arena_pool_follows_the_arena_capacity(self):
+        # The records take the arena's mirror capacity, zero for an empty
+        # compile; the mirrors grow to max(needed, 2 * capacity), which
+        # cannot stall at zero.
         pool = FastCandidatePool(arena=compile_arena(ProfileSet()))
-        assert pool._row_cap >= 1
-        assert pool._cei_cap >= 1
+        assert pool.np_active.size == pool.npr_seq.size == 0
+        assert pool.npc_state.size == pool.npc_rank_f.size == 0
 
     def test_empty_arena_runs(self):
         arena = compile_arena(ProfileSet())
