@@ -211,6 +211,53 @@ def test_mirror_growth_amortized(benchmark):
     benchmark.extra_info["mirror_reallocs"] = reallocs
 
 
+def test_journal_record_roundtrip(benchmark):
+    """The durable proxy's admission record: build, frame and decode it.
+
+    A 24k-CEI standing bag like perfbench's ``durable`` workload (rank
+    1-3 over 32 resources, windows of 40-160 chronons), every 100th CEI
+    weighted so the record carries both CEI forms.  Asserts every CEI
+    survives the round trip field for field.
+    """
+    import random
+
+    from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
+    from repro.io.serialization import cei_from_record, cei_to_record
+    from repro.proxy.durability import decode_frames, encode_frame
+
+    rng = random.Random(1)
+    ceis = []
+    for k in range(24_000):
+        eis = []
+        for _ in range(rng.randint(1, 3)):
+            start = rng.randrange(200)
+            eis.append(ExecutionInterval(
+                resource=rng.randrange(32), start=start, finish=start + rng.randint(40, 160),
+            ))
+        ceis.append(ComplexExecutionInterval(eis=tuple(eis), weight=2.0 if k % 100 == 0 else 1.0))
+
+    def roundtrip():
+        frame = encode_frame({
+            "op": "submit",
+            "client": "load",
+            "ordinals": list(range(len(ceis))),
+            "ceis": [cei_to_record(cei) for cei in ceis],
+        })
+        (record,), _, torn = decode_frames(frame)
+        assert not torn
+        return frame, [cei_from_record(entry) for entry in record["ceis"]]
+
+    frame, decoded = benchmark(roundtrip)
+
+    def fields(cei):
+        return (cei.semantics, cei.required, cei.weight, [
+            (e.resource, e.start, e.finish, e.true_start, e.true_finish) for e in cei.eis
+        ])
+
+    assert [fields(c) for c in decoded] == [fields(c) for c in ceis]
+    benchmark.extra_info["record_bytes"] = len(frame)
+
+
 @pytest.mark.parametrize("scheme", ["batched", "per_attempt"])
 def test_fault_draw_throughput(benchmark, scheme):
     """The verdict oracle alone, over one failing-heavy run's coordinates.

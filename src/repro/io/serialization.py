@@ -11,6 +11,9 @@ provides stable, versioned dict/JSON forms with full round-tripping:
 * schedules,
 * experiment results (:class:`~repro.experiments.common.ExperimentResult`).
 
+Single CEIs also have a compact record form (:func:`cei_to_record`),
+which the durable proxy's journal and snapshots use.
+
 All ``*_to_dict`` functions emit plain JSON-compatible dicts with a
 ``"format"`` tag; ``*_from_dict`` validate the tag and rebuild the
 object.  ``save_json`` / ``load_json`` wrap file IO.
@@ -123,6 +126,38 @@ def _cei_from_dict(payload: dict) -> ComplexExecutionInterval:
         semantics=semantics,
         required=int(payload.get("required", 0)),
         weight=float(payload.get("weight", 1.0)),
+    )
+
+
+def cei_to_record(cei: ComplexExecutionInterval) -> list | dict:
+    """One CEI in the journal and snapshot form.
+
+    A *plain* CEI (AND semantics, weight 1, every EI's true window equal
+    to its window) is a list of ``[resource, start, finish]`` triples:
+    no dict per CEI or EI to build, sort and parse.  Any other CEI keeps
+    the full dict form of the profile files.  :func:`cei_from_record`
+    reads both.
+    """
+    if cei.semantics is Semantics.ALL and cei.weight == 1.0:
+        triples = []
+        for ei in cei.eis:
+            start, finish = ei.start, ei.finish
+            if ei.true_start != start or ei.true_finish != finish:
+                return _cei_to_dict(cei)
+            triples.append([ei.resource, start, finish])
+        return triples
+    return _cei_to_dict(cei)
+
+
+def cei_from_record(payload: list | dict) -> ComplexExecutionInterval:
+    """Rebuild a CEI from either form :func:`cei_to_record` writes."""
+    if isinstance(payload, dict):
+        return _cei_from_dict(payload)
+    return ComplexExecutionInterval(
+        eis=tuple(
+            ExecutionInterval(resource=int(r), start=int(s), finish=int(f))
+            for r, s, f in payload
+        )
     )
 
 

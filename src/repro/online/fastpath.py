@@ -405,11 +405,26 @@ class FastCandidatePool:
         self.np_active[rows] = False
 
     def _index_on(self, resource: ResourceId) -> np.ndarray:
-        """Every row ever placed on ``resource``, cached until it grows."""
+        """Every row ever placed on ``resource``, as an index array.
+
+        The arena caches a view of a capacity-doubling buffer per
+        resource; rows only ever append, so a call after growth copies
+        just the new tail into the buffer, in one write.
+        """
         rows = self._resource_rows.get(resource, ())
+        n = len(rows)
         at = self._resource_rows_np.get(resource)
-        if at is None or len(at) != len(rows):
-            at = self._resource_rows_np[resource] = np.array(rows, np.intp)
+        if at is None:
+            at = np.empty(0, np.intp)
+        elif len(at) == n:
+            return at
+        have = len(at)
+        buffer = at if at.base is None else at.base
+        if len(buffer) < n:
+            buffer = np.empty(max(n, 2 * len(buffer)), np.intp)
+            buffer[:have] = at
+        buffer[have:n] = rows[have:]
+        at = self._resource_rows_np[resource] = buffer[:n]
         return at
 
     def _live_rows_on(

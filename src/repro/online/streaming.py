@@ -166,7 +166,8 @@ class StreamingMonitor:
         self._next: Chronon = 0
         self._steps_since_compact = 0
         self._pending: dict[Chronon, list[ComplexExecutionInterval]] = {}
-        self._pending_cids: set[int] = set()
+        # cid -> the chronon whose bucket of _pending holds it.
+        self._reveal_of_cid: dict[int, Chronon] = {}
         self._num_submitted = 0
         self._num_cancelled_pending = 0
         if arena is not None:
@@ -201,7 +202,7 @@ class StreamingMonitor:
             t = self._next
             arriving = self._pending.pop(t, ())
             for cei in arriving:
-                self._pending_cids.discard(cei.cid)
+                del self._reveal_of_cid[cei.cid]
             self._monitor.step(t, arriving)
             self._next = t + 1
             self._steps_since_compact += 1
@@ -239,7 +240,7 @@ class StreamingMonitor:
 
     def _queue(self, cei: ComplexExecutionInterval, reveal_at: Chronon) -> None:
         self._pending.setdefault(reveal_at, []).append(cei)
-        self._pending_cids.add(cei.cid)
+        self._reveal_of_cid[cei.cid] = reveal_at
 
     def check_new(self, ceis: Sequence[ComplexExecutionInterval]) -> None:
         """Raise :class:`ModelError` unless :meth:`submit` would take ``ceis``.
@@ -259,7 +260,7 @@ class StreamingMonitor:
         if self._arena is not None:
             return cei.cid in self._arena.cidx_of_cid
         return (
-            cei.cid in self._pending_cids
+            cei.cid in self._reveal_of_cid
             or self._monitor.pool.state_of(cei) is not None
         )
 
@@ -274,13 +275,17 @@ class StreamingMonitor:
         were admitted.
         """
         ceis = list(ceis)
+        self.check_new(ceis)
+        return self._admit(ceis)
+
+    def _admit(self, ceis: list[ComplexExecutionInterval]) -> int:
+        """Admit a batch :meth:`check_new` already passed, without
+        checking it again: the durable proxy checks a batch once, before
+        it journals it."""
         if not ceis:
             return 0
         if self._arena is not None:
-            # apply_patch validates the whole batch before it mutates.
             self._patch(ArenaPatch.registrations(ceis, at=self._next))
-        else:
-            self.check_new(ceis)
         for cei in ceis:
             self._queue(cei, max(self._next, cei.release))
         self._num_submitted += len(ceis)
@@ -292,20 +297,19 @@ class StreamingMonitor:
         """Withdraw CEIs mid-flight; returns the ones actually withdrawn.
 
         Pending (not yet revealed) CEIs are unscheduled and never
-        register; live open CEIs close as *cancelled* — they leave the
-        candidate bag and the completeness denominator without counting
-        as failures.  Already-closed or unknown CEIs are skipped (and
-        absent from the returned list).
+        register (only their reveal chronon's bucket is touched); live
+        open CEIs close as *cancelled* — they leave the candidate bag and
+        the completeness denominator without counting as failures.
+        Already-closed or unknown CEIs are skipped (and absent from the
+        returned list).
         """
         withdrawn: list[ComplexExecutionInterval] = []
         for cei in ceis:
-            if cei.cid in self._pending_cids:
-                self._pending_cids.discard(cei.cid)
-                for queued in self._pending.values():
-                    before = len(queued)
-                    queued[:] = [q for q in queued if q.cid != cei.cid]
-                    if len(queued) != before:
-                        break
+            at = self._reveal_of_cid.pop(cei.cid, None)
+            if at is not None:
+                queued = self._pending[at]
+                cid = cei.cid
+                del queued[next(i for i, q in enumerate(queued) if q.cid == cid)]
                 self._num_cancelled_pending += 1
                 withdrawn.append(cei)
             elif self._monitor.pool.cancel_cei(cei):
@@ -348,11 +352,11 @@ class StreamingMonitor:
     @property
     def pending_count(self) -> int:
         """CEIs admitted but not yet revealed to the step loop."""
-        return sum(len(v) for v in self._pending.values())
+        return len(self._reveal_of_cid)
 
     def is_pending(self, cid: int) -> bool:
         """Is this cid admitted but not yet revealed to the step loop?"""
-        return cid in self._pending_cids
+        return cid in self._reveal_of_cid
 
     @property
     def schedule(self) -> Schedule:

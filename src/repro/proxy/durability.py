@@ -63,7 +63,7 @@ from repro.core.intervals import ComplexExecutionInterval
 from repro.core.resource import ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Chronon
-from repro.io.serialization import _cei_from_dict, _cei_to_dict
+from repro.io.serialization import cei_from_record, cei_to_record
 from repro.online.config import MonitorConfig
 from repro.online.streaming import StreamingBudget, coerce_budget
 from repro.policies.base import Policy
@@ -112,7 +112,11 @@ def encode_frame(record: dict) -> bytes:
 
     Layout: ``>II`` header (payload length, CRC32 of payload) followed by
     the payload — compact JSON with sorted keys, so identical records
-    encode to identical bytes.
+    encode to identical bytes.  The encoder takes any JSON-ready record;
+    a ``submit`` record carries its CEIs in
+    :func:`repro.io.serialization.cei_to_record` form (``[resource,
+    start, finish]`` triples for a plain CEI), which keeps the standing
+    bag's record about a third of its dict-form size.
     """
     payload = json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
@@ -894,7 +898,7 @@ class DurableStreamingProxy(BackgroundClock):
             if ordinals and ordinals[-1] < self._next_ordinal:
                 return  # duplicate replay: these needs are already in
             self._advance_to(at, op, strict=True)
-            ceis = [_cei_from_dict(entry) for entry in record["ceis"]]
+            ceis = [cei_from_record(entry) for entry in record["ceis"]]
             self._bind(ordinals, ceis)
             self._proxy.submit_ceis(record["client"], ceis)
         elif op == "cancel":
@@ -949,9 +953,13 @@ class DurableStreamingProxy(BackgroundClock):
     ) -> int:
         """Admit CEIs for a client (journaled before they register).
 
-        A batch the proxy would refuse (see
-        :meth:`StreamingProxy.check_submission`) raises before anything
-        is journaled.
+        The batch is checked once (:meth:`StreamingProxy.check_submission`),
+        journaled as one ``submit`` record with its CEIs in
+        :func:`repro.io.serialization.cei_to_record` form, then admitted
+        without a second check, all under one hold of the lock.  A
+        refused batch raises before anything is journaled or changed.
+        Replay (:meth:`_apply`) goes through the checking
+        :meth:`StreamingProxy.submit_ceis`.
         """
         ceis = list(ceis)
         with self._lock:
@@ -966,11 +974,11 @@ class DurableStreamingProxy(BackgroundClock):
                     "op": "submit",
                     "client": str(client),
                     "ordinals": ordinals,
-                    "ceis": [_cei_to_dict(cei) for cei in ceis],
+                    "ceis": [cei_to_record(cei) for cei in ceis],
                 }
             )
             self._bind(ordinals, ceis)
-            return self._proxy.submit_ceis(client, ceis)
+            return self._proxy._admit(client, ceis)
 
     def cancel_ceis(
         self,
@@ -1041,7 +1049,9 @@ class DurableStreamingProxy(BackgroundClock):
 
         Returns the snapshot id, or None when the store refused the row
         (the service then reports itself degraded but keeps running —
-        the journal still holds the full history).
+        the journal still holds the full history).  The payload holds
+        every admitted CEI (compact triples for plain ones), so a
+        checkpoint costs O(all CEIs) with the lock held.
         """
         with self._lock:
             self._wal.sync()
@@ -1143,5 +1153,7 @@ class DurableStreamingProxy(BackgroundClock):
         return self._proxy.client_stats(client)
 
     def snapshot(self) -> dict:
-        """The inner proxy's durable payload (see ``StreamingProxy``)."""
+        """The inner proxy's durable payload (see
+        :meth:`StreamingProxy.snapshot`), plain CEIs as triples; every
+        :meth:`checkpoint` stores one."""
         return self._proxy.snapshot()

@@ -30,7 +30,7 @@ from repro.core.intervals import ComplexExecutionInterval
 from repro.core.resource import ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Chronon
-from repro.io.serialization import _cei_from_dict, _cei_to_dict
+from repro.io.serialization import cei_from_record, cei_to_record
 from repro.online.config import MonitorConfig
 from repro.online.streaming import StreamingBudget, StreamingMonitor
 from repro.policies.base import Policy
@@ -157,6 +157,17 @@ class StreamingProxy(BackgroundClock):
             self._owner_of_cid[cei.cid] = str(client)
             self._ceis_by_cid[cei.cid] = cei
 
+    def _check_owners(
+        self, client: str, ceis: Sequence[ComplexExecutionInterval]
+    ) -> None:
+        self.registry.require(client)
+        for cei in ceis:
+            owner = self._owner_of_cid.get(cei.cid)
+            if owner is not None:
+                raise ModelError(
+                    f"CEI {cei.cid} was already submitted by client {owner!r}"
+                )
+
     def check_submission(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
     ) -> None:
@@ -169,13 +180,7 @@ class StreamingProxy(BackgroundClock):
         never records a submission that replay would refuse.
         """
         with self._lock:
-            self.registry.require(client)
-            for cei in ceis:
-                owner = self._owner_of_cid.get(cei.cid)
-                if owner is not None:
-                    raise ModelError(
-                        f"CEI {cei.cid} was already submitted by client {owner!r}"
-                    )
+            self._check_owners(client, ceis)
             self._monitor.check_new(ceis)
 
     def submit_ceis(
@@ -186,12 +191,25 @@ class StreamingProxy(BackgroundClock):
         The batch reaches the monitor as one submission — one
         :class:`repro.sim.arena.ArenaPatch` on an arena-backed run — so
         churn costs one patch per call, not one per CEI.  A batch that
-        :meth:`check_submission` refuses raises and changes nothing.
+        :meth:`check_submission` refuses raises and changes nothing; the
+        batch is checked once, by the proxy and the monitor in turn.
         """
         ceis = list(ceis)
         with self._lock:
-            self.check_submission(client, ceis)
+            self._check_owners(client, ceis)
             self._monitor.submit(ceis)
+            self.registry.submit(client, ceis)
+            self._own(client, ceis)
+        return len(ceis)
+
+    def _admit(
+        self, client: str, ceis: list[ComplexExecutionInterval]
+    ) -> int:
+        """Admit a batch :meth:`check_submission` already passed, without
+        checking it again (the durable facade checks, journals, then
+        admits, all under its own lock)."""
+        with self._lock:
+            self._monitor._admit(ceis)
             self.registry.submit(client, ceis)
             self._own(client, ceis)
         return len(ceis)
@@ -376,13 +394,19 @@ class StreamingProxy(BackgroundClock):
         is deliberately not serialized — a restored proxy re-reveals the
         needs that are still ahead of the restored clock and re-scores
         from there.
+
+        Each need is ``{"cei": ..., "cancelled": bool}``, its ``cei`` in
+        :func:`repro.io.serialization.cei_to_record` form: a list of
+        ``[resource, start, finish]`` triples for a plain CEI, the
+        profile-file dict otherwise.  :meth:`restore` reads both, so
+        snapshots written with dict-form CEIs still restore.
         """
         with self._lock:
             clients = {}
             for name in self.registry.names:
                 clients[name] = [
                     {
-                        "cei": _cei_to_dict(cei),
+                        "cei": cei_to_record(cei),
                         "cancelled": cei.cid in self._cancelled_cids,
                     }
                     for cei in self.registry.ceis_of(name)
@@ -438,7 +462,7 @@ class StreamingProxy(BackgroundClock):
             proxy.tick(now)
         for name, entries in payload["clients"].items():
             handle = proxy.register_client(name)
-            ceis = [_cei_from_dict(entry["cei"]) for entry in entries]
+            ceis = [cei_from_record(entry["cei"]) for entry in entries]
             proxy.submit_ceis(handle, ceis)
             cancelled = [
                 cei for cei, entry in zip(ceis, entries) if entry.get("cancelled")

@@ -158,7 +158,8 @@ class InstanceArena:
         default_factory=partial(defaultdict, list)
     )
     #: NumPy copies of ``resource_rows``' lists, shared by every pool of
-    #: the arena; a copy shorter than its list is stale and rebuilt.
+    #: the arena: each is a view of a capacity-doubling buffer, and a
+    #: view shorter than its list takes the list's new tail.
     resource_rows_np: dict[int, np.ndarray] = field(default_factory=dict)
 
     #: cids withdrawn by :func:`apply_patch` cancellations.

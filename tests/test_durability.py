@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -28,7 +29,8 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ExperimentError, ModelError
 from repro.core.resource import ResourcePool
-from repro.online import MonitorConfig
+from repro.io.serialization import _cei_to_dict, cei_from_record
+from repro.online import MonitorConfig, StreamingMonitor
 from repro.online.faults import FailureModel
 from repro.online.health import HealthConfig
 from repro.online.shedding import SheddingConfig
@@ -685,6 +687,155 @@ class TestDurableModeOplog:
         assert stats["satisfied_ceis"] == 2
         assert stats["cancelled_ceis"] == 1
         again.close()
+
+
+# ---------------------------------------------------------------------------
+# Admission: one check, one compact record
+# ---------------------------------------------------------------------------
+
+
+def _churn_mixed(proxy) -> None:
+    """``_churn`` plus a batch mixing a plain CEI with a weighted one, so
+    the journal holds both CEI forms."""
+    _churn(proxy)
+    proxy.submit_ceis(
+        "bob", [make_cei((1, 9, 20), (0, 10, 22)), make_cei((2, 9, 20), weight=2.0)]
+    )
+    proxy.tick(2)
+
+
+def _recovered_view(proxy) -> tuple:
+    """Clock, ordinal table and schedule of a (recovered) proxy."""
+    ordinals = [
+        (ordinal, [(e.resource, e.start, e.finish) for e in cei.eis], cei.weight)
+        for ordinal, cei in sorted(proxy._cei_of_ordinal.items())
+    ]
+    return proxy.now, ordinals, proxy._next_ordinal, _state(proxy)
+
+
+def _to_dict_form(entries: list) -> list:
+    return [_cei_to_dict(cei_from_record(entry)) for entry in entries]
+
+
+class TestCompactRecords:
+    """Plain CEIs journal and snapshot as triples; the dict form written
+    before that still recovers to the same clock, ordinals and schedule."""
+
+    def test_submit_record_holds_both_forms(self, tmp_path):
+        proxy = make_durable(tmp_path)
+        _churn_mixed(proxy)
+        proxy._wal.sync()
+        records, _, _ = decode_frames(proxy.durability.wal_path.read_bytes())
+        forms = [
+            type(entry) for r in records if r["op"] == "submit" for entry in r["ceis"]
+        ]
+        assert forms == [list, list, list, list, dict]
+        proxy.close()
+
+    def test_dict_form_journal_recovers(self, tmp_path):
+        source = make_durable(tmp_path / "source")
+        _churn_mixed(source)
+        expected = _recovered_view(source)
+        source._wal.sync()
+        for name in ("compact", "legacy"):
+            shutil.copytree(tmp_path / "source", tmp_path / name)
+        source.close()
+        wal_path = DurabilityConfig(root=tmp_path / "legacy").wal_path
+        records, _, torn = decode_frames(wal_path.read_bytes())
+        assert not torn
+        for record in records:
+            if record["op"] == "submit":
+                record["ceis"] = _to_dict_form(record["ceis"])
+        wal_path.write_bytes(b"".join(encode_frame(r) for r in records))
+
+        compact = make_durable(tmp_path / "compact")
+        legacy = make_durable(tmp_path / "legacy")
+        assert _recovered_view(compact) == expected
+        assert _recovered_view(legacy) == expected
+        compact.tick(6)
+        legacy.tick(6)
+        assert _recovered_view(legacy) == _recovered_view(compact)
+        compact.close()
+        legacy.close()
+
+    @pytest.mark.parametrize("recovery", ["exact", "durable"])
+    def test_dict_form_snapshot_recovers(self, tmp_path, recovery):
+        source = make_durable(tmp_path / "source", recovery=recovery)
+        _churn_mixed(source)
+        source.close()
+        for name in ("compact", "legacy"):
+            shutil.copytree(tmp_path / "source", tmp_path / name)
+        store = SnapshotStore(DurabilityConfig(root=tmp_path / "legacy").snapshot_path)
+        latest = store.latest()
+        payload = latest.payload
+        assert payload["durable"]["format"] == "repro.streaming-proxy/1"
+        rewritten = 0
+        for entries in payload["durable"]["clients"].values():
+            for entry in entries:
+                rewritten += isinstance(entry["cei"], list)
+                entry["cei"] = _cei_to_dict(cei_from_record(entry["cei"]))
+        for record in payload["oplog"]:
+            if "ceis" in record:
+                record["ceis"] = _to_dict_form(record["ceis"])
+        assert rewritten == 4
+        store.save(chronon=latest.chronon, wal_seq=latest.wal_seq, payload=payload)
+        store.close()
+
+        compact = make_durable(tmp_path / "compact", recovery=recovery)
+        legacy = make_durable(tmp_path / "legacy", recovery=recovery)
+        assert _recovered_view(legacy) == _recovered_view(compact)
+        compact.tick(6)
+        legacy.tick(6)
+        assert _recovered_view(legacy) == _recovered_view(compact)
+        compact.close()
+        legacy.close()
+
+    def test_submit_validates_once(self, tmp_path, monkeypatch):
+        proxy = make_durable(tmp_path)
+        alice = proxy.register_client("alice")
+        calls = []
+
+        def spy(cls, name):
+            original = getattr(cls, name)
+
+            def wrapped(self, *args):
+                calls.append(name)
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        spy(StreamingMonitor, "check_new")
+        spy(StreamingProxy, "_check_owners")
+        assert proxy.submit_ceis(alice, [make_cei((0, 0, 5)), make_cei((1, 2, 8))]) == 2
+        assert sorted(calls) == ["_check_owners", "check_new"]
+        assert proxy.monitor.pending_count == 2
+        proxy.close()
+
+    @pytest.mark.parametrize("case", ["duplicate", "already_submitted", "unregistered"])
+    def test_refused_batch_journals_nothing(self, tmp_path, case):
+        proxy = make_durable(tmp_path)
+        alice = proxy.register_client("alice")
+        old = make_cei((0, 0, 9))
+        proxy.submit_ceis(alice, [old])
+        proxy.tick(1)
+        new = make_cei((1, 2, 8))
+        client, batch, error = {
+            "duplicate": ("alice", [new, new], ModelError),
+            "already_submitted": ("alice", [new, old], ModelError),
+            "unregistered": ("ghost", [new], ExperimentError),
+        }[case]
+        seq = proxy.journal_seq
+        before = (_recovered_view(proxy), proxy.monitor.pending_count)
+        with pytest.raises(error):
+            proxy.submit_ceis(client, batch)
+        assert proxy.journal_seq == seq
+        assert (_recovered_view(proxy), proxy.monitor.pending_count) == before
+        proxy._wal.sync()
+        records, _, _ = decode_frames(proxy.durability.wal_path.read_bytes())
+        assert [r["seq"] for r in records] == list(range(1, seq + 1))
+        # The refused need was never admitted: it can still go in.
+        assert proxy.submit_ceis(alice, [new]) == 1
+        proxy.close()
 
 
 # ---------------------------------------------------------------------------

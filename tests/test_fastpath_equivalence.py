@@ -577,6 +577,21 @@ class _LargestResidualFirst(Policy):
         return _LargestResidualKernel(self._shift_invariant)
 
 
+def _assert_kernel_agrees(make_policy_twin, preemptive):
+    """Three instances: the test kernel's vectorized run equals its
+    reference twin's, probe for probe."""
+    for seed in (1, 2, 3):
+        arrivals = _instance(seed)
+        ref, vec = [
+            _run(engine, make_policy_twin(), arrivals, preemptive=preemptive)
+            for engine in ("reference", "vectorized")
+        ]
+        assert vec.schedule.probes == ref.schedule.probes
+        assert vec.pool.num_satisfied == ref.pool.num_satisfied
+        assert vec.pool.num_failed == ref.pool.num_failed
+        assert vec.believed_completeness == ref.believed_completeness
+
+
 class TestRaisedSiblingKeys:
     """A kernel whose capture re-rank raises sibling keys, against the
     reference ``_probe_phase``.  Without ``shift_invariant`` a preemptive
@@ -587,18 +602,108 @@ class TestRaisedSiblingKeys:
     @pytest.mark.parametrize("shift_invariant", [False, True])
     @pytest.mark.parametrize("preemptive", [True, False])
     def test_engines_agree(self, preemptive, shift_invariant):
-        for seed in (1, 2, 3):
-            arrivals = _instance(seed)
-            runs = [
-                _run(engine, _LargestResidualFirst(shift_invariant), arrivals,
-                     preemptive=preemptive)
-                for engine in ("reference", "vectorized")
-            ]
-            ref, vec = runs
-            assert vec.schedule.probes == ref.schedule.probes
-            assert vec.pool.num_satisfied == ref.pool.num_satisfied
-            assert vec.pool.num_failed == ref.pool.num_failed
-            assert vec.believed_completeness == ref.believed_completeness
+        _assert_kernel_agrees(lambda: _LargestResidualFirst(shift_invariant), preemptive)
+
+
+class _AllTiesKernel(ScoreKernel):
+    """Every priority ties, so ``(finish, seq)`` decides every pick and
+    every top-k cut falls inside a run of equal priorities."""
+
+    def __init__(self, shift_invariant: bool, integer_valued: bool) -> None:
+        self.shift_invariant = shift_invariant
+        self.integer_valued = integer_valued
+
+    def score_rows(self, pool, rows, cidx, chronon):
+        return np.zeros(rows.size)
+
+    def score_cei(self, pool, cidx, chronon):
+        return 0.0
+
+
+class _AllTies(Policy):
+    """Reference-path twin of :class:`_AllTiesKernel`."""
+
+    name = "ALL-TIES"
+
+    def __init__(self, shift_invariant: bool, integer_valued: bool) -> None:
+        self._flags = (shift_invariant, integer_valued)
+
+    def priority(self, ei, chronon, view):
+        return 0.0
+
+    def make_kernel(self):
+        return _AllTiesKernel(*self._flags)
+
+
+#: Far outside the +-2^20 that a phase packs into one int64 key.
+_HUGE = float(1 << 24)
+
+
+class _HugeResidualKernel(ScoreKernel):
+    """MRSF's residual times 2^24: integer priorities no phase can pack,
+    so its keys are ``(priority, finish, seq, row)`` tuples (the carried
+    walk packs unbounded Python ints instead)."""
+
+    integer_valued = True
+
+    def __init__(self, shift_invariant: bool) -> None:
+        self.shift_invariant = shift_invariant
+
+    def score_rows(self, pool, rows, cidx, chronon):
+        return (pool.npc_rank_f[cidx] - pool.npc_captured_f[cidx]) * _HUGE
+
+    def score_cei(self, pool, cidx, chronon):
+        return float(pool.cei_rank[cidx] - pool.cei_captured[cidx]) * _HUGE
+
+
+class _HugeResidual(Policy):
+    """Reference-path twin of :class:`_HugeResidualKernel`."""
+
+    name = "HUGE-RESIDUAL"
+
+    def __init__(self, shift_invariant: bool) -> None:
+        self._shift_invariant = shift_invariant
+
+    def priority(self, ei, chronon, view):
+        cei = ei.parent
+        return float(cei.rank - view.captured_count(cei)) * _HUGE
+
+    def sibling_sensitive(self) -> bool:
+        return True
+
+    def make_kernel(self):
+        return _HugeResidualKernel(self._shift_invariant)
+
+
+class TestTiedAndHugeKeys:
+    """Two more adversarial kernels against the reference ``_probe_phase``,
+    with ``shift_invariant`` on and off, preemptive and not: one whose
+    priorities all tie, and one whose priorities exceed +-2^20."""
+
+    @pytest.mark.parametrize("integer_valued", [True, False])
+    @pytest.mark.parametrize("shift_invariant", [False, True])
+    @pytest.mark.parametrize("preemptive", [True, False])
+    def test_all_ties(self, preemptive, shift_invariant, integer_valued):
+        _assert_kernel_agrees(
+            lambda: _AllTies(shift_invariant, integer_valued), preemptive
+        )
+
+    @pytest.mark.parametrize("shift_invariant", [False, True])
+    @pytest.mark.parametrize("preemptive", [True, False])
+    def test_huge_priorities(self, preemptive, shift_invariant):
+        _assert_kernel_agrees(lambda: _HugeResidual(shift_invariant), preemptive)
+
+    def test_huge_priorities_take_tuple_keys(self, monkeypatch):
+        packed = []
+        original = fastpath._LocalStream.__init__
+
+        def spy(self, *args):
+            original(self, *args)
+            packed.append(self.packed)
+
+        monkeypatch.setattr(fastpath._LocalStream, "__init__", spy)
+        _run("vectorized", _HugeResidual(False), _instance(1))
+        assert packed and not any(packed)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,7 @@
 """Round-trip tests for JSON serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from repro.core.timebase import Epoch
 from repro.experiments.common import ExperimentResult
 from repro.io import (
     SerializationError,
+    cei_from_record,
+    cei_to_record,
     load_json,
     profiles_from_dict,
     profiles_to_dict,
@@ -95,6 +99,79 @@ class TestProfileRoundTrip:
     def test_malformed_rejected(self):
         with pytest.raises(SerializationError):
             profiles_from_dict({"format": "repro/profile-set@1", "profiles": [{}]})
+
+
+def _cei_fields(cei: ComplexExecutionInterval) -> tuple:
+    return (
+        cei.semantics,
+        cei.required,
+        cei.weight,
+        [(e.resource, e.start, e.finish, e.true_start, e.true_finish) for e in cei.eis],
+    )
+
+
+@st.composite
+def any_cei(draw):
+    """A CEI of rank 1..6 with any semantics, weight and true windows."""
+    eis = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, 500))
+        finish = start + draw(st.integers(0, 60))
+        true_start, true_finish = start, finish
+        if draw(st.booleans()):
+            true_start = draw(st.integers(0, 500))
+            true_finish = true_start + draw(st.integers(0, 60))
+        eis.append(
+            make_ei(draw(st.integers(0, 200)), start, finish, true_start, true_finish)
+        )
+    semantics = draw(st.sampled_from(list(Semantics)))
+    required = draw(st.integers(1, len(eis))) if semantics is Semantics.AT_LEAST else 0
+    weight = draw(st.one_of(st.just(1.0), st.floats(0.01, 100.0)))
+    return ComplexExecutionInterval(
+        eis=tuple(eis), semantics=semantics, required=required, weight=weight
+    )
+
+
+class TestCeiRecord:
+    """The journal and snapshot form of one CEI: triples when plain."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cei=any_cei())
+    def test_roundtrip_every_field(self, cei):
+        record = json.loads(json.dumps(cei_to_record(cei)))
+        assert _cei_fields(cei_from_record(record)) == _cei_fields(cei)
+        plain = (
+            cei.semantics is Semantics.ALL
+            and cei.weight == 1.0
+            and all(
+                (e.true_start, e.true_finish) == (e.start, e.finish) for e in cei.eis
+            )
+        )
+        assert isinstance(record, list) == plain
+
+    def test_plain_cei_is_triples(self):
+        cei = make_cei((3, 0, 5), (1, 2, 8))
+        assert cei_to_record(cei) == [[3, 0, 5], [1, 2, 8]]
+
+    @pytest.mark.parametrize(
+        "cei",
+        [
+            make_cei((3, 0, 5), weight=2.0),
+            ComplexExecutionInterval(eis=(make_ei(0, 0, 4, 1, 6),)),
+            ComplexExecutionInterval(eis=(make_ei(0, 0, 4),), semantics=Semantics.ANY),
+        ],
+        ids=["weight", "true-window", "any"],
+    )
+    def test_other_ceis_keep_the_dict_form(self, cei):
+        from repro.io.serialization import _cei_to_dict
+
+        assert cei_to_record(cei) == _cei_to_dict(cei)
+
+    def test_dict_form_still_decodes(self):
+        from repro.io.serialization import _cei_to_dict
+
+        cei = make_cei((3, 0, 5), (1, 2, 8))
+        assert _cei_fields(cei_from_record(_cei_to_dict(cei))) == _cei_fields(cei)
 
 
 class TestScheduleRoundTrip:

@@ -352,6 +352,47 @@ class TestAtomicSubmission:
         assert monitor.pool.num_satisfied == 1
 
 
+class TestPendingCancel:
+    """Withdrawing a pending CEI touches only its reveal chronon's bucket."""
+
+    def test_cancel_touches_one_bucket(self):
+        monitor = StreamingMonitor("MRSF", budget=1.0, resources=ResourcePool.uniform(4))
+        ceis = [make_cei((k % 4, 2 + k // 3, 30)) for k in range(12)]
+        monitor.submit(ceis)
+        touched = []
+
+        class Bucket(list):
+            def __setitem__(self, index, value):
+                touched.append(self[0].release)
+                super().__setitem__(index, value)
+
+            def __delitem__(self, index):
+                touched.append(self[0].release)
+                super().__delitem__(index)
+
+        monitor._pending = {t: Bucket(queued) for t, queued in monitor._pending.items()}
+        buckets = {t: (queued, list(queued)) for t, queued in monitor._pending.items()}
+        assert len(buckets) == 4
+        victim = ceis[7]
+        fields = (victim.cid, [(e.resource, e.start, e.finish, e.seq) for e in victim.eis])
+        assert monitor.cancel([victim]) == [victim]
+        assert touched == [victim.release]
+        for t, (queued, contents) in buckets.items():
+            assert monitor._pending[t] is queued
+            if t == victim.release:
+                assert queued == [c for c in contents if c is not victim]
+            else:
+                assert queued == contents
+        assert (victim.cid, [(e.resource, e.start, e.finish, e.seq) for e in victim.eis]) == fields
+        assert monitor.pending_count == 11
+        assert not monitor.is_pending(victim.cid)
+        # A second withdrawal of the same need is a no-op.
+        assert monitor.cancel([victim]) == []
+        monitor.advance(40)
+        assert monitor.pool.state_of(victim) is None
+        assert monitor.pool.num_registered == 11
+
+
 class TestClocks:
     def test_manual_tick(self):
         proxy = make_proxy()
