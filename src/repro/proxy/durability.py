@@ -102,6 +102,39 @@ class JournalCorruptError(ReproError):
     """
 
 
+def _check_journal_knobs(
+    fsync: str,
+    fsync_every: int,
+    group_window: float,
+    retries: int,
+    backoff: float,
+) -> None:
+    """Raise :class:`ModelError` on a journal setting the log cannot honour."""
+    if fsync not in _FSYNC_POLICIES:
+        raise ModelError(
+            f"fsync policy must be one of {_FSYNC_POLICIES}, got {fsync!r}"
+        )
+    if fsync_every < 1:
+        raise ModelError(f"fsync_every must be >= 1, got {fsync_every}")
+    if group_window < 0:
+        raise ModelError(f"group_window must be >= 0, got {group_window}")
+    if group_window > 0 and fsync != "always":
+        raise ModelError(
+            "group_window only applies to fsync='always' "
+            f"(got fsync={fsync!r}); interval/never already batch"
+        )
+    if retries < 0:
+        raise ModelError(f"retries must be >= 0, got {retries}")
+    if backoff < 0:
+        raise ModelError(f"backoff must be >= 0, got {backoff}")
+
+
+def _check_keep(keep: int) -> None:
+    """Raise :class:`ModelError` unless at least one snapshot is kept."""
+    if keep < 1:
+        raise ModelError(f"snapshots to keep must be >= 1, got {keep}")
+
+
 # ---------------------------------------------------------------------------
 # Frame codec
 # ---------------------------------------------------------------------------
@@ -222,23 +255,7 @@ class WriteAheadLog:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if fsync not in _FSYNC_POLICIES:
-            raise ModelError(
-                f"fsync policy must be one of {_FSYNC_POLICIES}, got {fsync!r}"
-            )
-        if fsync_every < 1:
-            raise ModelError(f"fsync_every must be >= 1, got {fsync_every}")
-        if group_window < 0:
-            raise ModelError(f"group_window must be >= 0, got {group_window}")
-        if group_window > 0 and fsync != "always":
-            raise ModelError(
-                "group_window only applies to fsync='always' "
-                f"(got fsync={fsync!r}); interval/never already batch"
-            )
-        if retries < 0:
-            raise ModelError(f"retries must be >= 0, got {retries}")
-        if backoff < 0:
-            raise ModelError(f"backoff must be >= 0, got {backoff}")
+        _check_journal_knobs(fsync, fsync_every, group_window, retries, backoff)
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fsync = fsync
@@ -307,43 +324,19 @@ class WriteAheadLog:
     def append(self, record: dict) -> dict:
         """Journal one record; returns it stamped (in place) with its ``seq``.
 
-        The record is accepted even when the disk is misbehaving: after
+        The frame is queued on the backlog and committed the one way
+        every write is (:meth:`_commit_locked`): roll back a torn
+        attempt, write, flush, and fsync when the policy says so.  The
+        record is accepted even when the disk is misbehaving: after
         ``retries`` failed attempts it stays in the in-memory backlog,
         the log flips :attr:`degraded`, and the caller keeps running.
         """
         with self._lock:
             self._seq += 1
             record["seq"] = self._seq
-            stamped = record
-            frame = encode_frame(stamped)
-            file = self._file
-            if (
-                file is not None
-                and not self._backlog
-                and not self._needs_rollback
-                and not self.degraded
-            ):
-                # Hot path: healthy log, nothing queued.  Write the frame
-                # directly; any failure falls through to the resilient
-                # backlog-and-retry path below.
-                try:
-                    file.write(frame)
-                    file.flush()
-                    if self._due_for_sync(1):
-                        os.fsync(file.fileno())
-                        self._note_synced()
-                    else:
-                        self._appends_since_sync += 1
-                        if self._fsync == "always":
-                            self._sync_pending = True
-                    self._good_end += len(frame)
-                    return stamped
-                except OSError:
-                    self._needs_rollback = True
-                    self._reset_file()
-            self._backlog.append(frame)
+            self._backlog.append(encode_frame(record))
             self._commit_locked(force_sync=False)
-            return stamped
+            return record
 
     def sync(self) -> None:
         """Push the backlog to disk and fsync regardless of policy."""
@@ -497,8 +490,7 @@ class SnapshotStore:
     """
 
     def __init__(self, path: Union[str, Path], *, keep: int = 2) -> None:
-        if keep < 1:
-            raise ModelError(f"keep must be >= 1, got {keep}")
+        _check_keep(keep)
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._keep = keep
@@ -608,41 +600,25 @@ class DurabilityConfig:
     recovery: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.fsync not in _FSYNC_POLICIES:
-            raise ModelError(
-                f"fsync policy must be one of {_FSYNC_POLICIES}, "
-                f"got {self.fsync!r}"
-            )
+        # The same checks the log and the store make, before either
+        # touches the directory.
+        _check_journal_knobs(
+            self.fsync,
+            self.fsync_every,
+            self.group_window,
+            self.retries,
+            self.backoff,
+        )
+        _check_keep(self.keep_snapshots)
         if self.recovery not in _RECOVERY_MODES:
             raise ModelError(
                 f"recovery mode must be one of {_RECOVERY_MODES}, "
                 f"got {self.recovery!r}"
             )
-        if self.fsync_every < 1:
-            raise ModelError(
-                f"fsync_every must be >= 1, got {self.fsync_every}"
-            )
-        if self.group_window < 0:
-            raise ModelError(
-                f"group_window must be >= 0, got {self.group_window}"
-            )
-        if self.group_window > 0 and self.fsync != "always":
-            raise ModelError(
-                "group_window only applies to fsync='always' "
-                f"(got fsync={self.fsync!r})"
-            )
         if self.snapshot_every < 0:
             raise ModelError(
                 f"snapshot_every must be >= 0, got {self.snapshot_every}"
             )
-        if self.keep_snapshots < 1:
-            raise ModelError(
-                f"keep_snapshots must be >= 1, got {self.keep_snapshots}"
-            )
-        if self.retries < 0:
-            raise ModelError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ModelError(f"backoff must be >= 0, got {self.backoff}")
 
     @property
     def wal_path(self) -> Path:
@@ -678,7 +654,8 @@ class DurableStreamingProxy(BackgroundClock):
     CEIs are identified across processes by their *ordinal* — the global
     submission index — because object identity and ``cid`` values do not
     survive serialization.  Cancellations journal the resolved ordinals,
-    which replay maps back onto the recovered objects.
+    which :meth:`_apply` maps back onto the CEI objects, live and at
+    replay alike.
     """
 
     _clock_name = "durable-proxy-clock"
@@ -798,33 +775,26 @@ class DurableStreamingProxy(BackgroundClock):
         """Durable-mode ordinal table: map journal ordinals onto the CEI
         objects :meth:`StreamingProxy.restore` actually registered.
 
-        The restored registry preserves per-client submission order, so
-        walking the oplog's submit records and consuming each client's
-        restored list in parallel realigns the global ordinals.
+        A restored client holds the needs it submitted since it last
+        registered, in submission order: the tail of its submit
+        ordinals.  Binding each restored list to that tail realigns the
+        global ordinals, also when the name was unregistered and
+        registered again (its earlier needs are gone for good).
         """
-        cursors: dict[str, Iterable] = {}
-        for name in self._proxy.registry.names:
-            cursors[name] = iter(self._proxy.registry.ceis_of(name))
+        ordinals_of: dict[str, list] = {}
         for record in oplog:
             self._retain(record)
-            if record.get("op") != "submit":
-                continue
-            ordinals = [int(o) for o in record["ordinals"]]
-            cursor = cursors.get(record["client"])
-            if cursor is None:
-                # The client was unregistered later in the history; its
-                # needs are gone and nothing can reference them again.
-                self._next_ordinal = max(
-                    self._next_ordinal, ordinals[-1] + 1
+            if record.get("op") == "submit":
+                ordinals_of.setdefault(record["client"], []).extend(
+                    record["ordinals"]
                 )
-                continue
-            for ordinal in ordinals:
-                cei = next(cursor, None)
-                if cei is None:
-                    break
-                self._cei_of_ordinal[ordinal] = cei
-                self._ordinal_of_cid[cei.cid] = ordinal
-            self._next_ordinal = max(self._next_ordinal, ordinals[-1] + 1)
+                self._next_ordinal = max(
+                    self._next_ordinal, record["ordinals"][-1] + 1
+                )
+        for name in self._proxy.registry.names:
+            ceis = self._proxy.registry.ceis_of(name)
+            ordinals = ordinals_of.get(name, [])
+            self._bind(ordinals[max(len(ordinals) - len(ceis), 0):], ceis)
 
     def _retain(self, record: dict) -> None:
         """Keep what later checkpoints and rebinds need from a record.
@@ -869,60 +839,73 @@ class DurableStreamingProxy(BackgroundClock):
         if ordinals:
             self._next_ordinal = max(self._next_ordinal, ordinals[-1] + 1)
 
-    def _apply(self, record: dict) -> None:
-        """Apply one journal record to the in-memory proxy (replay path).
+    def _apply(
+        self,
+        record: dict,
+        ceis: Optional[list[ComplexExecutionInterval]] = None,
+    ):
+        """Apply one journal record to the inner proxy; returns what the
+        record's mutator returns.
+
+        This is the only code that changes the inner proxy for a
+        journaled op: every mutator journals its record and hands it
+        here, and recovery hands over the snapshot oplog and the journal
+        tail.  A live ``submit`` passes the ``ceis`` it has already
+        checked, which are admitted as they are; at replay they are
+        decoded from the record and checked again.  Cancels act on the
+        journaled ordinals, so live and replayed state cannot drift.
 
         Idempotent under duplicate replay: records whose effect is
         already present (a registered client, an assigned ordinal, a
         clock already past the tick target) are skipped.
         """
+        proxy = self._proxy
         op = record.get("op")
         if op == "tick":
-            to = int(record["to"])
-            if to > self._proxy.now:
-                self._proxy.tick(to - self._proxy.now)
-            return
-        at = int(record.get("at", self._proxy.now))
+            self._advance_to(int(record["to"]), op, strict=False)
+            return proxy.now
+        at = int(record.get("at", proxy.now))
+        client = record.get("client")
         if op == "register":
-            if record["client"] in self._proxy.registry:
-                return
+            if client in proxy.registry:
+                return None
             self._advance_to(at, op, strict=False)
-            self._proxy.register_client(record["client"])
-        elif op == "unregister":
-            if record["client"] not in self._proxy.registry:
-                return
+            return proxy.register_client(client)
+        if op == "unregister":
+            if client not in proxy.registry:
+                return 0
             self._advance_to(at, op, strict=False)
-            self._proxy.unregister_client(record["client"])
-        elif op == "submit":
-            ordinals = [int(o) for o in record["ordinals"]]
+            return proxy.unregister_client(client)
+        if op == "submit":
+            ordinals = record["ordinals"]
             if ordinals and ordinals[-1] < self._next_ordinal:
-                return  # duplicate replay: these needs are already in
+                return 0  # duplicate replay: these needs are already in
             self._advance_to(at, op, strict=True)
-            ceis = [cei_from_record(entry) for entry in record["ceis"]]
+            if ceis is None:
+                ceis = [cei_from_record(entry) for entry in record["ceis"]]
+                proxy.check_submission(client, ceis)
             self._bind(ordinals, ceis)
-            self._proxy.submit_ceis(record["client"], ceis)
-        elif op == "cancel":
+            return proxy._admit(client, ceis)
+        if op == "cancel":
             self._advance_to(at, op, strict=True)
             targets = [
                 self._cei_of_ordinal[int(o)]
                 for o in record["ordinals"]
                 if int(o) in self._cei_of_ordinal
             ]
-            if targets:
-                self._proxy.cancel_ceis(record["client"], targets)
-        elif op == "budget":
+            return proxy.cancel_ceis(client, targets) if targets else 0
+        if op == "budget":
             self._advance_to(at, op, strict=True)
-            self._proxy.set_budget(
+            return proxy.set_budget(
                 StreamingBudget(
                     values=tuple(float(v) for v in record["values"]),
                     cycle=bool(record["cycle"]),
                 )
             )
-        else:
-            raise JournalCorruptError(f"unknown journal op {op!r}")
+        raise JournalCorruptError(f"unknown journal op {op!r}")
 
     # ------------------------------------------------------------------
-    # Journaled mutators
+    # Journaled mutators: check, journal, then :meth:`_apply`
     # ------------------------------------------------------------------
 
     def _journal(self, record: dict) -> dict:
@@ -938,15 +921,17 @@ class DurableStreamingProxy(BackgroundClock):
         with self._lock:
             if str(name) in self._proxy.registry:
                 return self._proxy.register_client(name)  # raises
-            self._journal({"op": "register", "client": str(name)})
-            return self._proxy.register_client(name)
+            return self._apply(
+                self._journal({"op": "register", "client": str(name)})
+            )
 
     def unregister_client(self, client: str) -> int:
         """Withdraw a client's open needs and drop it (journaled)."""
         with self._lock:
             self._proxy.registry.require(client)
-            self._journal({"op": "unregister", "client": str(client)})
-            return self._proxy.unregister_client(client)
+            return self._apply(
+                self._journal({"op": "unregister", "client": str(client)})
+            )
 
     def submit_ceis(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
@@ -955,30 +940,26 @@ class DurableStreamingProxy(BackgroundClock):
 
         The batch is checked once (:meth:`StreamingProxy.check_submission`),
         journaled as one ``submit`` record with its CEIs in
-        :func:`repro.io.serialization.cei_to_record` form, then admitted
-        without a second check, all under one hold of the lock.  A
+        :func:`repro.io.serialization.cei_to_record` form, then handed
+        to :meth:`_apply` as checked, all under one hold of the lock.  A
         refused batch raises before anything is journaled or changed.
-        Replay (:meth:`_apply`) goes through the checking
-        :meth:`StreamingProxy.submit_ceis`.
         """
         ceis = list(ceis)
         with self._lock:
             self._proxy.check_submission(client, ceis)
             if not ceis:
                 return 0
-            ordinals = list(
-                range(self._next_ordinal, self._next_ordinal + len(ceis))
-            )
-            self._journal(
+            record = self._journal(
                 {
                     "op": "submit",
                     "client": str(client),
-                    "ordinals": ordinals,
+                    "ordinals": list(
+                        range(self._next_ordinal, self._next_ordinal + len(ceis))
+                    ),
                     "ceis": [cei_to_record(cei) for cei in ceis],
                 }
             )
-            self._bind(ordinals, ceis)
-            return self._proxy._admit(client, ceis)
+            return self._apply(record, ceis)
 
     def cancel_ceis(
         self,
@@ -989,7 +970,8 @@ class DurableStreamingProxy(BackgroundClock):
 
         ``ceis=None`` resolves to every still-open need of the client
         *before* journaling, so the journal records an explicit target
-        list and replays deterministically in both recovery modes.
+        list, and the cancel that applies is the journaled one, live
+        and at replay, in both recovery modes.
         """
         with self._lock:
             targets = self._proxy.resolve_cancel_targets(client, ceis)
@@ -998,10 +980,11 @@ class DurableStreamingProxy(BackgroundClock):
                 for cei in targets
                 if cei.cid in self._ordinal_of_cid
             ]
-            self._journal(
-                {"op": "cancel", "client": str(client), "ordinals": ordinals}
+            return self._apply(
+                self._journal(
+                    {"op": "cancel", "client": str(client), "ordinals": ordinals}
+                )
             )
-            return self._proxy.cancel_ceis(client, targets)
 
     def tick(self, chronons: int = 1) -> Chronon:
         """Advance the clock (the boundary is journaled before stepping)."""
@@ -1010,10 +993,11 @@ class DurableStreamingProxy(BackgroundClock):
                 raise ModelError(f"cannot advance by {chronons}")
             if chronons == 0:
                 return self._proxy.now
-            self._journal(
-                {"op": "tick", "to": int(self._proxy.now) + int(chronons)}
+            now = self._apply(
+                self._journal(
+                    {"op": "tick", "to": int(self._proxy.now) + int(chronons)}
+                )
             )
-            now = self._proxy.tick(chronons)
             self._maybe_checkpoint()
             return now
 
@@ -1023,14 +1007,15 @@ class DurableStreamingProxy(BackgroundClock):
         """Replace the per-chronon budget from now on (journaled)."""
         with self._lock:
             streaming_budget = coerce_budget(budget)
-            self._journal(
-                {
-                    "op": "budget",
-                    "values": list(streaming_budget.values),
-                    "cycle": streaming_budget.cycle,
-                }
+            self._apply(
+                self._journal(
+                    {
+                        "op": "budget",
+                        "values": list(streaming_budget.values),
+                        "cycle": streaming_budget.cycle,
+                    }
+                )
             )
-            self._proxy.set_budget(streaming_budget)
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -191,23 +191,21 @@ class StreamingProxy(BackgroundClock):
         The batch reaches the monitor as one submission — one
         :class:`repro.sim.arena.ArenaPatch` on an arena-backed run — so
         churn costs one patch per call, not one per CEI.  A batch that
-        :meth:`check_submission` refuses raises and changes nothing; the
-        batch is checked once, by the proxy and the monitor in turn.
+        :meth:`check_submission` refuses raises and changes nothing; one
+        it passes is admitted by :meth:`_admit`.
         """
         ceis = list(ceis)
         with self._lock:
-            self._check_owners(client, ceis)
-            self._monitor.submit(ceis)
-            self.registry.submit(client, ceis)
-            self._own(client, ceis)
-        return len(ceis)
+            self.check_submission(client, ceis)
+            return self._admit(client, ceis)
 
     def _admit(
         self, client: str, ceis: list[ComplexExecutionInterval]
     ) -> int:
         """Admit a batch :meth:`check_submission` already passed, without
-        checking it again (the durable facade checks, journals, then
-        admits, all under its own lock)."""
+        checking it again (:meth:`submit_ceis` checks then admits; the
+        durable facade checks, journals, then admits, all under its own
+        lock)."""
         with self._lock:
             self._monitor._admit(ceis)
             self.registry.submit(client, ceis)

@@ -7,8 +7,9 @@ schedule and statistics are indistinguishable from a process that never
 died.  This harness proves it the blunt way:
 
 1. The parent derives a deterministic operation script from a seed
-   (register / submit / cancel / budget / tick churn, ending in a burst
-   of ticks so there is a "subsequent schedule" to compare).
+   (register / unregister / submit / cancel / budget / tick churn,
+   re-registering dropped names, ending in a burst of ticks so there is
+   a "subsequent schedule" to compare).
 2. A child process (``python tests/crash_harness.py --child ...``)
    replays the script against a :class:`DurableStreamingProxy` and dies
    with ``os._exit`` at the configured kill point:
@@ -73,20 +74,25 @@ def make_script(seed: int, num_ops: int = NUM_OPS) -> list[dict]:
 
     Cancel targets are chosen by global submission ordinal, which is the
     identity that survives process death.  The script tracks ownership
-    so cancels are always legal, and ends with a tick burst so killed
-    and reference runs have a post-churn schedule to diverge in (if the
-    recovery were wrong).
+    so cancels are always legal: an unregistered client's needs leave
+    ``alive`` with it, and a dropped name registers again with none.
+    It ends with a tick burst so killed and reference runs have a
+    post-churn schedule to diverge in (if the recovery were wrong).
     """
     rng = random.Random(seed)
     ops: list[dict] = []
     alive: dict[str, list[int]] = {}
+    dropped: list[str] = []
     next_client = 0
     next_ordinal = 0
     for _ in range(num_ops - 4):
         roll = rng.random()
         if not alive or roll < 0.15:
-            name = f"client-{next_client}"
-            next_client += 1
+            if dropped and rng.random() < 0.5:
+                name = dropped.pop(rng.randrange(len(dropped)))
+            else:
+                name = f"client-{next_client}"
+                next_client += 1
             alive[name] = []
             ops.append({"op": "register", "client": name})
         elif roll < 0.55:
@@ -128,6 +134,11 @@ def make_script(seed: int, num_ops: int = NUM_OPS) -> list[dict]:
             ops.append(
                 {"op": "budget", "value": rng.choice([0.5, 1.0, 1.5, 2.0])}
             )
+        elif roll < 0.84:
+            client = rng.choice(sorted(alive))
+            del alive[client]
+            dropped.append(client)
+            ops.append({"op": "unregister", "client": client})
         else:
             ops.append({"op": "tick", "n": rng.randint(1, 3)})
     ops.extend({"op": "tick", "n": 2} for _ in range(4))
@@ -147,6 +158,8 @@ def apply_op(proxy: DurableStreamingProxy, op: dict) -> None:
     kind = op["op"]
     if kind == "register":
         proxy.register_client(op["client"])
+    elif kind == "unregister":
+        proxy.unregister_client(op["client"])
     elif kind == "submit":
         proxy.submit_ceis(
             op["client"], [_cei_from_windows(w) for w in op["ceis"]]

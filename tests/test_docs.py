@@ -100,6 +100,22 @@ class TestTutorial:
         exec(compile(streaming_block, "<tutorial-streaming>", "exec"), context)
         assert capsys.readouterr().out.strip()  # ana's live stats
 
+    def test_crash_block_runs_with_context(self, capsys, tmp_path, monkeypatch):
+        """§8: the journaled proxy, reopened without a close, recovers
+        the clock (its directory is relative, so it lands in tmp_path)."""
+        from repro import ResourcePool, cei
+
+        blocks = python_blocks(TUTORIAL)
+        crash_block = next(b for b in blocks if "DurableStreamingProxy(" in b)
+        monkeypatch.chdir(tmp_path)
+        context = {
+            "pool": ResourcePool.from_names(["MishBlog", "CNNBreakingNews", "CNNMoney"]),
+            "morning_ceis": [cei((0, 2, 8)), cei((1, 5, 12), (2, 5, 12))],
+        }
+        exec(compile(crash_block, "<tutorial-crash>", "exec"), context)
+        context["proxy"].close()
+        assert capsys.readouterr().out.strip() == "30"
+
     def test_every_mentioned_symbol_is_importable(self):
         """Every `repro.<something>` dotted name in the docs resolves."""
         import importlib

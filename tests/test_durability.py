@@ -19,17 +19,18 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ExperimentError, ModelError
 from repro.core.resource import ResourcePool
-from repro.io.serialization import _cei_to_dict, cei_from_record
+from repro.io.serialization import _cei_to_dict, cei_from_record, cei_to_record
 from repro.online import MonitorConfig, StreamingMonitor
 from repro.online.faults import FailureModel
 from repro.online.health import HealthConfig
@@ -48,6 +49,7 @@ from repro.proxy.streaming import StreamingProxy
 from tests.conftest import make_cei
 from tests.crash_harness import (
     EXIT_KILLED,
+    fingerprint,
     recover_and_finish,
     reference_fingerprint,
     run_child,
@@ -689,6 +691,27 @@ class TestDurableModeOplog:
         again.close()
 
 
+    def test_durable_rebind_past_unregister(self, tmp_path):
+        """A name unregistered and registered again: recovery binds the
+        journaled ordinals to the new registration's needs only, so a
+        cancel journaled after the checkpoint still finds its target."""
+        proxy = make_durable(tmp_path, recovery="durable")
+        proxy.register_client("a")
+        proxy.submit_ceis("a", [make_cei((0, 5, 20))])  # ordinal 0
+        proxy.unregister_client("a")
+        proxy.register_client("a")
+        y = make_cei((1, 5, 20))
+        proxy.submit_ceis("a", [y])  # ordinal 1
+        proxy.checkpoint()
+        proxy.cancel_ceis("a", [y])
+        live = proxy.client_stats("a")
+        assert (live["pending_ceis"], live["cancelled_ceis"]) == (0, 1)
+        recovered = make_durable(tmp_path, recovery="durable")  # no close()
+        assert recovered.client_stats("a") == live
+        assert cei_to_record(recovered.submitted_ceis()[-1]) == cei_to_record(y)
+        recovered.close()
+
+
 # ---------------------------------------------------------------------------
 # Admission: one check, one compact record
 # ---------------------------------------------------------------------------
@@ -1083,3 +1106,121 @@ class TestSnapshotRoundtripProperty:
         payload = proxy.snapshot()
         restored = StreamingProxy.restore(payload, **kwargs)
         assert restored.snapshot() == payload
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis: a crash anywhere in a churn script recovers
+# ---------------------------------------------------------------------------
+
+CLIENT_NAMES = ("a", "b", "c")
+
+_windows = st.tuples(
+    st.integers(0, NUM_RESOURCES - 1), st.integers(0, HORIZON - 2), st.integers(0, 6)
+).map(lambda w: (w[0], w[1], w[1] + w[2]))
+
+_script_ops = st.one_of(
+    st.tuples(st.just("register"), st.sampled_from(CLIENT_NAMES)),
+    st.tuples(st.just("unregister"), st.sampled_from(CLIENT_NAMES)),
+    st.tuples(
+        st.just("submit"),
+        st.sampled_from(CLIENT_NAMES),
+        st.lists(
+            st.lists(_windows, min_size=1, max_size=2).map(tuple),
+            min_size=1,
+            max_size=2,
+        ),
+    ),
+    st.tuples(st.just("cancel"), st.sampled_from(CLIENT_NAMES), st.integers(0, 3)),
+    st.tuples(st.just("budget"), st.sampled_from([0.5, 1.0, 2.0])),
+    st.tuples(st.just("tick"), st.integers(1, 3)),
+    st.tuples(st.just("checkpoint")),
+)
+
+#: Register, submit, unregister, register the name again, submit,
+#: checkpoint, cancel the new need: the cancel must survive recovery.
+_REREGISTER_THEN_CANCEL = [
+    ("register", "a"),
+    ("submit", "a", [((0, 5, 20),)]),
+    ("unregister", "a"),
+    ("register", "a"),
+    ("submit", "a", [((1, 5, 20),)]),
+    ("checkpoint",),
+    ("cancel", "a", 0),
+]
+
+
+#: A rank-2 need half captured before the checkpoint, cancelled after it:
+#: durable recovery restores it without the capture, so it fails (its
+#: first window has passed) before the cancel arrives.
+_CAPTURED_THEN_CANCEL = [
+    ("register", "b"),
+    ("submit", "b", [((0, 0, 0),), ((0, 0, 0), (0, 3, 3))]),
+    ("tick", 2),
+    ("tick", 1),
+    ("cancel", "b", 1),
+]
+
+
+def _run_script(proxy, script) -> None:
+    """Drive a durable proxy through ``script``, skipping ops that do not
+    apply (registering a registered name, cancelling for a stranger)."""
+    current: dict[str, list] = {}  # name -> needs since it last registered
+    for kind, *args in script:
+        if kind == "register" and args[0] not in current:
+            proxy.register_client(args[0])
+            current[args[0]] = []
+        elif kind == "unregister" and args[0] in current:
+            proxy.unregister_client(args[0])
+            del current[args[0]]
+        elif kind == "submit" and args[0] in current:
+            ceis = [make_cei(*windows) for windows in args[1]]
+            proxy.submit_ceis(args[0], ceis)
+            current[args[0]].extend(ceis)
+        elif kind == "cancel" and current.get(args[0]):
+            needs = current[args[0]]
+            proxy.cancel_ceis(args[0], [needs[args[1] % len(needs)]])
+        elif kind == "budget":
+            proxy.set_budget(args[0])
+        elif kind == "tick":
+            proxy.tick(args[0])
+        elif kind == "checkpoint":
+            proxy.checkpoint()
+
+
+class TestRecoveryProperty:
+    """Open a second proxy on the directory of a live one that never
+    closed: exact recovery reproduces it bit for bit; durable recovery
+    keeps the clock, the client table and every withdrawal of a need it
+    had not already closed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        script=st.lists(_script_ops, min_size=1, max_size=12),
+        recovery=st.sampled_from(["exact", "durable"]),
+    )
+    @example(script=_REREGISTER_THEN_CANCEL, recovery="durable")
+    @example(script=_REREGISTER_THEN_CANCEL, recovery="exact")
+    @example(script=_CAPTURED_THEN_CANCEL, recovery="durable")
+    def test_crash_recovers(self, script, recovery):
+        with tempfile.TemporaryDirectory() as root:
+            live = make_durable(root, recovery=recovery, snapshot_every=2)
+            _run_script(live, script)
+            recovered = make_durable(root, recovery=recovery, snapshot_every=2)
+            if recovery == "exact":
+                assert fingerprint(recovered) == fingerprint(live)
+            else:
+                before, after = live.snapshot(), recovered.snapshot()
+                assert after["now"] == before["now"]
+                assert after["clients"].keys() == before["clients"].keys()
+                for name, needs in before["clients"].items():
+                    again = after["clients"][name]
+                    assert [n["cei"] for n in again] == [n["cei"] for n in needs]
+                    ceis = recovered.registry.ceis_of(name)
+                    for need, restored, cei in zip(needs, again, ceis):
+                        if need["cancelled"] and not restored["cancelled"]:
+                            # Restored without its captures, the need may
+                            # have closed before the cancel reached it.
+                            view = recovered.monitor.pool.state_of(cei)
+                            assert view is not None
+                            assert view.satisfied or view.failed
+            recovered.close()
