@@ -189,10 +189,13 @@ class OnlineMonitor:
         self._probes_used = 0
         # Hook-override flags let the fast path skip building object lists
         # (and calling no-op hooks) when the policy never looks at them.
-        cls = type(policy)
-        self._wants_activation_hook = cls.on_ei_activated is not Policy.on_ei_activated
-        self._wants_expiry_hook = cls.on_ei_expired is not Policy.on_ei_expired
-        self._wants_probe_hook = cls.on_probe is not Policy.on_probe
+        hooks = policy.overridden_hooks()
+        self._wants_activation_hook = "on_ei_activated" in hooks
+        self._wants_expiry_hook = "on_ei_expired" in hooks
+        self._wants_probe_hook = "on_probe" in hooks
+        self._wants_chronon_hooks = bool(
+            hooks & {"on_chronon_start", "select_resources"}
+        )
         self._sibling_sensitive = policy.sibling_sensitive()
         # Without costs, faults, a probe hook or the overlap ablation, a
         # probe captures every live row on its resource, so the vectorized
@@ -361,12 +364,10 @@ class OnlineMonitor:
         Schedules, budgets, counters and errors are bit-identical to the
         step loop either way.
         """
-        cls = type(self.policy)
         if not (
             self._faults is None
             and self._shedder is None
-            and cls.on_chronon_start is Policy.on_chronon_start
-            and cls.select_resources is Policy.select_resources
+            and not self._wants_chronon_hooks
         ):
             for chronon in epoch:
                 self.step(chronon, arrivals.get(chronon, ()))

@@ -63,6 +63,17 @@ def probe_allowance(limit: float) -> int:
     return max(0, math.ceil(float(limit) - 1e-9))
 
 
+#: The optional per-chronon hooks the monitor only calls for a policy
+#: that overrides them (:meth:`Policy.overridden_hooks`).
+HOOKS = (
+    "on_chronon_start",
+    "select_resources",
+    "on_probe",
+    "on_ei_activated",
+    "on_ei_expired",
+)
+
+
 class Policy(abc.ABC):
     """Base class for probing policies."""
 
@@ -113,6 +124,19 @@ class Policy(abc.ABC):
         per-chronon frozen ``p_failure`` snapshots instead of the bound
         oracle model; everyone else ignores the call (the default).
         """
+
+    def overridden_hooks(self) -> frozenset[str]:
+        """The optional hooks this policy acts on, out of :data:`HOOKS`.
+
+        The monitor skips the rest: it builds no EI lists for them, calls
+        no no-op hook, and may walk a whole run from one heap.  The
+        default compares the policy's class with :class:`Policy`; a
+        wrapper that only forwards hooks reports its base's instead.
+        """
+        cls = type(self)
+        return frozenset(
+            name for name in HOOKS if getattr(cls, name) is not getattr(Policy, name)
+        )
 
     def sibling_sensitive(self) -> bool:
         """Does this policy's priority depend on sibling capture state?

@@ -272,6 +272,10 @@ class ExpectedGainPolicy(Policy):
     def sibling_sensitive(self) -> bool:
         return self.base.sibling_sensitive()
 
+    def overridden_hooks(self) -> frozenset[str]:
+        # Every hook below only forwards, so the base decides.
+        return self.base.overridden_hooks()
+
     def select_resources(self, chronon, limit, view):
         return self.base.select_resources(chronon, limit, view)
 

@@ -24,25 +24,29 @@ durability layer underneath it:
   snapshot + replay of the journal tail, tolerating a torn final frame
   and refusing corrupt mid-log frames with :class:`JournalCorruptError`.
 
-Two recovery modes (``DurabilityConfig.recovery``):
+Recovery is replay: a checkpoint stores the clock, the next free
+ordinal and every non-tick journal record as journaled (each admitted
+CEI once), and both modes (``DurabilityConfig.recovery``) replay them
+through the apply path the live mutators use, then the journal tail:
 
-* ``"exact"`` (default) — the snapshot carries the compacted operation
-  history (every churn record with the chronon it happened at), and
-  recovery *re-executes* it through a fresh monitor.  Because the step
-  loop is deterministic (seeded faults, seeded health, replay-invariant
-  churn — ``tests/test_churn_equivalence.py``), the recovered proxy is
-  bit-identical to one that never died: same schedule, same counters,
-  same learned state.  Cost: recovery time grows with the clock.
-* ``"durable"`` — recovery restores only the durable client/need table
-  via :meth:`StreamingProxy.restore` and fast-forwards the clock.
-  O(needs) recovery, but volatile scheduling state (captures, health,
-  breakers) is rebuilt from scratch, exactly as documented on
-  :meth:`StreamingProxy.snapshot`.
+* ``"exact"`` (default) — each record applies at the chronon it was
+  journaled at.  The step loop is deterministic (seeded faults, seeded
+  health, replay-invariant churn — ``tests/test_churn_equivalence.py``),
+  so the recovered proxy is bit-identical to one that never died.
+  Cost: recovery time grows with the clock.
+* ``"durable"`` — the clock fast-forwards to the checkpoint first and
+  every record applies there: the same clients, needs, withdrawals and
+  budget, but volatile scheduling state (captures, health, breakers)
+  starts from scratch, so a need whose windows passed fails.
+
+Either mode recovers what the other checkpointed, and checkpoints in
+the earlier ``repro.durable-proxy/1`` layout still recover.
 
 The crash-injection harness (``tests/crash_harness.py``) kills a
 subprocess-hosted service at randomized points — including mid-frame via
 an injectable torn-write file — and asserts exact-mode recovery is
-bit-identical to an uninterrupted reference run.
+bit-identical to an uninterrupted reference run, and durable-mode
+recovery keeps the clock, the client table and the budget.
 """
 
 from __future__ import annotations
@@ -81,9 +85,13 @@ __all__ = [
     "encode_frame",
 ]
 
-#: Snapshot payload format tag of the durable layer (wraps the proxy's
-#: own ``repro.streaming-proxy/1`` durable payload plus the oplog).
-DURABLE_FORMAT = "repro.durable-proxy/1"
+#: Snapshot payload format tag of the durable layer: ``{format, now,
+#: next_ordinal, oplog}``, the oplog holding every non-tick record.
+DURABLE_FORMAT = "repro.durable-proxy/2"
+
+#: The earlier layout, which also embedded the proxy's own
+#: ``repro.streaming-proxy/1`` durable table; recovery still reads it.
+LEGACY_FORMAT = "repro.durable-proxy/1"
 
 #: Frame header: payload byte length, CRC32 of the payload.
 _HEADER = struct.Struct(">II")
@@ -585,8 +593,10 @@ class DurabilityConfig:
     retries, backoff:
         Disk-fault retry budget — see :class:`WriteAheadLog`.
     recovery:
-        ``"exact"`` re-executes the journaled history (bit-identical
-        recovery); ``"durable"`` restores only the client/need table.
+        How recovery replays the checkpointed records: ``"exact"``
+        applies each at the chronon it was journaled at (bit-identical
+        recovery); ``"durable"`` applies them all at the checkpoint's
+        chronon (the client/need table and budget, no scheduling state).
     """
 
     root: Union[str, Path]
@@ -697,12 +707,9 @@ class DurableStreamingProxy(BackgroundClock):
             opener=opener,
             sleep=sleep,
         )
+        # Every non-tick record since the directory was created, as it
+        # was journaled: what a checkpoint stores and recovery replays.
         self._oplog: list[dict] = []
-        # Exact recovery re-executes the full event history, so it must
-        # stay resident; durable recovery only ever needs the ordinal
-        # skeleton of submits, so everything else is dropped as it is
-        # journaled — O(needs) memory instead of O(history).
-        self._keep_oplog = durability.recovery == "exact"
         self._cei_of_ordinal: dict[int, ComplexExecutionInterval] = {}
         self._ordinal_of_cid: dict[int, int] = {}
         self._next_ordinal = 0
@@ -715,55 +722,39 @@ class DurableStreamingProxy(BackgroundClock):
     # Recovery
     # ------------------------------------------------------------------
 
-    def _fresh_proxy(self) -> StreamingProxy:
-        return StreamingProxy(**self._factory)
-
     def _recover(self) -> None:
         snapshot = self._store.latest()
         records = self._wal.recover()
-        if snapshot is not None:
-            if snapshot.payload.get("format") != DURABLE_FORMAT:
-                raise JournalCorruptError(
-                    "snapshot store holds an unknown payload format "
-                    f"{snapshot.payload.get('format')!r}"
-                )
-            # Sequence numbering continues across truncations even when
-            # the journal file itself is empty after a checkpoint.
-            self._wal.set_seq(snapshot.wal_seq)
-            self._last_snapshot_chronon = snapshot.chronon
-            self._last_snapshot_seq = snapshot.wal_seq
+        self._proxy = StreamingProxy(**self._factory)
         # Records at or below the snapshot's coverage — or below a seq
         # the journal already replayed — are duplicates left by a
         # truncation that never completed; replaying them would
         # double-apply, so the monotonic sequence filter drops them.
-        applied_seq = snapshot.wal_seq if snapshot is not None else 0
-        tail = []
+        applied_seq = 0
+        if snapshot is not None:
+            oplog, now = self._snapshot_records(snapshot.payload)
+            # Sequence numbering continues across truncations even when
+            # the journal file itself is empty after a checkpoint.
+            self._wal.set_seq(snapshot.wal_seq)
+            self._last_snapshot_chronon = snapshot.chronon
+            self._last_snapshot_seq = applied_seq = snapshot.wal_seq
+            exact = self.durability.recovery == "exact"
+            if not exact:
+                self._proxy.fast_forward(now)
+            for record in oplog:
+                self._apply(record if exact else {**record, "at": now})
+                self._retain(record)
+            self._proxy.fast_forward(now)
+            # A /1 durable-mode payload binds only the needs its clients
+            # still hold, so the ordinal count comes from the payload.
+            self._next_ordinal = max(
+                self._next_ordinal, int(snapshot.payload.get("next_ordinal", 0))
+            )
         for record in records:
             seq = int(record.get("seq", 0))
             if seq and seq <= applied_seq:
                 continue
             applied_seq = max(applied_seq, seq)
-            tail.append(record)
-        if snapshot is None:
-            self._proxy = self._fresh_proxy()
-        elif self.durability.recovery == "exact":
-            if not snapshot.payload.get("oplog_complete", True):
-                raise ModelError(
-                    "snapshot was checkpointed with recovery='durable' "
-                    "and holds no replayable oplog; recover this "
-                    "directory with recovery='durable'"
-                )
-            self._proxy = self._fresh_proxy()
-            for record in snapshot.payload.get("oplog", []):
-                self._apply(record)
-                self._oplog.append(record)
-            self._proxy.fast_forward(int(snapshot.payload["durable"]["now"]))
-        else:
-            self._proxy = StreamingProxy.restore(
-                snapshot.payload["durable"], **self._factory
-            )
-            self._rebind_ordinals(snapshot.payload.get("oplog", []))
-        for record in tail:
             self._apply(record)
             self._retain(record)
         if snapshot is not None or records:
@@ -771,52 +762,57 @@ class DurableStreamingProxy(BackgroundClock):
             # next crash recovers from one snapshot instead of two hops.
             self.checkpoint()
 
-    def _rebind_ordinals(self, oplog: Iterable[dict]) -> None:
-        """Durable-mode ordinal table: map journal ordinals onto the CEI
-        objects :meth:`StreamingProxy.restore` actually registered.
+    def _snapshot_records(self, payload: dict) -> tuple[list[dict], Chronon]:
+        """A snapshot payload's records to replay, and its clock.
 
-        A restored client holds the needs it submitted since it last
-        registered, in submission order: the tail of its submit
-        ordinals.  Binding each restored list to that tail realigns the
-        global ordinals, also when the name was unregistered and
-        registered again (its earlier needs are gone for good).
+        A ``/1`` payload kept its clock in the proxy's durable table.
+        Exact recovery replays its oplog, which only exact mode kept
+        whole.  Durable recovery keeps the semantics it had: each client
+        in the table becomes a register, a submit of its needs (bound to
+        the tail of its submit ordinals) and a cancel of the withdrawn
+        ones, at that clock.
         """
+        tag = payload.get("format")
+        if tag == DURABLE_FORMAT:
+            return payload["oplog"], int(payload["now"])
+        if tag != LEGACY_FORMAT:
+            raise JournalCorruptError(
+                f"snapshot store holds an unknown payload format {tag!r}"
+            )
+        table = payload["durable"]
+        now = int(table["now"])
+        if self.durability.recovery == "exact":
+            if not payload.get("oplog_complete", True):
+                raise ModelError(
+                    "snapshot was checkpointed with recovery='durable' "
+                    "and holds no replayable oplog; recover this "
+                    "directory with recovery='durable'"
+                )
+            return payload.get("oplog", []), now
         ordinals_of: dict[str, list] = {}
-        for record in oplog:
-            self._retain(record)
-            if record.get("op") == "submit":
+        for record in payload.get("oplog", []):
+            if record["op"] == "submit":
                 ordinals_of.setdefault(record["client"], []).extend(
                     record["ordinals"]
                 )
-                self._next_ordinal = max(
-                    self._next_ordinal, record["ordinals"][-1] + 1
-                )
-        for name in self._proxy.registry.names:
-            ceis = self._proxy.registry.ceis_of(name)
+        records: list[dict] = []
+        for name, entries in table["clients"].items():
             ordinals = ordinals_of.get(name, [])
-            self._bind(ordinals[max(len(ordinals) - len(ceis), 0):], ceis)
+            ordinals = ordinals[max(len(ordinals) - len(entries), 0):]
+            withdrawn = [o for o, e in zip(ordinals, entries) if e.get("cancelled")]
+            records += [
+                {"op": "register", "client": name, "at": now},
+                {"op": "submit", "client": name, "at": now, "ordinals": ordinals,
+                 "ceis": [entry["cei"] for entry in entries]},
+                {"op": "cancel", "client": name, "at": now, "ordinals": withdrawn},
+            ]
+        return records, now
 
     def _retain(self, record: dict) -> None:
-        """Keep what later checkpoints and rebinds need from a record.
-
-        Exact mode keeps the full record (recovery re-executes it);
-        durable mode keeps only the ordinal skeleton of submits, which is
-        all :meth:`_rebind_ordinals` reads.  Ticks are never retained —
-        the clock position lives in the snapshot itself.
-        """
-        op = record.get("op")
-        if op == "tick":
-            return
-        if self._keep_oplog:
+        """Keep a non-tick record for the next checkpoint; the clock
+        position lives in the snapshot itself."""
+        if record.get("op") != "tick":
             self._oplog.append(record)
-        elif op == "submit":
-            self._oplog.append(
-                {
-                    "op": "submit",
-                    "client": record["client"],
-                    "ordinals": list(record["ordinals"]),
-                }
-            )
 
     def _advance_to(self, at: Chronon, op: str, *, strict: bool) -> None:
         if at > self._proxy.now:
@@ -878,7 +874,7 @@ class DurableStreamingProxy(BackgroundClock):
             return proxy.unregister_client(client)
         if op == "submit":
             ordinals = record["ordinals"]
-            if ordinals and ordinals[-1] < self._next_ordinal:
+            if ordinals and ordinals[0] in self._cei_of_ordinal:
                 return 0  # duplicate replay: these needs are already in
             self._advance_to(at, op, strict=True)
             if ceis is None:
@@ -1034,18 +1030,19 @@ class DurableStreamingProxy(BackgroundClock):
 
         Returns the snapshot id, or None when the store refused the row
         (the service then reports itself degraded but keeps running —
-        the journal still holds the full history).  The payload holds
-        every admitted CEI (compact triples for plain ones), so a
-        checkpoint costs O(all CEIs) with the lock held.
+        the journal still holds the full history).  The payload is the
+        clock, the next free ordinal and the retained non-tick records
+        as journaled, so each admitted CEI appears once, in its
+        ``submit`` record (compact triples for plain ones).  A checkpoint
+        still costs O(all CEIs) with the lock held.
         """
         with self._lock:
             self._wal.sync()
             payload = {
                 "format": DURABLE_FORMAT,
-                "durable": self._proxy.snapshot(),
-                "oplog": list(self._oplog),
-                "oplog_complete": self._keep_oplog,
+                "now": int(self._proxy.now),
                 "next_ordinal": self._next_ordinal,
+                "oplog": self._oplog,
             }
             wal_seq = self._wal.last_seq
             try:
@@ -1139,6 +1136,6 @@ class DurableStreamingProxy(BackgroundClock):
 
     def snapshot(self) -> dict:
         """The inner proxy's durable payload (see
-        :meth:`StreamingProxy.snapshot`), plain CEIs as triples; every
-        :meth:`checkpoint` stores one."""
+        :meth:`StreamingProxy.snapshot`), plain CEIs as triples.
+        Checkpoints do not use it: they store the journal's records."""
         return self._proxy.snapshot()

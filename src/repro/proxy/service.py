@@ -290,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--recovery",
         choices=("exact", "durable"),
         default="exact",
-        help="recovery mode: exact replays history bit-identically; "
-        "durable restores only the client/need table",
+        help="recovery mode: exact replays each record at its chronon "
+        "(bit-identical); durable replays them at the checkpoint's clock "
+        "(clients, needs and budget, no scheduling state)",
     )
     return parser
 

@@ -159,22 +159,21 @@ def _init_suite_worker(context: tuple) -> None:
     _WORKER_CONTEXT = context
 
 
-def _run_repetition(
-    rep: int, child: np.random.SeedSequence
-) -> tuple[int, list[tuple[str, SimulationResult]]]:
+def _repetition(
+    make_instance: InstanceFactory,
+    child: np.random.SeedSequence,
+    context: tuple,
+) -> list[tuple[str, SimulationResult]]:
     """One full repetition: build the instance once, run every cell on it.
 
-    Regenerates the repetition's instance from its SeedSequence child —
-    the identical instance the serial loop would build — compiles it into
-    an arena when the engine can use one (vectorized), and runs every
-    policy cell (plus the optional offline baseline) against it in suite
-    order.
-    Fault verdicts are pure functions of the probe coordinates, so
-    worker-order nondeterminism cannot leak into the results.
+    Builds the repetition's instance from its SeedSequence child,
+    compiles it into an arena when the engine can use one (vectorized),
+    and runs every policy cell (``None`` is the offline baseline)
+    against it in suite order.  The serial loop and the worker
+    processes both run this, so their results agree seed for seed.
     """
-    assert _WORKER_FACTORY is not None and _WORKER_CONTEXT is not None
-    epoch, budget, cells, config, offline_max_combinations = _WORKER_CONTEXT
-    profiles = _WORKER_FACTORY(np.random.default_rng(child))
+    epoch, budget, cells, config, offline_max_combinations = context
+    profiles = make_instance(np.random.default_rng(child))
     instance: ProfileSet | InstanceArena = (
         compile_arena(profiles)
         if config.engine is not Engine.REFERENCE
@@ -193,7 +192,18 @@ def _run_repetition(
                 instance, epoch, budget, name, preemptive=preemptive, config=config
             )
             results.append((policy_label(name, preemptive), result))
-    return rep, results
+    return results
+
+
+def _run_repetition(
+    rep: int, child: np.random.SeedSequence
+) -> tuple[int, list[tuple[str, SimulationResult]]]:
+    """A worker's repetition task: :func:`_repetition` with the factory
+    and static arguments the worker inherited.  Fault verdicts are pure
+    functions of the probe coordinates, so worker-order nondeterminism
+    cannot leak into the results."""
+    assert _WORKER_FACTORY is not None and _WORKER_CONTEXT is not None
+    return rep, _repetition(_WORKER_FACTORY, child, _WORKER_CONTEXT)
 
 
 def run_suite(
@@ -240,12 +250,12 @@ def run_suite(
         except ValueError:  # pragma: no cover - non-POSIX platforms
             parallel = False
 
+    children = np.random.SeedSequence(seed).spawn(repetitions)
+    cells: list[Optional[tuple[str, bool]]] = list(policies)
+    if include_offline:
+        cells.append(None)
+    context = (epoch, budget, cells, cfg, offline_max_combinations)
     if parallel:
-        children = np.random.SeedSequence(seed).spawn(repetitions)
-        cells: list[Optional[tuple[str, bool]]] = list(policies)
-        if include_offline:
-            cells.append(None)
-        context = (epoch, budget, cells, cfg, offline_max_combinations)
         global _WORKER_FACTORY
         _WORKER_FACTORY = make_instance
         try:
@@ -259,37 +269,16 @@ def run_suite(
                     pool.submit(_run_repetition, rep, child)
                     for rep, child in enumerate(children)
                 ]
-                by_rep: dict[int, list[tuple[str, SimulationResult]]] = {}
-                for future in futures:
-                    rep, cell_results = future.result()
-                    by_rep[rep] = cell_results
+                # Collected in submission order, so results land in
+                # repetition order whatever order the workers finish in.
+                by_rep = [future.result()[1] for future in futures]
         finally:
             _WORKER_FACTORY = None
-        for rep in range(repetitions):
-            for label, result in by_rep[rep]:
-                runs[label].append(result)
     else:
-        use_arena = cfg.engine is not Engine.REFERENCE
-        for rng in child_rngs(seed, repetitions):
-            profiles = make_instance(rng)
-            instance: ProfileSet | InstanceArena = (
-                compile_arena(profiles) if use_arena else profiles
-            )
-            for name, preemptive in policies:
-                label = policy_label(name, preemptive)
-                runs[label].append(
-                    simulate(
-                        instance, epoch, budget, name,
-                        preemptive=preemptive, config=cfg,
-                    )
-                )
-            if include_offline:
-                runs["OFFLINE-LR"].append(
-                    simulate_offline(
-                        profiles, epoch, budget,
-                        max_combinations=offline_max_combinations,
-                    )
-                )
+        by_rep = [_repetition(make_instance, child, context) for child in children]
+    for cell_results in by_rep:
+        for label, result in cell_results:
+            runs[label].append(result)
 
     return {
         label: AggregateResult.from_runs(label, results)

@@ -29,6 +29,11 @@ died.  This harness proves it the blunt way:
    the full script — schedule pairs, global stats, and per-client stats,
    compared as canonical JSON.
 
+A durable-mode leg kills at op boundaries too and recovers with
+``recovery="durable"``, which keeps the clock, the client table and the
+budget but no scheduling state: it compares those with an uninterrupted
+run at the same journal seq (:func:`check_durable_recovery`).
+
 This file is intentionally *not* named ``test_*`` so the tier-1 suite
 stays fast; the CI ``crash-recovery`` job runs it by explicit path with
 a seed matrix (``REPRO_CRASH_SEEDS``), and ``tests/test_durability.py``
@@ -177,9 +182,13 @@ def apply_op(proxy: DurableStreamingProxy, op: dict) -> None:
         raise AssertionError(f"unknown op {kind!r}")
 
 
-def make_proxy(root: str, *, opener=None) -> DurableStreamingProxy:
+def make_proxy(
+    root: str, *, opener=None, recovery: str = "exact"
+) -> DurableStreamingProxy:
     return DurableStreamingProxy(
-        DurabilityConfig(root=root, fsync="never", snapshot_every=5),
+        DurabilityConfig(
+            root=root, fsync="never", snapshot_every=5, recovery=recovery
+        ),
         budget=1.0,
         opener=opener,
     )
@@ -257,13 +266,14 @@ def child_main(argv: list[str]) -> int:
     parser.add_argument("--kill-after", type=int, default=None)
     parser.add_argument("--kill-frame", type=int, default=None)
     parser.add_argument("--torn-bytes", type=int, default=1)
+    parser.add_argument("--recovery", default="exact")
     args = parser.parse_args(argv)
 
     opener = None
     if args.kill_frame is not None:
         opener = TornWriteOpener(args.kill_frame, args.torn_bytes)
 
-    proxy = make_proxy(args.root, opener=opener)
+    proxy = make_proxy(args.root, opener=opener, recovery=args.recovery)
     for index, op in enumerate(make_script(args.seed)):
         if args.kill_after is not None and index == args.kill_after:
             os._exit(EXIT_KILLED)
@@ -328,6 +338,40 @@ def recover_and_finish(root: str, seed: int) -> str:
     return mark
 
 
+def check_durable_recovery(recovered, reference) -> None:
+    """Assert durable-mode recovery kept what it promises.
+
+    The clock, the budget, the client names and each client's needs
+    equal the reference's.  So do the withdrawals, except for a need one
+    side had already closed (satisfied or failed) when the cancel came.
+    Recovery restores needs without their captures: a need the live run
+    satisfied comes back open and its later cancel withdraws it, and a
+    restored need whose window passed fails before a later cancel.
+    """
+    before, after = reference.snapshot(), recovered.snapshot()
+    assert after["now"] == before["now"]
+    assert recovered.monitor.budget == reference.monitor.budget
+    assert list(after["clients"]) == list(before["clients"])
+    for name, needs in before["clients"].items():
+        again = after["clients"][name]
+        assert [n["cei"] for n in again] == [n["cei"] for n in needs]
+        kept = zip(
+            needs,
+            again,
+            reference.registry.ceis_of(name),
+            recovered.registry.ceis_of(name),
+        )
+        for need, restored, live_cei, restored_cei in kept:
+            if need["cancelled"] != restored["cancelled"]:
+                keeper, cei = (
+                    (recovered, restored_cei)
+                    if need["cancelled"]
+                    else (reference, live_cei)
+                )
+                view = keeper.monitor.pool.state_of(cei)
+                assert view is not None and (view.satisfied or view.failed)
+
+
 def crash_seeds() -> list[int]:
     spec = os.environ.get("REPRO_CRASH_SEEDS", "0,1,2")
     return [int(s) for s in spec.split(",") if s.strip()]
@@ -348,6 +392,40 @@ def test_kill_at_op_boundaries(seed: int) -> None:
             assert recover_and_finish(root, seed) == reference, (
                 f"seed {seed}: divergence after kill at op {kill_after}"
             )
+
+
+@pytest.mark.parametrize("seed", crash_seeds())
+def test_kill_at_op_boundaries_durable_mode(seed: int) -> None:
+    """os._exit between ops, then ``recovery="durable"``: the recovered
+    proxy keeps the uninterrupted run's clock, clients, needs,
+    withdrawals and budget at the same journal seq, and again once both
+    finish the script."""
+    script = make_script(seed)
+    rng = random.Random(3000 + seed)
+    kill_points = sorted(
+        {2, NUM_OPS // 2, NUM_OPS - 3, rng.randrange(1, NUM_OPS)}
+    )
+    for kill_after in kill_points:
+        with tempfile.TemporaryDirectory() as root, \
+                tempfile.TemporaryDirectory() as reference_root:
+            code = run_child(
+                root, seed, "--kill-after", str(kill_after),
+                "--recovery", "durable",
+            )
+            assert code == EXIT_KILLED
+            recovered = make_proxy(root, recovery="durable")
+            reference = make_proxy(reference_root)
+            applied = recovered.journal_seq
+            assert applied == kill_after
+            for op in script[:applied]:
+                apply_op(reference, op)
+            check_durable_recovery(recovered, reference)
+            for op in script[applied:]:
+                apply_op(recovered, op)
+                apply_op(reference, op)
+            check_durable_recovery(recovered, reference)
+            recovered.close()
+            reference.close()
 
 
 @pytest.mark.parametrize("seed", crash_seeds())

@@ -116,6 +116,66 @@ class TestTutorial:
         context["proxy"].close()
         assert capsys.readouterr().out.strip() == "30"
 
+    def _walkthrough(self) -> dict:
+        """The context §1–§4 leave behind, run in order: ``epoch`` and
+        ``budget`` (§1, §2), ``trace``, ``rng`` and ``profiles`` (§4),
+        and ``schedule`` from running MRSF on them (§3)."""
+        blocks = python_blocks(TUTORIAL)
+        workload_block = next(b for b in blocks if "generate_profiles(" in b)
+        policy_block = next(b for b in blocks if "monitor.run(" in b)
+        context: dict = {}
+        for block in (*blocks[:3], workload_block, policy_block):
+            exec(compile(block, "<tutorial>", "exec"), context)
+        return context
+
+    def test_noise_block_runs_with_context(self, capsys):
+        """§5: synthetic noise over §4's trace, and a model fitted on a
+        history trace and paired against §4's trace as the future."""
+        from repro import simulate_auction_trace
+
+        blocks = python_blocks(TUTORIAL)
+        noise_block = next(b for b in blocks if "FPNModel(" in b)
+        context = self._walkthrough()
+        capsys.readouterr()
+        history = simulate_auction_trace(
+            context["epoch"], context["rng"], num_auctions=100, total_bids=1500
+        )
+        context["history_bundle"] = history.bundle
+        context["future_bundle"] = context["trace"].bundle
+        exec(compile(noise_block, "<tutorial-noise>", "exec"), context)
+        resources = set(context["trace"].bundle.resources)
+        assert set(context["noisy"]) == resources
+        assert set(context["fitted"]) == resources
+        assert any(context["fitted"].values())
+
+    def test_diagnosing_block_runs_with_context(self, capsys):
+        """§9: the probe breakdown and event coverage of §3's schedule."""
+        blocks = python_blocks(TUTORIAL)
+        diagnose_block = next(b for b in blocks if "diagnose(" in b)
+        context = self._walkthrough()
+        capsys.readouterr()
+        exec(compile(diagnose_block, "<tutorial-diagnose>", "exec"), context)
+        out = capsys.readouterr().out
+        assert "probes:" in out and "CoverageReport(" in out
+
+    def test_capacity_block_runs_with_context(self):
+        """§10: the smallest budget reaching 80% on a small workload."""
+        from repro import Epoch, ProfileSet, cei
+
+        blocks = python_blocks(TUTORIAL)
+        capacity_block = next(b for b in blocks if "minimum_budget_for(" in b)
+
+        def make_my_profiles(rng):
+            starts = rng.integers(0, 30, size=12)
+            return ProfileSet.from_ceis(
+                [cei((i % 4, int(s), int(s) + 3)) for i, s in enumerate(starts)]
+            )
+
+        context = {"epoch": Epoch(40), "make_my_profiles": make_my_profiles}
+        exec(compile(capacity_block, "<tutorial-capacity>", "exec"), context)
+        assert context["budget_needed"] >= 1
+        assert context["achieved"] >= 0.8
+
     def test_every_mentioned_symbol_is_importable(self):
         """Every `repro.<something>` dotted name in the docs resolves."""
         import importlib

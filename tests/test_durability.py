@@ -639,17 +639,71 @@ class TestDurableClock:
         recovered.close()
 
 
+def _v1_payload(proxy, recovery: str) -> dict:
+    """The checkpoint payload the ``repro.durable-proxy/1`` layout wrote
+    for ``proxy``: the proxy's durable table next to the oplog, which
+    exact mode kept whole and durable mode kept as submit skeletons."""
+    oplog = [dict(record) for record in proxy._oplog]
+    if recovery == "durable":
+        oplog = [
+            {"op": "submit", "client": r["client"], "ordinals": list(r["ordinals"])}
+            for r in oplog
+            if r["op"] == "submit"
+        ]
+    return {
+        "format": "repro.durable-proxy/1",
+        "durable": proxy.snapshot(),
+        "oplog": oplog,
+        "oplog_complete": recovery == "exact",
+        "next_ordinal": proxy._next_ordinal,
+    }
+
+
+def _save_v1(root, proxy, payload: dict) -> None:
+    """Store ``payload`` as the only checkpoint of a fresh directory."""
+    store = SnapshotStore(DurabilityConfig(root=root).snapshot_path)
+    store.save(chronon=proxy.now, wal_seq=proxy.journal_seq, payload=payload)
+    store.close()
+
+
+def _ordinal_table(proxy) -> list:
+    return [
+        (ordinal, cei_to_record(cei))
+        for ordinal, cei in sorted(proxy._cei_of_ordinal.items())
+    ]
+
+
 class TestDurableModeOplog:
-    """``recovery='durable'`` keeps O(needs) memory, not O(history)."""
+    """Both modes retain every non-tick record; checkpoints in the
+    earlier ``/1`` layout (durable mode kept only submit skeletons there)
+    still recover as they did."""
 
     def test_oplog_holds_only_submit_skeletons(self, tmp_path):
-        proxy = make_durable(tmp_path, recovery="durable")
+        proxy = make_durable(tmp_path / "live", recovery="durable")
         _churn(proxy)
-        assert proxy._oplog, "submits must still be retained for rebinding"
-        for record in proxy._oplog:
+        payload = _v1_payload(proxy, "durable")
+        assert payload["oplog"], "submits must still be retained for rebinding"
+        for record in payload["oplog"]:
             assert record["op"] == "submit"
             assert set(record) == {"op", "client", "ordinals"}
+        _save_v1(tmp_path / "v1", proxy, payload)
+        recovered = make_durable(tmp_path / "v1", recovery="durable")
+        assert recovered.now == proxy.now
+        assert recovered.snapshot() == proxy.snapshot()
+        assert _ordinal_table(recovered) == _ordinal_table(proxy)
+        assert recovered._next_ordinal == proxy._next_ordinal
+        recovered.close()
         proxy.close()
+
+    def test_both_modes_retain_the_same_records(self, tmp_path):
+        kept = []
+        for mode in ("exact", "durable"):
+            proxy = make_durable(tmp_path / mode, recovery=mode)
+            _churn(proxy)
+            kept.append(proxy._oplog)
+            proxy.close()
+        assert kept[0] == kept[1]
+        assert "tick" not in {record["op"] for record in kept[0]}
 
     def test_exact_mode_retains_full_history(self, tmp_path):
         proxy = make_durable(tmp_path, recovery="exact")
@@ -660,11 +714,41 @@ class TestDurableModeOplog:
         proxy.close()
 
     def test_exact_recovery_from_durable_snapshot_refused(self, tmp_path):
-        proxy = make_durable(tmp_path, recovery="durable")
+        proxy = make_durable(tmp_path / "live", recovery="durable")
         _churn(proxy)
-        proxy.close()  # checkpoints with oplog_complete=False
+        # The /1 layout checkpointed durable mode with oplog_complete=False.
+        _save_v1(tmp_path / "v1", proxy, _v1_payload(proxy, "durable"))
+        proxy.close()
         with pytest.raises(ModelError, match="recovery='durable'"):
-            make_durable(tmp_path, recovery="exact")
+            make_durable(tmp_path / "v1", recovery="exact")
+
+    def test_v1_table_order_is_not_ordinal_order(self, tmp_path):
+        """``bob`` submits before ``alice`` but sits after her in the
+        client table, and ``alice`` re-registers: each need still gets
+        its own ordinal back."""
+        proxy = make_durable(tmp_path / "live", recovery="durable")
+        proxy.register_client("alice")
+        proxy.register_client("bob")
+        proxy.submit_ceis("bob", [make_cei((0, 5, 20)), make_cei((3, 2, 30))])
+        proxy.submit_ceis("alice", [make_cei((1, 5, 20))])
+        proxy.tick(2)
+        proxy.unregister_client("alice")
+        proxy.register_client("alice")
+        proxy.submit_ceis("alice", [make_cei((2, 5, 20)), make_cei((2, 8, 25))])
+        proxy.cancel_ceis("bob", [proxy.submitted_ceis()[1]])
+        proxy.tick(1)
+        _save_v1(tmp_path / "v1", proxy, _v1_payload(proxy, "durable"))
+        recovered = make_durable(tmp_path / "v1", recovery="durable")
+        assert recovered.snapshot() == proxy.snapshot()
+        # The unregistered need is gone for good; the rest keep their ordinals.
+        assert _ordinal_table(recovered) == [
+            entry for entry in _ordinal_table(proxy) if entry[0] != 2
+        ]
+        assert recovered._next_ordinal == proxy._next_ordinal == 5
+        victim = recovered._cei_of_ordinal[4]
+        assert recovered.cancel_ceis("alice", [victim]) == 1
+        recovered.close()
+        proxy.close()
 
     def test_durable_snapshot_rebinds_ordinals_across_restarts(self, tmp_path):
         proxy = make_durable(tmp_path, recovery="durable")
@@ -675,8 +759,8 @@ class TestDurableModeOplog:
         proxy.tick(1)
         proxy.close()
         recovered = make_durable(tmp_path, recovery="durable")
-        # Cancel by ordinal: the skeleton oplog realigns the global index
-        # onto the re-parsed CEI objects.
+        # Cancel by ordinal: replay binds the global index to the
+        # re-parsed CEI objects.
         victim = recovered.submitted_ceis()[1]
         assert recovered.cancel_ceis("alice", [victim]) == 1
         recovered.close()
@@ -709,6 +793,60 @@ class TestDurableModeOplog:
         recovered = make_durable(tmp_path, recovery="durable")  # no close()
         assert recovered.client_stats("a") == live
         assert cei_to_record(recovered.submitted_ceis()[-1]) == cei_to_record(y)
+        recovered.close()
+
+
+class TestReplayCheckpoints:
+    """A checkpoint stores the journal's records once; both recovery
+    modes replay them."""
+
+    @pytest.mark.parametrize("recovery", ["exact", "durable"])
+    def test_checkpointed_budget_survives(self, tmp_path, recovery):
+        proxy = make_durable(tmp_path, recovery=recovery)
+        proxy.set_budget(3.0)
+        proxy.tick(2)
+        proxy.checkpoint()
+        proxy.tick(1)
+        proxy.close()
+        recovered = make_durable(tmp_path, recovery=recovery)
+        assert recovered.monitor.budget.at(10) == 3.0
+        recovered.close()
+
+    def test_durable_directory_recovers_exact(self, tmp_path):
+        live = make_durable(tmp_path, recovery="durable", snapshot_every=2)
+        _churn_mixed(live)
+        assert live._store.count() >= 1
+        live._wal.sync()  # no close(): the process dies here
+        recovered = make_durable(tmp_path, recovery="exact", snapshot_every=2)
+        assert fingerprint(recovered) == fingerprint(live)
+        assert _ordinal_table(recovered) == _ordinal_table(live)
+        recovered.close()
+
+    @pytest.mark.parametrize("recovery", ["exact", "durable"])
+    def test_checkpoint_holds_each_cei_once(self, tmp_path, recovery, monkeypatch):
+        proxy = make_durable(tmp_path, recovery=recovery)
+        _churn_mixed(proxy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("checkpoints and recovery replay records")
+
+        monkeypatch.setattr(StreamingProxy, "snapshot", refuse)
+        monkeypatch.setattr(StreamingProxy, "restore", refuse)
+        proxy.checkpoint()
+        payload = proxy._store.latest().payload
+        assert set(payload) == {"format", "now", "next_ordinal", "oplog"}
+        assert payload["now"] == proxy.now
+        stored = [
+            entry
+            for record in payload["oplog"]
+            if record["op"] == "submit"
+            for entry in record["ceis"]
+        ]
+        assert stored == [cei_to_record(cei) for cei in proxy.submitted_ceis()]
+        expected = _ordinal_table(proxy)
+        proxy.close()
+        recovered = make_durable(tmp_path, recovery=recovery)
+        assert _ordinal_table(recovered) == expected
         recovered.close()
 
 
@@ -783,14 +921,13 @@ class TestCompactRecords:
 
     @pytest.mark.parametrize("recovery", ["exact", "durable"])
     def test_dict_form_snapshot_recovers(self, tmp_path, recovery):
+        """A ``/1`` checkpoint recovers to the clock, client table and
+        ordinals it held (exact mode: bit for bit), from triple-form and
+        dict-form CEIs alike."""
         source = make_durable(tmp_path / "source", recovery=recovery)
         _churn_mixed(source)
-        source.close()
-        for name in ("compact", "legacy"):
-            shutil.copytree(tmp_path / "source", tmp_path / name)
-        store = SnapshotStore(DurabilityConfig(root=tmp_path / "legacy").snapshot_path)
-        latest = store.latest()
-        payload = latest.payload
+        _save_v1(tmp_path / "compact", source, _v1_payload(source, recovery))
+        payload = _v1_payload(source, recovery)
         assert payload["durable"]["format"] == "repro.streaming-proxy/1"
         rewritten = 0
         for entries in payload["durable"]["clients"].values():
@@ -801,17 +938,22 @@ class TestCompactRecords:
             if "ceis" in record:
                 record["ceis"] = _to_dict_form(record["ceis"])
         assert rewritten == 4
-        store.save(chronon=latest.chronon, wal_seq=latest.wal_seq, payload=payload)
-        store.close()
+        _save_v1(tmp_path / "legacy", source, payload)
 
         compact = make_durable(tmp_path / "compact", recovery=recovery)
         legacy = make_durable(tmp_path / "legacy", recovery=recovery)
         assert _recovered_view(legacy) == _recovered_view(compact)
+        assert compact.now == source.now
+        assert compact.snapshot() == source.snapshot()
+        assert _ordinal_table(compact) == _ordinal_table(source)
+        if recovery == "exact":
+            assert _recovered_view(compact) == _recovered_view(source)
         compact.tick(6)
         legacy.tick(6)
         assert _recovered_view(legacy) == _recovered_view(compact)
         compact.close()
         legacy.close()
+        source.close()
 
     def test_submit_validates_once(self, tmp_path, monkeypatch):
         proxy = make_durable(tmp_path)
@@ -1161,6 +1303,10 @@ _CAPTURED_THEN_CANCEL = [
 ]
 
 
+#: A budget change a checkpoint covers must survive durable recovery.
+_BUDGET_THEN_CHECKPOINT = [("budget", 2.0), ("tick", 1), ("checkpoint",)]
+
+
 def _run_script(proxy, script) -> None:
     """Drive a durable proxy through ``script``, skipping ops that do not
     apply (registering a registered name, cancelling for a stranger)."""
@@ -1190,8 +1336,8 @@ def _run_script(proxy, script) -> None:
 class TestRecoveryProperty:
     """Open a second proxy on the directory of a live one that never
     closed: exact recovery reproduces it bit for bit; durable recovery
-    keeps the clock, the client table and every withdrawal of a need it
-    had not already closed."""
+    keeps the clock, the client table, the budget and every withdrawal
+    of a need it had not already closed."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1201,6 +1347,7 @@ class TestRecoveryProperty:
     @example(script=_REREGISTER_THEN_CANCEL, recovery="durable")
     @example(script=_REREGISTER_THEN_CANCEL, recovery="exact")
     @example(script=_CAPTURED_THEN_CANCEL, recovery="durable")
+    @example(script=_BUDGET_THEN_CHECKPOINT, recovery="durable")
     def test_crash_recovers(self, script, recovery):
         with tempfile.TemporaryDirectory() as root:
             live = make_durable(root, recovery=recovery, snapshot_every=2)
@@ -1211,6 +1358,7 @@ class TestRecoveryProperty:
             else:
                 before, after = live.snapshot(), recovered.snapshot()
                 assert after["now"] == before["now"]
+                assert recovered.monitor.budget == live.monitor.budget
                 assert after["clients"].keys() == before["clients"].keys()
                 for name, needs in before["clients"].items():
                     again = after["clients"][name]

@@ -350,3 +350,51 @@ class TestOutageInjector:
         injector.attempt(0, 1)
         assert injector.stats.failures_by_resource == {0: 2, 2: 1}
         assert injector.stats.failures == 3
+
+
+class TestWrapperHooks:
+    """The expected-gain wrappers forward every hook to their base, so
+    they report the base's hooks and the monitor skips the no-ops."""
+
+    @pytest.mark.parametrize("name", ["EG-MRSF", "LEG-MRSF", "SLO-M-EDF", "EG-W-S-EDF"])
+    def test_wrapper_reports_its_base_hooks(self, name):
+        assert make_policy(name).overridden_hooks() == frozenset()
+
+    def test_hook_using_base_shows_through(self):
+        wrapped = ExpectedGainPolicy("EXPECTED-GAIN")
+        assert wrapped.overridden_hooks() == make_policy("EXPECTED-GAIN").overridden_hooks()
+        assert {"on_chronon_start", "on_probe", "on_ei_activated"} <= wrapped.overridden_hooks()
+        assert "select_resources" in ExpectedGainPolicy("WIC").overridden_hooks()
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        name=st.sampled_from(["EG-MRSF", "LEG-MRSF", "SLO-S-EDF", "EG-M-EDF"]),
+        engine=st.sampled_from(["reference", "vectorized"]),
+        rate=st.sampled_from([0.0, 0.3]),
+    )
+    def test_schedules_match_every_hook_forced_on(self, seed, name, engine, rate):
+        """Skipping the forwarded no-op hooks changes no schedule."""
+        from repro.online.health import HealthConfig
+        from repro.policies.base import HOOKS
+
+        rng = np.random.default_rng(seed)
+        profiles = random_general_instance(
+            rng, num_resources=6, num_chronons=30, num_ceis=24,
+            max_rank=3, max_width=4,
+        )
+        epoch, budget = Epoch(30), BudgetVector.constant(1, 30)
+        cfg = MonitorConfig(
+            engine=engine,
+            faults=FailureModel(rate=rate, seed=seed) if rate else None,
+            health=HealthConfig() if name.startswith("L") and rate else None,
+        )
+        skipped = make_policy(name)
+        forced = make_policy(name)
+        forced.overridden_hooks = lambda: frozenset(HOOKS)
+        runs = [
+            simulate(profiles, epoch, budget, policy, config=cfg)
+            for policy in (skipped, forced)
+        ]
+        assert runs[0].schedule.probes == runs[1].schedule.probes
+        assert runs[0].completeness == runs[1].completeness
