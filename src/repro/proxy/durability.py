@@ -726,6 +726,7 @@ class DurableStreamingProxy(BackgroundClock):
         snapshot = self._store.latest()
         records = self._wal.recover()
         self._proxy = StreamingProxy(**self._factory)
+        self._proxy.registry.admit = self.submit_ceis  # handles journal too
         # Records at or below the snapshot's coverage — or below a seq
         # the journal already replayed — are duplicates left by a
         # truncation that never completed; replaying them would
@@ -1110,6 +1111,8 @@ class DurableStreamingProxy(BackgroundClock):
 
     @property
     def registry(self):
+        """The inner proxy's registry.  Read through it; mutate through
+        the durable facade (its handles' ``submit`` is journaled)."""
         return self._proxy.registry
 
     @property

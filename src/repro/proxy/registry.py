@@ -1,17 +1,20 @@
 """Shared client bookkeeping for every proxy facade.
 
-:class:`MonitoringProxy` and :class:`ProxySession` each grew their own
-copy of the same client table — ``register_client`` / lookup / the
-"already registered" and "not registered" error paths — and the streaming
-proxy would have been the third.  :class:`ClientRegistry` is that table,
-extracted once: it owns the client → submitted-CEIs mapping, the error
-paths, and the profile-set construction, and hands out typed
-:class:`ClientHandle` references instead of bare strings.
+:class:`ClientRegistry` is the one client table every facade embeds: it
+owns the client → submitted-CEIs mapping, the "already registered" and
+"not registered" error paths, and the profile-set construction, and
+hands out typed :class:`ClientHandle` references instead of bare
+strings.
 
 ``ClientHandle`` subclasses :class:`str` (its value is the client name),
 so code written against the old string-returning API keeps working —
 handles compare and hash like their names — while new code can call
 :meth:`ClientHandle.submit` and read :attr:`ClientHandle.ceis` directly.
+
+A handle submits through :attr:`ClientRegistry.admit`: the bookkeeping
+append :meth:`ClientRegistry.submit` unless a live facade installed its
+own ``submit_ceis`` there, so on a live proxy ``handle.submit(ceis)`` is
+``proxy.submit_ceis(handle, ceis)``.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class ClientHandle(str):
         return tuple(self._registry.ceis_of(self))
 
     def submit(self, ceis: Sequence[ComplexExecutionInterval]) -> int:
-        """Attach CEIs to this client; returns how many."""
-        return self._registry.submit(self, ceis)
+        """Submit CEIs through :attr:`ClientRegistry.admit`; returns how many."""
+        return self._registry.admit(self, ceis)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ClientHandle({str(self)!r})"
@@ -71,6 +74,8 @@ class ClientRegistry:
 
     def __init__(self) -> None:
         self._clients: dict[str, list[ComplexExecutionInterval]] = {}
+        # What handles submit through; a live facade sets its submit_ceis.
+        self.admit = self.submit
 
     # ------------------------------------------------------------------
     # Registration and lookup
@@ -124,7 +129,8 @@ class ClientRegistry:
     def submit(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
     ) -> int:
-        """Attach CEIs to a registered client; returns how many."""
+        """Attach CEIs to a registered client (bookkeeping only: nothing
+        reaches a monitor); returns how many."""
         self.require(client)
         self._clients[client].extend(ceis)
         return len(ceis)

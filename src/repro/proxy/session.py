@@ -8,11 +8,13 @@ client needs at any point — a CEI submitted at chronon ``t`` is revealed
 to the monitor at ``max(t, release)``, never earlier, exactly like a
 request arriving over the wire.
 
-The session is an epoch-bounded adapter over
-:class:`repro.online.streaming.StreamingMonitor`, the same online loop
-:class:`repro.proxy.streaming.StreamingProxy` drives: the clock stops at
-the epoch's end, and :meth:`ProxySession.finish` scores the run like
-:meth:`MonitoringProxy.run` does.
+The session is an epoch bound around a
+:class:`repro.proxy.streaming.StreamingProxy`, which owns the clock, the
+client registry and admission: :meth:`ProxySession.advance` stops the
+clock at the epoch's end, and :meth:`ProxySession.finish` scores the run
+like :meth:`MonitoringProxy.run` does.  ``session.submit_ceis(client,
+ceis)`` and ``handle.submit(ceis)`` are both the wrapped proxy's
+:meth:`StreamingProxy.submit_ceis`.
 
 Typical use::
 
@@ -35,14 +37,14 @@ from repro.core.profile import ProfileSet
 from repro.core.resource import ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Chronon, Epoch
-from repro.online.streaming import StreamingMonitor
 from repro.policies.base import Policy
 from repro.proxy.proxy import ProxyRunResult, epoch_budget, score_run
 from repro.proxy.registry import ClientRegistry
+from repro.proxy.streaming import StreamingProxy
 
 
 class ProxySession:
-    """A steppable proxy run with mid-flight submissions."""
+    """A steppable proxy run over one epoch, with mid-flight submissions."""
 
     def __init__(
         self,
@@ -55,40 +57,34 @@ class ProxySession:
         self.epoch = epoch
         self.resources = resources
         self.budget = epoch_budget(budget, epoch)
-        self._monitor = StreamingMonitor(
-            policy,
-            budget=self.budget,
-            resources=resources,
-            preemptive=preemptive,
+        self._proxy = StreamingProxy(
+            resources, budget=self.budget, policy=policy, preemptive=preemptive
         )
-        self.registry = ClientRegistry()
 
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
+    @property
+    def registry(self) -> ClientRegistry:
+        """The wrapped proxy's registry; its handles admit through
+        :meth:`submit_ceis`."""
+        return self._proxy.registry
+
+    @property
+    def client_names(self) -> list[str]:
+        return self._proxy.client_names
 
     @property
     def now(self) -> Chronon:
         """The next chronon to be executed (0 before the first advance)."""
-        return self._monitor.now
+        return self._proxy.now
+
+    @property
+    def remaining(self) -> int:
+        """Chronons left to execute."""
+        return len(self.epoch) - self._proxy.now
 
     @property
     def finished(self) -> bool:
         """Has the whole epoch been executed?"""
         return self.remaining == 0
-
-    @property
-    def remaining(self) -> int:
-        """Chronons left to execute."""
-        return len(self.epoch) - self._monitor.now
-
-    # ------------------------------------------------------------------
-    # Clients and submissions
-    # ------------------------------------------------------------------
-
-    @property
-    def client_names(self) -> list[str]:
-        return self.registry.names
 
     def submit_ceis(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
@@ -99,55 +95,33 @@ class ProxySession:
         client's completeness (they can never be captured) — submitting
         stale needs is the client's loss, exactly as in a live proxy.  A
         CEI releasing past the epoch is never revealed and stays
-        unsatisfied.  A batch the monitor refuses (a CEI submitted
-        twice) raises :class:`repro.core.errors.ModelError` and changes
-        nothing.
+        unsatisfied.  A batch the proxy refuses (a CEI submitted twice)
+        raises :class:`repro.core.errors.ModelError` and changes nothing.
         """
-        ceis = list(ceis)
-        self.registry.require(client)
-        self._monitor.submit(ceis)
-        return self.registry.submit(client, ceis)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
+        return self._proxy.submit_ceis(client, ceis)
 
     def advance(self, chronons: int = 1) -> Chronon:
-        """Execute the next ``chronons`` chronons; returns the new now."""
+        """Execute the next ``chronons`` chronons, never past the epoch's
+        end; returns the new now."""
         if chronons < 0:
             raise ExperimentError(f"cannot advance by {chronons}")
-        return self._monitor.advance(min(chronons, self.remaining))
+        return self._proxy.tick(min(chronons, self.remaining))
 
     def run_to_end(self) -> Chronon:
         """Execute every remaining chronon."""
         return self.advance(self.remaining)
 
-    # ------------------------------------------------------------------
-    # Live observation
-    # ------------------------------------------------------------------
-
     def snapshot(self) -> dict[str, float | int]:
-        """Interim run statistics without disturbing the session.
+        """Interim run statistics without disturbing the session: the
+        wrapped proxy's :meth:`StreamingProxy.stats` plus ``remaining``.
 
         Useful for dashboards polling a live session: how many CEIs have
         been revealed, satisfied, failed, how many probes are spent, and
         the proxy's believed completeness so far.
         """
-        live = self._monitor.snapshot()
-        return {
-            "now": live["now"],
-            "remaining": self.remaining,
-            "registered_ceis": live["registered_ceis"],
-            "satisfied_ceis": live["satisfied_ceis"],
-            "failed_ceis": live["failed_ceis"],
-            "open_ceis": live["open_ceis"],
-            "probes_used": live["probes_used"],
-            "believed_completeness": live["believed_completeness"],
-        }
-
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
+        out = self._proxy.stats()
+        out["remaining"] = self.remaining
+        return out
 
     def build_profiles(self) -> ProfileSet:
         """Everything submitted so far, one profile per client."""
@@ -156,5 +130,6 @@ class ProxySession:
     def finish(self) -> ProxyRunResult:
         """Run to the end (if needed) and score the session."""
         self.run_to_end()
-        profiles = self.build_profiles()
-        return score_run(self.registry, profiles, self._monitor.monitor)
+        return score_run(
+            self.registry, self.build_profiles(), self._proxy.monitor.monitor
+        )

@@ -1,7 +1,6 @@
 """The always-on proxy: a service facade over the streaming monitor.
 
-:class:`MonitoringProxy` replays one epoch and :class:`ProxySession`
-steps one; :class:`StreamingProxy` is
+:class:`MonitoringProxy` replays one epoch; :class:`StreamingProxy` is
 the paper's Section I platform as a *service*: clients register, submit
 and withdraw continuous needs at any time, and the proxy's clock runs
 forever — driven manually (:meth:`StreamingProxy.tick`), by a background
@@ -11,13 +10,16 @@ live from pool state, and the durable part of the service (the client
 table and every submitted need) snapshots to plain JSON-ready dicts and
 restores into a fresh process.
 
-The facade shares :class:`repro.proxy.registry.ClientRegistry` with the
-batch facades and delegates scheduling to
-:class:`repro.online.streaming.StreamingMonitor` — the one online loop,
-which :class:`ProxySession` also adapts, bounded to an epoch — so churn
-rides the arena delta layer whenever the run is arena-backed.  Clients
-register with :meth:`StreamingProxy.register_client`.  An optional thin
-HTTP front end lives in :mod:`repro.proxy.service`.
+The facade owns a :class:`repro.proxy.registry.ClientRegistry` and
+delegates scheduling to :class:`repro.online.streaming.StreamingMonitor`,
+the one online loop, so churn rides the arena delta layer whenever the
+run is arena-backed.  :class:`ProxySession` is an epoch bound around a
+:class:`StreamingProxy`, and :class:`DurableStreamingProxy` journals in
+front of one.  Clients register with
+:meth:`StreamingProxy.register_client` and submit with
+:meth:`StreamingProxy.submit_ceis`, which the registry's handles call
+too (the durable facade checks, journals, then admits instead).  An
+optional thin HTTP front end lives in :mod:`repro.proxy.service`.
 """
 
 from __future__ import annotations
@@ -94,10 +96,6 @@ class StreamingProxy(BackgroundClock):
         The monitored resource pool (probe costs, push flags).
     budget, policy, preemptive, config, arena, compact_every:
         Forwarded to :class:`StreamingMonitor`.
-    registry:
-        Optional pre-populated :class:`ClientRegistry` to adopt (CEIs
-        already in it are submitted to the monitor on construction) —
-        this is how :meth:`restore` rebuilds a proxy from a snapshot.
     """
 
     _clock_name = "streaming-proxy-clock"
@@ -112,7 +110,6 @@ class StreamingProxy(BackgroundClock):
         *,
         arena: Optional[InstanceArena] = None,
         compact_every: int = 0,
-        registry: Optional[ClientRegistry] = None,
     ) -> None:
         self._monitor = StreamingMonitor(
             policy,
@@ -123,19 +120,14 @@ class StreamingProxy(BackgroundClock):
             arena=arena,
             compact_every=compact_every,
         )
-        self.registry = registry if registry is not None else ClientRegistry()
+        self.registry = ClientRegistry()
+        self.registry.admit = self.submit_ceis  # handle.submit admits here
         # cid -> owning client name; the reverse of the registry's lists,
         # kept here because cancellation and stats are cid-keyed.
         self._owner_of_cid: dict[int, str] = {}
         self._ceis_by_cid: dict[int, ComplexExecutionInterval] = {}
         self._cancelled_cids: set[int] = set()
         self._lock = threading.RLock()
-        adopted = {name: self.registry.ceis_of(name) for name in self.registry.names}
-        # Everything the registry holds goes in as one submission (one
-        # arena patch on an arena-backed run).
-        self._monitor.submit([cei for ceis in adopted.values() for cei in ceis])
-        for name, ceis in adopted.items():
-            self._own(name, ceis)
 
     # ------------------------------------------------------------------
     # Clients and churn
@@ -153,6 +145,8 @@ class StreamingProxy(BackgroundClock):
     def _own(
         self, client: str, ceis: Sequence[ComplexExecutionInterval]
     ) -> None:
+        """Bookkeeping for an admitted batch: the registry and owner map."""
+        self.registry.submit(client, ceis)
         for cei in ceis:
             self._owner_of_cid[cei.cid] = str(client)
             self._ceis_by_cid[cei.cid] = cei
@@ -190,25 +184,26 @@ class StreamingProxy(BackgroundClock):
 
         The batch reaches the monitor as one submission — one
         :class:`repro.sim.arena.ArenaPatch` on an arena-backed run — so
-        churn costs one patch per call, not one per CEI.  A batch that
-        :meth:`check_submission` refuses raises and changes nothing; one
-        it passes is admitted by :meth:`_admit`.
+        churn costs one patch per call, not one per CEI.  The owner map
+        is checked, then :meth:`StreamingMonitor.submit` checks and
+        admits the batch, then the registry and owner map record it; a
+        batch either check refuses raises and changes nothing.
         """
         ceis = list(ceis)
         with self._lock:
-            self.check_submission(client, ceis)
-            return self._admit(client, ceis)
+            self._check_owners(client, ceis)
+            self._monitor.submit(ceis)
+            self._own(client, ceis)
+        return len(ceis)
 
     def _admit(
         self, client: str, ceis: list[ComplexExecutionInterval]
     ) -> int:
         """Admit a batch :meth:`check_submission` already passed, without
-        checking it again (:meth:`submit_ceis` checks then admits; the
-        durable facade checks, journals, then admits, all under its own
-        lock)."""
+        checking it again: the durable facade checks, journals, then
+        admits, all under its own lock."""
         with self._lock:
             self._monitor._admit(ceis)
-            self.registry.submit(client, ceis)
             self._own(client, ceis)
         return len(ceis)
 

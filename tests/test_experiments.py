@@ -98,6 +98,21 @@ class TestRuntime:
         medf = result.series("M-EDF total s")
         assert sum(medf) > sum(sedf)
 
+    @pytest.mark.parametrize("module", [runtime_table, fig11_scalability])
+    def test_online_runs_name_the_reference_engine(self, module, monkeypatch):
+        # The runtime shape is the Algorithm 1 transcription's; a change
+        # of the default engine must not change what these tables time.
+        engines = []
+        real = module.simulate
+
+        def recording(*args, config=None, **kwargs):
+            engines.append(None if config is None else config.engine)
+            return real(*args, config=config, **kwargs)
+
+        monkeypatch.setattr(module, "simulate", recording)
+        module.run(scale=0.05, seed=1, repetitions=1)
+        assert engines and set(engines) == {"reference"}
+
 
 class TestFig11:
     def test_total_runtime_grows_with_profiles(self):

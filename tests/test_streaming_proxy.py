@@ -209,22 +209,6 @@ class TestBatchedAdmission:
         _run_churn(1, batched=True, submit=submit)
         assert per_call == [1] * CHURN_PERIODS
 
-    def test_registry_replay_is_one_patch(self, count_patches):
-        proxy = make_proxy()
-        for name in ("ana", "bob"):
-            proxy.register_client(name)
-            proxy.submit_ceis(name, [make_cei((0, 2, 9)), make_cei((1, 3, 8))])
-        count_patches.clear()
-        standing = make_cei((2, 0, 6))
-        StreamingProxy(
-            resources=ResourcePool.uniform(4),
-            config=MonitorConfig(engine="vectorized"),
-            arena=compile_arena(make_profiles(standing)),
-            registry=proxy.registry,
-        )
-        assert len(count_patches) == 1
-        assert len(count_patches[0].register) == 4
-
 
 def _arena_proxy():
     """An arena-backed proxy with one standing compiled need, plus a
